@@ -1,9 +1,10 @@
 """Rational polyhedral cones with exact arithmetic.
 
-A cone is stored by primitive integer generators. Dual cones come from
-facet enumeration over generator subsets, which is exact and fast at the
-ambient dimensions this library targets (<= ~11). Hilbert bases use the
-zonotope bound plus an irreducibility sieve.
+A cone is stored by primitive integer generators. Dual cones of atomic
+cones come from facet enumeration over generator subsets, which is exact
+and fast at the ambient dimensions this library targets (<= ~11). Product
+cones never enumerate: they compose their dual and rays from the factors'.
+Hilbert bases use the zonotope bound plus an irreducibility sieve.
 """
 
 from __future__ import annotations
@@ -182,10 +183,22 @@ class Cone:
         return self._rays
 
     def product(self, other: "Cone") -> "Cone":
+        """The cone self x other, with its dual and rays taken from the factors.
+
+        The dual of a product is the product of the duals, and the rays of a
+        product of pointed cones are the embedded factor rays, so neither is
+        enumerated again on the product.
+        """
         d1, d2 = self.ambient_dim, other.ambient_dim
-        gens = [tuple(g) + (0,) * d2 for g in self.generators]
-        gens += [(0,) * d1 + tuple(h) for h in other.generators]
-        return Cone(d1 + d2, gens)
+
+        def embed(first, second):
+            return [tuple(g) + (0,) * d2 for g in first] + [(0,) * d1 + tuple(h) for h in second]
+
+        cone = Cone(d1 + d2, embed(self.generators, other.generators))
+        cone._dual_gens = tuple(sorted(embed(self.dual_generators(), other.dual_generators())))
+        if self.is_strongly_convex() and other.is_strongly_convex():
+            cone._rays = tuple(sorted(embed(self.rays(), other.rays())))
+        return cone
 
     def hilbert_basis(self) -> Semigroup:
         """Minimal generating set of cone ∩ Z^d as a semigroup.

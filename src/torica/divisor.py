@@ -14,13 +14,14 @@ enumeration below a certified grade bound.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, product as iproduct
 from math import ceil, floor
 
-from .cone import Cone
+from .cone import Cone, Semigroup
 from .errors import NonUnique, NoSolution, VarietyMismatch
 from .polyring import module_regular_sequence
-from .toric import PHI_COLUMNS, product_ring, steinberg_ring_mod_l
+from .toric import PHI_COLUMNS, _power_presentation, steinberg_ring_mod_l
 from .zlinalg import IntMatrix, invert_unimodular, smith_normal_form, solve_rational
 
 
@@ -51,7 +52,6 @@ class ToricVariety:
             raise ValueError("cone must be full-dimensional")
         self.cone = cone
         self.rays = cone.rays()
-        self.dual_cone = cone.dual()
         self.presentation = presentation
         self.name = name or f"X({cone.ambient_dim}d)"
         self.factors = tuple(factors) if factors else (self,)
@@ -78,7 +78,10 @@ class ToricVariety:
                             raise ValueError("ray is not embedded from a single factor")
                         hit = (pos, f.rays.index(block))
                 split.append(hit)
+            if len(split) != sum(len(f.rays) for f in self.factors):
+                raise ValueError("rays do not match the factor rays")
             self._ray_split = tuple(split)
+            self.dual_cone = reduce(Cone.product, (f.dual_cone for f in self.factors))
             gens = []
             for pos, f in enumerate(self.factors):
                 lo = self._offsets[pos]
@@ -86,12 +89,11 @@ class ToricVariety:
                     v = [0] * cone.ambient_dim
                     v[lo : lo + f.cone.ambient_dim] = list(h)
                     gens.append(tuple(v))
-            from .cone import Semigroup
-
             self.semigroup = Semigroup(cone.ambient_dim, sorted(gens))
         else:
             self._offsets = (0,)
             self._ray_split = tuple((0, i) for i in range(len(self.rays)))
+            self.dual_cone = cone.dual()
             self.semigroup = self.dual_cone.hilbert_basis()
 
     def __repr__(self):
@@ -164,20 +166,26 @@ def affine_space_variety(n) -> ToricVariety:
 
 
 def steinberg_product_variety(k, s, field=101) -> ToricVariety:
-    """S^k x A^s with the matching product ring presentation."""
+    """S^k x A^s with the matching product ring presentation.
+
+    The k surface factors are one shared `ToricVariety` object, and so are
+    the s line factors. The product's cone, dual cone and ring presentation
+    are assembled from theirs, so nothing is enumerated or saturated again.
+    """
     k, s = int(k), int(s)
     if k < 0 or s < 0 or k + s < 1:
         raise ValueError("need k >= 0, s >= 0, k + s >= 1")
-    factors = [steinberg_variety(field) for _ in range(k)]
-    factors += [affine_line_variety() for _ in range(s)]
+    surface = steinberg_variety(field) if k else None
+    line = affine_line_variety() if s else None
+    factors = [surface] * k + [line] * s
     if len(factors) == 1:
         return factors[0]
-    variety = factors[0]
-    for f in factors[1:]:
-        variety = product(variety, f)
-    variety.presentation = product_ring(k, s, field)
-    variety.name = f"S^{k} x A^{s}"
-    return variety
+    return ToricVariety(
+        reduce(Cone.product, (f.cone for f in factors)),
+        presentation=_power_presentation(surface.presentation if k else None, k, s, field),
+        factors=factors,
+        name=f"S^{k} x A^{s}",
+    )
 
 
 class TorusDivisor:
@@ -565,12 +573,15 @@ def module_generators(v: ToricVariety, d: TorusDivisor) -> DivisorialModule:
 
 
 def multiplicity(v: ToricVariety) -> int:
-    """Minimal generator count of the half-canonical module, over the factors."""
+    """Minimal generator count of the half-canonical module, over the factors.
+
+    A factor shared by several positions is counted once and raised to its
+    multiplicity.
+    """
     total = 1
-    for f in v.factors:
-        half = half_canonical(f)
-        rep = f.class_group().representative(half)
-        total *= len(module_generators(f, rep).generators)
+    for f in dict.fromkeys(v.factors):
+        rep = f.class_group().representative(half_canonical(f))
+        total *= len(module_generators(f, rep).generators) ** v.factors.count(f)
     return total
 
 

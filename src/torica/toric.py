@@ -78,7 +78,14 @@ class ToricPresentation:
         return self._lift_cone, self._lift_weight
 
     def lift_lattice_point(self, m):
-        """Exponent tuple e with phi @ e == m, or None if m is not in the semigroup."""
+        """Exponent tuple e with phi @ e == m, or None if m is not in the semigroup.
+
+        A depth-first search subtracts columns in index order, skipping any
+        column of higher grade than what is left. The search runs on an
+        explicit stack, so deep lifts need no recursion. The memo, shared
+        across calls, maps each visited point to the first column of its
+        lift, or to None when the point has no lift.
+        """
         cone, weight = self._lift_setup()
         m = tuple(int(x) for x in m)
         cols = self.map.phi.columns()
@@ -87,29 +94,46 @@ class ToricPresentation:
         def grade(v):
             return sum(w * x for w, x in zip(weight, v))
 
-        def search(v):
-            if v in memo:
-                return memo[v]
-            if all(x == 0 for x in v):
-                return ()
-            result = None
-            if cone.contains(v):
-                gv = grade(v)
-                for idx, col in enumerate(cols):
-                    if any(col) and grade(col) <= gv:
-                        tail = search(tuple(a - b for a, b in zip(v, col)))
-                        if tail is not None:
-                            result = (idx,) + tail
-                            break
-            memo[v] = result
-            return result
+        col_grades = [grade(col) for col in cols]
 
-        picks = search(m)
-        if picks is None:
+        def frame(v):
+            # [point, its grade or None outside the cone, next column to try]
+            return [v, grade(v) if cone.contains(v) else None, 0]
+
+        def settled(v):
+            return v in memo or not any(v)
+
+        def liftable(v):
+            return not any(v) or memo[v] is not None
+
+        stack = [] if settled(m) else [frame(m)]
+        while stack:
+            top = stack[-1]
+            v, gv, idx = top
+            if gv is not None:
+                while idx < len(cols) and not (any(cols[idx]) and col_grades[idx] <= gv):
+                    idx += 1
+            if gv is None or idx == len(cols):
+                memo[v] = None
+                stack.pop()
+                continue
+            rest = tuple(a - b for a, b in zip(v, cols[idx]))
+            if not settled(rest):
+                top[2] = idx
+                stack.append(frame(rest))
+            elif liftable(rest):
+                memo[v] = idx
+                stack.pop()
+            else:
+                top[2] = idx + 1
+
+        if not liftable(m):
             return None
         exps = [0] * len(cols)
-        for idx in picks:
+        while any(m):
+            idx = memo[m]
             exps[idx] += 1
+            m = tuple(a - b for a, b in zip(m, cols[idx]))
         return tuple(exps)
 
     def monomial_for(self, m):
@@ -183,40 +207,47 @@ def product_ring(k, s, char) -> ToricPresentation:
         raise ValueError("need k >= 0, s >= 0, k + s >= 1")
     if k == 1 and s == 0:
         return steinberg_ring_mod_l(char)
+    return _power_presentation(steinberg_ring_mod_l(char) if k else None, k, s, char)
+
+
+def _power_presentation(base, k, s, char) -> ToricPresentation:
+    """k shifted copies of the presentation `base` plus s polynomial variables.
+
+    Each copy gets its own block of lattice coordinates and of variables, so
+    the base ideal is reused as it stands and never saturated again. `base`
+    is only read when k >= 1.
+    """
+    base_dim = base.map.phi.rows if k else 0
+    base_nvars = base.ring.nvars if k else 0
+    dim = base_dim * k + s
 
     names = []
-    for f in range(k):
-        suffix = str(f + 1) if k >= 2 else ""
-        names.extend(name + suffix for name in STEINBERG_VARIABLES)
-    names.extend(f"x{j + 1}" for j in range(s))
-
-    dim = 3 * k + s
     columns = []
     for f in range(k):
-        for col in PHI_COLUMNS:
+        suffix = str(f + 1) if k >= 2 else ""
+        names.extend(name + suffix for name in base.map.variable_names)
+        for col in base.map.phi.columns():
             embedded = [0] * dim
-            embedded[3 * f : 3 * f + 3] = list(col)
+            embedded[base_dim * f : base_dim * (f + 1)] = list(col)
             columns.append(tuple(embedded))
+    names.extend(f"x{j + 1}" for j in range(s))
     for j in range(s):
         embedded = [0] * dim
-        embedded[3 * k + j] = 1
+        embedded[base_dim * k + j] = 1
         columns.append(tuple(embedded))
     map = MonomialMap(IntMatrix.from_columns(columns, rows=dim), names)
 
     ring = PolyRing(char, names)
     gens = []
-    if k:
-        base = steinberg_ring_mod_l(char)
-        base_gens = base.ideal.generators
-        for f in range(k):
-            offset = 6 * f
-            for g in base_gens:
-                shifted = {}
-                for exps, coeff in g.terms.items():
-                    e = [0] * len(names)
-                    e[offset : offset + 6] = list(exps)
-                    shifted[tuple(e)] = coeff
-                gens.append(ring.polynomial(shifted))
+    for f in range(k):
+        offset = base_nvars * f
+        for g in base.ideal.generators:
+            shifted = {}
+            for exps, coeff in g.terms.items():
+                e = [0] * ring.nvars
+                e[offset : offset + base_nvars] = list(exps)
+                shifted[tuple(e)] = coeff
+            gens.append(ring.polynomial(shifted))
     ideal = Ideal(ring, gens)
     semigroup = Semigroup(dim, columns)
     return ToricPresentation(map, ideal, semigroup)

@@ -100,6 +100,42 @@ def test_product_with_orthants():
     assert c2.product(c1) == Cone(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
 
 
+def _random_small_cone(rng):
+    d = rng.randint(1, 3)
+    gens = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(rng.randint(0, 4))]
+    return Cone(d, gens)
+
+
+def _rays_or_error(cone):
+    try:
+        return cone.rays()
+    except NotStronglyConvex:
+        return NotStronglyConvex
+
+
+def _kinds(cone):
+    if not cone.generators:
+        return {"empty"}
+    kinds = {"pointed" if cone.is_strongly_convex() else "not pointed"}
+    if cone.dim() < cone.ambient_dim:
+        kinds.add("lower-dimensional")
+    return kinds
+
+
+def test_product_duals_and_rays_match_recomputation():
+    """A product's composed dual and rays equal a from-scratch computation."""
+    rng = random.Random(59)
+    seen = set()
+    for _ in range(300):
+        c1, c2 = _random_small_cone(rng), _random_small_cone(rng)
+        composed = c1.product(c2)
+        fresh = Cone(c1.ambient_dim + c2.ambient_dim, composed.generators)
+        assert composed.dual_generators() == fresh.dual_generators(), (c1, c2)
+        assert _rays_or_error(composed) == _rays_or_error(fresh), (c1, c2)
+        seen |= _kinds(c1) | _kinds(c2)
+    assert seen == {"empty", "pointed", "not pointed", "lower-dimensional"}
+
+
 def test_hilbert_basis_of_semigroup_cone_is_phi_columns():
     semigroup = hilbert_basis(Cone(3, DUAL_GENS))
     assert len(semigroup.hilbert_generators) == 6

@@ -252,6 +252,36 @@ def test_multiplicity_table():
         assert steinberg_multiplicity(k, s) == expected
 
 
+@pytest.mark.parametrize("k", [5, 6, 7, 8])
+def test_product_law_beyond_four_surface_factors(k):
+    assert steinberg_multiplicity(k, 0) == 2**k
+
+
+def test_large_product_variety_is_assembled_from_factors():
+    k = 6
+    v = steinberg_product_variety(k, 1)
+    assert len(v.rays) == 4 * k + 1
+    cg = class_group(v)
+    assert (cg.free_rank, cg.torsion) == (k, ())
+    assert all(f is v.factors[0] for f in v.factors[:k])
+    surface_dual_rays = ((0, 1, 0), (0, 1, 2), (1, 0, 0), (1, 0, 2))
+    dim = 3 * k + 1
+    embedded = [
+        (0,) * (3 * i) + r + (0,) * (dim - 3 * i - 3) for i in range(k) for r in surface_dual_rays
+    ]
+    embedded.append((0,) * (dim - 1) + (1,))
+    assert v.dual_cone.rays() == tuple(sorted(embedded))
+
+
+def test_product_constructor_rejects_missing_factor_rays():
+    surface = steinberg_variety()
+    line = affine_line_variety()
+    rays = [r + (0,) for r in surface.rays[1:]] + [(0, 0, 0, 1)]
+    cone = Cone(4, rays)
+    with pytest.raises(ValueError):
+        ToricVariety(cone, factors=(surface, line))
+
+
 def test_multiplicity_matches_variety_route():
     v = steinberg_product_variety(2, 1)
     assert multiplicity(v) == steinberg_multiplicity(2, 1) == 4

@@ -107,6 +107,29 @@ def test_lift_lattice_point_outside_semigroup():
     assert pres.lift_lattice_point((-1, 0, 0)) is None
 
 
+def test_lift_lattice_point_is_pinned():
+    pres = steinberg_ring_mod_l(101)
+    expected = {
+        (1, 1, 3): (1, 0, 0, 0, 1, 0),
+        (2, 2, 2): (2, 0, 0, 0, 0, 2),
+        (3, 1, 4): (3, 0, 0, 1, 0, 0),
+        (4, 3, 9): (4, 0, 0, 1, 2, 0),
+        (5, 5, 5): (5, 0, 0, 0, 0, 5),
+        (0, 3, 6): (0, 0, 0, 0, 3, 0),
+        (0, 0, 0): (0, 0, 0, 0, 0, 0),
+    }
+    for point, lift in expected.items():
+        assert pres.lift_lattice_point(point) == lift
+
+
+def test_lift_lattice_point_deep_point():
+    pres = steinberg_ring_mod_l(101)
+    point = (2000, 2000, 2000)
+    lift = pres.lift_lattice_point(point)
+    assert lift is not None
+    assert pres.map.phi @ lift == point
+
+
 def test_monomial_for():
     pres = steinberg_ring_mod_l(101)
     assert str(pres.monomial_for((2, 0, 2))) == "A^2"
