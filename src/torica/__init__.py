@@ -49,6 +49,7 @@ from .divisor import (
     trace_surjectivity_witness,
 )
 from .errors import (
+    BudgetExceeded,
     InconclusiveAtBound,
     InfiniteCokernel,
     NonUnique,

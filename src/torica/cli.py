@@ -28,7 +28,7 @@ from .divisor import (
     TorusDivisor,
     trace_surjectivity_witness,
 )
-from .errors import InconclusiveAtBound, NonUnique, ToricaError
+from .errors import BudgetExceeded, InconclusiveAtBound, NonUnique, ToricaError
 from .polyring import (
     INFINITE,
     Ideal,
@@ -483,6 +483,8 @@ def _error_json(code, err):
         body["count"] = err.count
     if isinstance(err, InconclusiveAtBound):
         body["bound"] = err.bound
+    if isinstance(err, BudgetExceeded):
+        body["budget"] = err.budget
     return {"error": body}
 
 

@@ -4,16 +4,26 @@ A cone is stored by primitive integer generators. Dual cones of atomic
 cones come from facet enumeration over generator subsets, which is exact
 and fast at the ambient dimensions this library targets (<= ~11). Product
 cones never enumerate: they compose their dual and rays from the factors'.
-Hilbert bases use the zonotope bound plus an irreducibility sieve.
+
+Lattice points are enumerated in one place, `_box_points`: the box around
+conv(V) + [0, 1]·rays, cut at a grade bound. Every minimal generator of
+the module conv(V) + cone(rays) lies in it, since a point with a
+coefficient >= 1 on some ray can drop that ray. With V = {0} it is the
+zonotope bound that Hilbert bases use, plus an irreducibility sieve;
+divisorial modules use it with V the vertices of their region. A box of
+more than `_BOX_BUDGET` points raises `BudgetExceeded` before anything is
+scanned.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product as iproduct
-from math import gcd
+from math import ceil, floor, gcd, prod
 
-from .errors import NotPointed, NotStronglyConvex
+from .errors import BudgetExceeded, NotPointed, NotStronglyConvex
 from .zlinalg import IntMatrix, hermite_normal_form, kernel_basis, lattice_member, rank
+
+_BOX_BUDGET = 10**6
 
 
 def _primitive(vec):
@@ -27,6 +37,33 @@ def _primitive(vec):
 
 def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
+
+
+def _grading(cone):
+    """The sum of the cone's dual generators, positive on a pointed cone minus 0."""
+    duals = cone.dual_generators()
+    return tuple(sum(n[i] for n in duals) for i in range(cone.ambient_dim))
+
+
+def _box_points(vertices, rays, weight):
+    """(grade, point) for the lattice points of the box around conv(vertices) + [0, 1]·rays.
+
+    Points are yielded in lexicographic order, and only those whose grade
+    is at most ceil(max vertex grade) + the sum of the ray grades. Raises
+    BudgetExceeded, before scanning, if the box has more than _BOX_BUDGET
+    points.
+    """
+    d = len(weight)
+    lo = [floor(min(v[i] for v in vertices)) + sum(min(0, r[i]) for r in rays) for i in range(d)]
+    hi = [ceil(max(v[i] for v in vertices)) + sum(max(0, r[i]) for r in rays) for i in range(d)]
+    size = prod(h - l + 1 for l, h in zip(lo, hi))
+    if size > _BOX_BUDGET:
+        raise BudgetExceeded(
+            f"lattice box of {size} points exceeds the budget of {_BOX_BUDGET}", _BOX_BUDGET
+        )
+    bound = ceil(max(_dot(weight, v) for v in vertices)) + sum(_dot(weight, r) for r in rays)
+    graded = ((_dot(weight, p), p) for p in iproduct(*(range(l, h + 1) for l, h in zip(lo, hi))))
+    return ((g, p) for g, p in graded if g <= bound)
 
 
 class Semigroup:
@@ -204,8 +241,9 @@ class Cone:
         """Minimal generating set of cone ∩ Z^d as a semigroup.
 
         Uses the standard zonotope bound: every irreducible element is a
-        {0..1}-combination of the extreme rays, so candidates can be
-        enumerated in a box and sieved by subtracting accepted elements.
+        [0, 1]-combination of the extreme rays, so candidates come from
+        `_box_points` around the origin and are sieved by subtracting
+        accepted elements.
         """
         if not self.is_strongly_convex():
             raise NotPointed("Hilbert basis requires a cone with no line")
@@ -213,22 +251,11 @@ class Cone:
         rays = self.rays()
         if not rays:
             return Semigroup(d, [])
-        duals = self.dual_generators()
-        weight = tuple(sum(n[i] for n in duals) for i in range(d))
-
-        def grade(v):
-            return _dot(weight, v)
-
-        bound = sum(grade(g) for g in rays)
-
-        lo = [sum(min(0, g[i]) for g in rays) for i in range(d)]
-        hi = [sum(max(0, g[i]) for g in rays) for i in range(d)]
-        candidates = []
-        for point in iproduct(*(range(lo[i], hi[i] + 1) for i in range(d))):
-            g = grade(point)
-            if 0 < g <= bound and self.contains(point):
-                candidates.append((g, point))
-        candidates.sort()
+        candidates = sorted(
+            (g, point)
+            for g, point in _box_points([(0,) * d], rays, _grading(self))
+            if g > 0 and self.contains(point)
+        )
 
         basis = []
         for g, point in candidates:

@@ -7,26 +7,22 @@ Smith normal form of the ray-pairing matrix; product varieties use
 concatenated per-factor coordinates so that factor classes stay visible.
 
 Divisorial modules O(D) are handled through their lattice regions
-{m : <m, u_rho> >= -a_rho}; minimal generator sets are found by exact
-enumeration below a certified grade bound.
+{m : <m, u_rho> >= -a_rho} = conv(V) + sigma^dual, V the region's vertices.
+Minimal generators are found by exact enumeration of the zonotope box
+around conv(V) + [0, 1]·(dual rays), the same box (`cone._box_points`)
+that Hilbert bases use with V = {0}, followed by a minimality sieve.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product as iproduct
-from math import ceil, floor
 
-from .cone import Cone, Semigroup
+from .cone import Cone, Semigroup, _box_points, _dot, _grading
 from .errors import NonUnique, NoSolution, VarietyMismatch
 from .polyring import module_regular_sequence
 from .toric import PHI_COLUMNS, _power_presentation, steinberg_ring_mod_l
 from .zlinalg import IntMatrix, invert_unimodular, smith_normal_form, solve_rational
-
-
-def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
 
 
 class ToricVariety:
@@ -365,13 +361,10 @@ class ClassGroup:
     def project(self, d: TorusDivisor) -> DivisorClass:
         if d.variety is not self.variety:
             raise VarietyMismatch("divisor lives on a different variety")
-        per_factor = [[0] * b.nrays for b in self.blocks]
-        for stored_idx, (pos, fray) in enumerate(self.variety._ray_split):
-            per_factor[pos][fray] = d.coeffs[stored_idx]
         free = []
         torsion = []
-        for block, coeffs in zip(self.blocks, per_factor):
-            f, t = block.coords(coeffs)
+        for block, part in zip(self.blocks, self.variety.split_divisor(d)):
+            f, t = block.coords(part.coeffs)
             free.extend(f)
             torsion.extend(t)
         return DivisorClass(self.variety, tuple(free), tuple(torsion))
@@ -465,10 +458,7 @@ class DivisorialModule:
         self.generators = tuple(tuple(int(x) for x in g) for g in generators)
 
     def contains(self, m) -> bool:
-        v = self.divisor.variety
-        return all(
-            _dot(m, u) >= -a for u, a in zip(v.rays, self.divisor.coeffs)
-        )
+        return _region_member(self.divisor.variety.rays, self.divisor.coeffs, m)
 
     def __repr__(self):
         return f"DivisorialModule(generators={list(self.generators)})"
@@ -486,60 +476,22 @@ def _region_member(rays, coeffs, m):
 
 def _atomic_module_generators(v: ToricVariety, d: TorusDivisor):
     rays = v.rays
-    dim = v.cone.ambient_dim
     coeffs = d.coeffs
-    weight = tuple(sum(u[i] for u in rays) for i in range(dim))
-    dual_rays = v.dual_cone.rays()
     hilbert = v.semigroup.hilbert_generators
-
-    def grade(m):
-        return _dot(weight, m)
-
-    # vertices of the region
-    rows = [list(u) for u in rays]
-    rhs = [-a for a in coeffs]
     vertices = []
-    for subset in combinations(range(len(rays)), dim):
-        mat = IntMatrix([rows[i] for i in subset])
-        sol = solve_rational(mat, [rhs[i] for i in subset])
-        if sol is None:
-            continue
-        if all(
-            sum(Fraction(u[i]) * sol[i] for i in range(dim)) >= -a
-            for u, a in zip(rays, coeffs)
-        ):
+    for subset in combinations(range(len(rays)), v.cone.ambient_dim):
+        sol = solve_rational(IntMatrix([rays[i] for i in subset]), [-coeffs[i] for i in subset])
+        if sol is not None and _region_member(rays, coeffs, sol):
             vertices.append(tuple(sol))
     if not vertices:
         raise ValueError("region has no vertex; divisor region is degenerate")
 
-    vertex_grades = [sum(Fraction(w) * x for w, x in zip(weight, vert)) for vert in vertices]
-    bound = ceil(max(vertex_grades)) + sum(grade(r) for r in dual_rays)
-
-    # bounding box of the grade-truncated region, via its vertices
-    cap_rows = rows + [[-w for w in weight]]
-    cap_rhs = rhs + [-bound]
-    box_pts = []
-    for subset in combinations(range(len(cap_rows)), dim):
-        mat = IntMatrix([cap_rows[i] for i in subset])
-        sol = solve_rational(mat, [cap_rhs[i] for i in subset])
-        if sol is None:
-            continue
-        if all(
-            sum(Fraction(r[i]) * sol[i] for i in range(dim)) >= b
-            for r, b in zip(cap_rows, cap_rhs)
-        ):
-            box_pts.append(tuple(sol))
-    lo = [floor(min(p[i] for p in box_pts)) for i in range(dim)]
-    hi = [ceil(max(p[i] for p in box_pts)) for i in range(dim)]
-
-    minimal = []
-    for point in iproduct(*(range(lo[i], hi[i] + 1) for i in range(dim))):
-        if grade(point) > bound or not _region_member(rays, coeffs, point):
-            continue
-        if all(not _region_member(rays, coeffs, _sub(point, h)) for h in hilbert):
-            minimal.append(point)
-    minimal.sort()
-    return minimal
+    return sorted(
+        point
+        for _, point in _box_points(vertices, v.dual_cone.rays(), _grading(v.dual_cone))
+        if _region_member(rays, coeffs, point)
+        and not any(_region_member(rays, coeffs, _sub(point, h)) for h in hilbert)
+    )
 
 
 def _sub(a, b):

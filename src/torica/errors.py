@@ -65,3 +65,13 @@ class NonUnique(ToricaError):
     def __init__(self, message, count):
         super().__init__(message)
         self.count = count
+
+
+class BudgetExceeded(ToricaError):
+    """A lattice-point enumeration would scan more points than its budget."""
+
+    code = "BUDGET_EXCEEDED"
+
+    def __init__(self, message, budget):
+        super().__init__(message)
+        self.budget = budget

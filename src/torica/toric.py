@@ -9,7 +9,7 @@ products of it with polynomial variables.
 
 from __future__ import annotations
 
-from .cone import Cone, Semigroup
+from .cone import Cone, Semigroup, _grading
 from .errors import InfiniteCokernel
 from .polyring import Ideal, PolyRing, saturate
 from .zlinalg import IntMatrix, kernel_basis, rank
@@ -71,9 +71,8 @@ class ToricPresentation:
             cone = Cone(d, self.map.phi.columns())
             if not cone.is_strongly_convex():
                 raise ValueError("lattice-point lifting needs a pointed column cone")
-            duals = cone.dual_generators()
             self._lift_cone = cone
-            self._lift_weight = tuple(sum(n[i] for n in duals) for i in range(d))
+            self._lift_weight = _grading(cone)
             self._lift_memo = {}
         return self._lift_cone, self._lift_weight
 

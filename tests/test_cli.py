@@ -226,6 +226,12 @@ def test_div_mcm_scan(capsys):
     ]
 
 
+def test_div_mcm_scan_over_budget_exits_one(capsys):
+    data = out_json(["div", "mcm-scan", "@S", "--window", "100000"], capsys, expect_code=1)
+    assert data["error"]["code"] == "BUDGET_EXCEEDED"
+    assert data["error"]["budget"] == 10**6
+
+
 def test_verify_report(tmp_path, capsys):
     report_file = tmp_path / "report.json"
     data = out_json(["verify", "--report", str(report_file), "--json"], capsys)

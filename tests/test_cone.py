@@ -5,7 +5,7 @@ from itertools import product as iproduct
 
 import pytest
 
-from torica import Cone, NotPointed, NotStronglyConvex, Semigroup
+from torica import BudgetExceeded, Cone, NotPointed, NotStronglyConvex, Semigroup
 from torica.cone import dual_cone, hilbert_basis, is_strongly_convex, rays
 
 from suites import biduality_suite
@@ -159,7 +159,7 @@ def test_hilbert_basis_rejects_lines():
 
 
 def test_hilbert_basis_brute_force_oracle():
-    """Irreducible lattice points in a box must match, for random 2d cones."""
+    """Irreducible lattice points in a box must match, for random 2d and 3d cones."""
     rng = random.Random(23)
     for _ in range(60):
         a = (1, rng.randint(0, 4))
@@ -186,6 +186,33 @@ def test_hilbert_basis_brute_force_oracle():
             g for g in semigroup.hilbert_generators if max(abs(g[0]), abs(g[1])) <= 5
         }
         assert small_basis == set(irreducible)
+    # 3-d cones in the nonnegative orthant: both parts of a sum p = q + r
+    # are at most p coordinatewise, so the cube [0, 5]^3 holds every split.
+    tested = 0
+    while tested < 4:
+        cone = Cone(3, [tuple(rng.randint(0, 3) for _ in range(3)) for _ in range(4)])
+        if cone.dim() != 3:
+            continue
+        semigroup = cone.hilbert_basis()
+        members = [p for p in iproduct(range(6), repeat=3) if any(p) and cone.contains(p)]
+        irreducible = [
+            p
+            for p in members
+            if not any(
+                q != p and cone.contains(tuple(x - y for x, y in zip(p, q)))
+                for q in members
+            )
+        ]
+        assert {g for g in semigroup.hilbert_generators if max(g) <= 5} == set(irreducible)
+        tested += 1
+
+
+def test_hilbert_basis_over_budget_raises_before_scanning():
+    cone = Cone(2, [(1, 0), (1, 10**6)])
+    with pytest.raises(BudgetExceeded) as info:
+        cone.hilbert_basis()
+    assert info.value.code == "BUDGET_EXCEEDED"
+    assert info.value.budget == 10**6
 
 
 def test_semigroup_json():

@@ -1,6 +1,7 @@
 """Divisor class groups, divisorial modules, multiplicity, the MCM scan."""
 
 import random
+from itertools import product as iproduct
 
 import pytest
 
@@ -168,6 +169,49 @@ def test_module_generators_generate_the_region(surface):
             for g in gens
         )
         assert reachable, f"{p} not generated"
+
+
+def test_module_generators_brute_force_oracle():
+    """O(D) generators equal the minimal region points of a fixed wide cube.
+
+    The cube [-16, 16]^d is fixed, not derived from the region's vertices
+    or any zonotope, and is wider than every generator of these small
+    cones. Region points are sieved in order of a grading that is positive
+    on the dual cone, so each point is compared with the minimal points
+    below it.
+    """
+
+    def pair(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    rng = random.Random(41)
+    half = 16
+    cases = 0
+    while cases < 16:
+        dim = 2 + cases % 2
+        ngens = dim + rng.randint(0, 2)
+        drawn = [tuple(rng.randint(-1, 2) for _ in range(dim)) for _ in range(ngens)]
+        cone = Cone(dim, drawn)
+        if cone.dim() != dim or not cone.is_strongly_convex():
+            continue
+        v = ToricVariety(cone)
+        coeffs = [rng.randint(-2, 2) for _ in v.rays]
+        weight = [sum(g[i] for g in cone.generators) for i in range(dim)]
+        region = sorted(
+            (pair(weight, m), m)
+            for m in iproduct(range(-half, half + 1), repeat=dim)
+            if all(pair(m, u) >= -a for u, a in zip(v.rays, coeffs))
+        )
+        minimal = []
+        for _, m in region:
+            if not any(
+                all(pair([x - y for x, y in zip(m, g)], u) >= 0 for u in cone.generators)
+                for g in minimal
+            ):
+                minimal.append(m)
+        got = module_generators(v, v.divisor(coeffs)).generators
+        assert list(got) == sorted(minimal), (drawn, coeffs)
+        cases += 1
 
 
 def test_trace_witness_to_canonical_model(surface):
