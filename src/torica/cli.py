@@ -4,7 +4,8 @@ Commands delegate to the library modules; every output is a JSON document.
 Object arguments accept a file path, `-` for stdin, a built-in name
 (`@S`, `@A1`, `@phi`, `@S^k*A^s`, `@A^s`, `@S^k`), or `@name` for an entry
 stored in the workspace file. Exit codes: 0 success, 1 domain failure
-(machine-readable error object on stdout), 2 usage or parse failure.
+(machine-readable error object on stdout), 2 usage or parse failure, 3
+internal error (error object on stderr).
 """
 
 import argparse
@@ -12,6 +13,7 @@ import json
 import os
 import re
 import sys
+import tempfile
 
 from .cone import Cone
 from .divisor import (
@@ -88,10 +90,16 @@ def _load_workspace(path):
     return doc
 
 
-def _save_workspace(path, doc):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True))
-        fh.write("\n")
+def _write_json(path, doc):
+    """Write `doc` through a temp file beside `path`, so a failed write leaves `path` as it was."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def _load_json_arg(token, args):
@@ -208,6 +216,8 @@ def _ideal_from_json(doc, args) -> Ideal:
     generators = doc.get("generators", doc.get("gens"))
     if variables is None or generators is None:
         raise UsageError("ideal document needs 'variables' and 'generators'")
+    if any(not isinstance(g, str) for g in generators):
+        raise ValueError("ideal generators must be polynomial strings")
     field = getattr(args, "field", None)
     if field is None:
         field = doc.get("field", doc.get("char"))
@@ -354,9 +364,7 @@ def cmd_verify(args):
     report = run_checks(field=field, degree_bound=args.degree_bound)
     _emit(report, args)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(report, indent=2, sort_keys=True))
-            fh.write("\n")
+        _write_json(args.report, report)
     return 0 if report["all_pass"] else 1
 
 
@@ -365,7 +373,7 @@ def cmd_workspace(args):
     doc = _load_workspace(path)
     if args.sub == "set":
         doc["objects"][args.name] = _load_json_arg(args.input, args)
-        _save_workspace(path, doc)
+        _write_json(path, doc)
         _emit({"stored": args.name, "workspace": path}, args)
     elif args.sub == "get":
         if args.name not in doc["objects"]:
@@ -377,7 +385,7 @@ def cmd_workspace(args):
         if args.name not in doc["objects"]:
             raise UsageError(f"no object named {args.name} in {path}")
         del doc["objects"][args.name]
-        _save_workspace(path, doc)
+        _write_json(path, doc)
         _emit({"deleted": args.name, "workspace": path}, args)
     return 0
 
@@ -497,11 +505,13 @@ def main(argv=None) -> int:
         print(json.dumps(_error_json(err.code, err), indent=2, sort_keys=True))
         return 1
     except UsageError as err:
-        print(json.dumps(_error_json("USAGE", err), indent=2, sort_keys=True), file=sys.stderr)
-        return 2
+        error, status = _error_json("USAGE", err), 2
     except (ValueError, KeyError, TypeError, IndexError) as err:
-        print(json.dumps(_error_json("BAD_INPUT", err), indent=2, sort_keys=True), file=sys.stderr)
-        return 2
+        error, status = _error_json("BAD_INPUT", err), 2
+    except Exception as err:  # a defect in torica, not a verdict on the input
+        error, status = _error_json("INTERNAL", f"{type(err).__name__}: {err}"), 3
+    print(json.dumps(error, indent=2, sort_keys=True), file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

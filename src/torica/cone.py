@@ -1,9 +1,10 @@
 """Rational polyhedral cones with exact arithmetic.
 
-A cone is stored by primitive integer generators. Dual cones of atomic
-cones come from facet enumeration over generator subsets, which is exact
-and fast at the ambient dimensions this library targets (<= ~11). Product
-cones never enumerate: they compose their dual and rays from the factors'.
+A cone is stored by primitive integer generators. The double description
+method (`_double_description`) is the one polyhedral enumeration: it gives
+the facets of atomic cones and the vertices of divisor regions, and rays
+follow from facet incidences. Product cones never enumerate: they compose
+their dual and rays from the factors'.
 
 Lattice points are enumerated in one place, `_box_points`: the box around
 conv(V) + [0, 1]·rays, cut at a grade bound. Every minimal generator of
@@ -17,11 +18,11 @@ scanned.
 
 from __future__ import annotations
 
-from itertools import combinations, product as iproduct
+from itertools import product as iproduct
 from math import ceil, floor, gcd, prod
 
 from .errors import BudgetExceeded, NotPointed, NotStronglyConvex
-from .zlinalg import IntMatrix, hermite_normal_form, kernel_basis, lattice_member, rank
+from .zlinalg import IntMatrix, kernel_basis, lattice_member, rank
 
 _BOX_BUDGET = 10**6
 
@@ -64,6 +65,46 @@ def _box_points(vertices, rays, weight):
     bound = ceil(max(_dot(weight, v) for v in vertices)) + sum(_dot(weight, r) for r in rays)
     graded = ((_dot(weight, p), p) for p in iproduct(*(range(l, h + 1) for l, h in zip(lo, hi))))
     return ((g, p) for g, p in graded if g <= bound)
+
+
+def _eliminate(a, k, v):
+    """The primitive vector <a, k> v - <a, v> k, which lies on the hyperplane <a, x> = 0."""
+    s, t = _dot(a, k), _dot(a, v)
+    return _primitive([s * x - t * y for x, y in zip(v, k)])
+
+
+def _double_description(rows, d):
+    """(lineality basis, primitive extreme rays) of {x : <a, x> >= 0 for every a in rows}.
+
+    Double description (Motzkin et al. 1953; Fukuda & Prodon 1996) cuts Z^d
+    by one row a at a time. A lineality vector k with <a, k> != 0 becomes a
+    ray with <a, k> > 0, and everything else is projected along k onto a^perp.
+    Otherwise rays with <a, r> >= 0 stay, and each adjacent pair of opposite
+    sign adds its combination on a^perp. Two rays are adjacent when no third
+    ray is tight on every row both are tight on; a cheaper test runs first,
+    since adjacent rays share at least d - dim(lineality) - 2 tight rows.
+    """
+    lineality = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    rays = []  # (ray, bit mask of the rows it is tight on)
+    for i, a in enumerate(rows):
+        bit = 1 << i
+        k = next((k for k in lineality if _dot(a, k)), None)
+        if k is not None:
+            lineality.remove(k)
+            k = k if _dot(a, k) > 0 else tuple(-x for x in k)
+            lineality = [_eliminate(a, k, v) for v in lineality]
+            rays = [(_eliminate(a, k, r), z | bit) for r, z in rays] + [(k, bit - 1)]
+            continue
+        sides = [(r, z, _dot(a, r)) for r, z in rays]
+        kept = [(r, z | bit if t == 0 else z) for r, z, t in sides if t >= 0]
+        need = d - len(lineality) - 2
+        neg = [(n, zn) for n, zn, t in sides if t < 0]
+        for (p, zp), (n, zn) in iproduct([(p, zp) for p, zp, t in sides if t > 0], neg):
+            common = zp & zn
+            if common.bit_count() >= need and sum(z & common == common for _, z in rays) == 2:
+                kept.append((_eliminate(a, p, n), common | bit))
+        rays = kept
+    return lineality, [r for r, _ in rays]
 
 
 class Semigroup:
@@ -124,54 +165,26 @@ class Cone:
     def dual_generators(self):
         """Generators of the dual cone {m : <m, g> >= 0 for all g}.
 
-        Facet normals are found among the kernels of (rank-1)-sized
-        generator subsets; the orthogonal complement of the span
-        contributes the lineality of the dual.
+        Facet normals are the rays `_double_description` finds over the
+        generators. On a lower-dimensional cone a normal is defined only modulo
+        the dual's lineality L, so the first kernel column of the facet's
+        generators outside L stands for it; L adds +/- each Hermite basis row.
         """
         if self._dual_gens is not None:
             return self._dual_gens
         d = self.ambient_dim
         gens = self.generators
-        out = set()
-        if not gens:
-            for i in range(d):
-                e = tuple(int(i == j) for j in range(d))
-                out.add(e)
-                out.add(tuple(-x for x in e))
-            self._dual_gens = tuple(sorted(out))
-            return self._dual_gens
-
-        mat = IntMatrix(gens)
-        lin = kernel_basis(mat)  # orthogonal complement of the span
-        r = d - lin.cols
-        lin_cols = [lin.column(j) for j in range(lin.cols)]
-        lin_hnf = hermite_normal_form(IntMatrix(lin_cols)) if lin_cols else IntMatrix([], cols=d)
-        for col in lin_cols:
-            p = _primitive(col)
-            out.add(p)
-            out.add(tuple(-x for x in p))
-
-        if r >= 1:
-            for subset in combinations(range(len(gens)), r - 1):
-                sub = IntMatrix([gens[i] for i in subset], cols=d)
-                ker = kernel_basis(sub)
-                if ker.cols != d - r + 1:
-                    continue  # subset does not span a potential facet
-                candidate = None
-                for j in range(ker.cols):
-                    col = ker.column(j)
-                    if lin_cols and lattice_member(lin_hnf, col):
-                        continue
-                    candidate = col
-                    break
-                if candidate is None:
-                    continue
-                pairings = [_dot(candidate, g) for g in gens]
-                if all(x >= 0 for x in pairings):
-                    out.add(_primitive(candidate))
-                elif all(x <= 0 for x in pairings):
-                    out.add(_primitive([-x for x in candidate]))
-        self._dual_gens = tuple(sorted(out))
+        lineality, normals = _double_description(gens, d)
+        if lineality:
+            lin = kernel_basis(IntMatrix(gens, cols=d)).transpose()  # rows in Hermite form
+            facets = []
+            for n in normals:
+                ker = kernel_basis(IntMatrix([g for g in gens if _dot(n, g) == 0], cols=d))
+                col = _primitive(next(c for c in ker.columns() if not lattice_member(lin, c)))
+                side = next(_dot(col, g) for g in gens if _dot(n, g))
+                facets.append(col if side > 0 else tuple(-x for x in col))
+            normals = facets + [v for row in lin.entries for v in (row, tuple(-x for x in row))]
+        self._dual_gens = tuple(sorted(normals))
         return self._dual_gens
 
     def dual(self) -> "Cone":
@@ -196,27 +209,24 @@ class Cone:
         return rank(IntMatrix(self.generators))
 
     def is_strongly_convex(self) -> bool:
+        """No line lies in the cone: each generator pairs nonzero with some dual generator."""
         duals = self.dual_generators()
-        if not duals:
-            return self.ambient_dim == 0
-        return rank(IntMatrix(duals)) == self.ambient_dim
+        return all(any(_dot(n, g) for n in duals) for g in self.generators)
 
     def rays(self):
-        """Primitive generators of the edges, in lexicographic order."""
+        """Primitive generators of the edges, in lexicographic order.
+
+        A generator spans an edge exactly when no other generator is tight
+        on every dual generator it is tight on.
+        """
         if self._rays is not None:
             return self._rays
         if not self.is_strongly_convex():
             raise NotStronglyConvex("rays are only unique for strongly convex cones")
-        d = self.ambient_dim
         duals = self.dual_generators()
-        found = []
-        for g in self.generators:
-            orth = [n for n in duals if _dot(n, g) == 0]
-            if orth and rank(IntMatrix(orth)) == d - 1:
-                found.append(g)
-            elif d == 1:
-                found.append(g)
-        self._rays = tuple(sorted(found))
+        gens = self.generators
+        tight = [sum(1 << i for i, n in enumerate(duals) if _dot(n, g) == 0) for g in gens]
+        self._rays = tuple(g for g, z in zip(gens, tight) if sum(w & z == z for w in tight) == 1)
         return self._rays
 
     def product(self, other: "Cone") -> "Cone":
@@ -248,24 +258,14 @@ class Cone:
         if not self.is_strongly_convex():
             raise NotPointed("Hilbert basis requires a cone with no line")
         d = self.ambient_dim
-        rays = self.rays()
-        if not rays:
-            return Semigroup(d, [])
         candidates = sorted(
             (g, point)
-            for g, point in _box_points([(0,) * d], rays, _grading(self))
+            for g, point in _box_points([(0,) * d], self.rays(), _grading(self))
             if g > 0 and self.contains(point)
         )
-
         basis = []
-        for g, point in candidates:
-            reducible = False
-            for b in basis:
-                diff = tuple(x - y for x, y in zip(point, b))
-                if self.contains(diff):
-                    reducible = True
-                    break
-            if not reducible:
+        for _, point in candidates:
+            if not any(self.contains(tuple(x - y for x, y in zip(point, b))) for b in basis):
                 basis.append(point)
         return Semigroup(d, sorted(basis))
 

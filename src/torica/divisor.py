@@ -7,7 +7,8 @@ Smith normal form of the ray-pairing matrix; product varieties use
 concatenated per-factor coordinates so that factor classes stay visible.
 
 Divisorial modules O(D) are handled through their lattice regions
-{m : <m, u_rho> >= -a_rho} = conv(V) + sigma^dual, V the region's vertices.
+{m : <m, u_rho> >= -a_rho} = conv(V) + sigma^dual, V the region's vertices,
+which the double description method (`cone._double_description`) finds.
 Minimal generators are found by exact enumeration of the zonotope box
 around conv(V) + [0, 1]·(dual rays), the same box (`cone._box_points`)
 that Hilbert bases use with V = {0}, followed by a minimality sieve.
@@ -15,14 +16,15 @@ that Hilbert bases use with V = {0}, followed by a minimality sieve.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import reduce
-from itertools import combinations, product as iproduct
+from itertools import product as iproduct
 
-from .cone import Cone, Semigroup, _box_points, _dot, _grading
+from .cone import Cone, Semigroup, _box_points, _dot, _double_description, _grading
 from .errors import NonUnique, NoSolution, VarietyMismatch
-from .polyring import module_regular_sequence
+from .polyring import _add, _sub, module_regular_sequence
 from .toric import PHI_COLUMNS, _power_presentation, steinberg_ring_mod_l
-from .zlinalg import IntMatrix, invert_unimodular, smith_normal_form, solve_rational
+from .zlinalg import IntMatrix, invert_unimodular, smith_normal_form
 
 
 class ToricVariety:
@@ -474,32 +476,24 @@ def _region_member(rays, coeffs, m):
     return all(_dot(m, u) >= -a for u, a in zip(rays, coeffs))
 
 
+def _region_vertices(rays, coeffs):
+    """Vertices of {m : <m, u> >= -a}: the rays (m, t), t > 0, of the cone over it, as m/t."""
+    rows = [u + (a,) for u, a in zip(rays, coeffs)] + [(0,) * len(rays[0]) + (1,)]
+    _, hom = _double_description(rows, len(rows[0]))
+    return [tuple(Fraction(x, r[-1]) for x in r[:-1]) for r in hom if r[-1] > 0]
+
+
 def _atomic_module_generators(v: ToricVariety, d: TorusDivisor):
     rays = v.rays
     coeffs = d.coeffs
     hilbert = v.semigroup.hilbert_generators
-    vertices = []
-    for subset in combinations(range(len(rays)), v.cone.ambient_dim):
-        sol = solve_rational(IntMatrix([rays[i] for i in subset]), [-coeffs[i] for i in subset])
-        if sol is not None and _region_member(rays, coeffs, sol):
-            vertices.append(tuple(sol))
-    if not vertices:
-        raise ValueError("region has no vertex; divisor region is degenerate")
-
+    vertices = _region_vertices(rays, coeffs)
     return sorted(
         point
         for _, point in _box_points(vertices, v.dual_cone.rays(), _grading(v.dual_cone))
         if _region_member(rays, coeffs, point)
         and not any(_region_member(rays, coeffs, _sub(point, h)) for h in hilbert)
     )
-
-
-def _sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def module_generators(v: ToricVariety, d: TorusDivisor) -> DivisorialModule:
@@ -550,11 +544,7 @@ def steinberg_multiplicity(k, s, field=101) -> int:
 def _module_minimal_generators(v: ToricVariety, points):
     """Minimal generators of the module generated by a finite monomial set."""
     pts = sorted(set(points))
-    out = []
-    for p in pts:
-        if not any(q != p and v.semigroup_contains(_sub(p, q)) for q in pts):
-            out.append(p)
-    return out
+    return [p for p in pts if not any(q != p and v.semigroup_contains(_sub(p, q)) for q in pts)]
 
 
 def trace_surjectivity_witness(v: ToricVariety, d: TorusDivisor, other=None, target=None):

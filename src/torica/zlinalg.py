@@ -385,7 +385,7 @@ def solve_rational(a: IntMatrix, rhs):
     """Unique rational solution of A x = rhs, or None.
 
     Returns None when the system is singular (no unique solution) or
-    inconsistent. Used for vertex enumeration and unimodular inversion.
+    inconsistent. Used for unimodular inversion.
     """
     m, n = a.rows, a.cols
     aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(a.entries, rhs)]

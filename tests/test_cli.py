@@ -320,3 +320,41 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     doc = write_json(tmp_path / "noshape.json", {"something": 1})
     code, _out, err = run_cli(["cone", "dual", doc], capsys)
     assert code == 2
+
+
+def test_ideal_non_string_generator_is_bad_input(monkeypatch, capsys):
+    doc = {"field": 101, "variables": ["x"], "generators": [5]}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code, out, err = run_cli(["ideal", "groebner", "-"], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["code"] == "BAD_INPUT"
+
+
+def test_unexpected_exception_is_internal_exit_three(monkeypatch, capsys):
+    def broken(variety, divisor):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("torica.cli.module_generators", broken)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"coeffs": [0, 0, 0, 0]})))
+    code, out, err = run_cli(["div", "module-gens", "@S", "-"], capsys)
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == {
+        "code": "INTERNAL",
+        "message": "RecursionError: maximum recursion depth exceeded",
+    }
+
+
+def test_workspace_write_failing_partway_keeps_previous_file(tmp_path, monkeypatch, capsys):
+    ws = tmp_path / "ws.json"
+    cone_file = write_json(tmp_path / "cone.json", PHI_CONE)
+    out_json(["workspace", "set", "phi_cone", cone_file, "--workspace", str(ws)], capsys)
+    before = ws.read_bytes()
+    # JSON encoding fails at the second key, after the first has been encoded.
+    monkeypatch.setattr("torica.cli._load_json_arg", lambda token, args: {"a": 1, "b": object()})
+    argv = ["workspace", "set", "other", cone_file, "--workspace", str(ws)]
+    code, _out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert json.loads(err)["error"]["code"] == "BAD_INPUT"
+    assert ws.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cone.json", "ws.json"]

@@ -1,12 +1,15 @@
 """Cones, duals, rays, Hilbert bases: frozen geometry plus random checks."""
 
 import random
-from itertools import product as iproduct
+import time
+from itertools import combinations, product as iproduct
+from math import gcd
 
 import pytest
 
 from torica import BudgetExceeded, Cone, NotPointed, NotStronglyConvex, Semigroup
 from torica.cone import dual_cone, hilbert_basis, is_strongly_convex, rays
+from torica.zlinalg import IntMatrix, hermite_normal_form, kernel_basis, lattice_member, rank
 
 from suites import biduality_suite
 
@@ -134,6 +137,94 @@ def test_product_duals_and_rays_match_recomputation():
         assert _rays_or_error(composed) == _rays_or_error(fresh), (c1, c2)
         seen |= _kinds(c1) | _kinds(c2)
     assert seen == {"empty", "pointed", "not pointed", "lower-dimensional"}
+
+
+def _pair(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _subset_dual(cone):
+    """Reference dual: a facet candidate from the kernel of every (rank - 1)-subset of generators.
+
+    The orthogonal complement of the span gives the dual's lineality; a
+    subset kernel one larger than it gives a candidate normal (its first
+    column outside the lineality lattice), kept when every generator lies
+    on one side of it.
+    """
+    d, gens = cone.ambient_dim, cone.generators
+    if not gens:
+        units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+        return tuple(sorted(units + [tuple(-x for x in e) for e in units]))
+    lin = kernel_basis(IntMatrix(gens)).columns()
+    lin_hnf = hermite_normal_form(IntMatrix(lin, cols=d))
+    out = {v for col in lin for v in (col, tuple(-x for x in col))}
+    r = d - len(lin)
+    for subset in combinations(gens, r - 1):
+        ker = kernel_basis(IntMatrix(subset, cols=d))
+        if ker.cols != d - r + 1:
+            continue
+        outside = [c for c in ker.columns() if not (lin and lattice_member(lin_hnf, c))]
+        if not outside:
+            continue
+        content = gcd(*outside[0])
+        candidate = tuple(x // content for x in outside[0])
+        pairings = [_pair(candidate, g) for g in gens]
+        if all(x >= 0 for x in pairings):
+            out.add(candidate)
+        elif all(x <= 0 for x in pairings):
+            out.add(tuple(-x for x in candidate))
+    return tuple(sorted(out))
+
+
+def _rank_rays(cone, duals):
+    """Reference rays: generators whose orthogonal duals have rank d - 1, or NotStronglyConvex."""
+    d = cone.ambient_dim
+    if not (rank(IntMatrix(duals)) == d if duals else d == 0):
+        return NotStronglyConvex
+    found = []
+    for g in cone.generators:
+        orth = [n for n in duals if _pair(n, g) == 0]
+        if d == 1 or orth and rank(IntMatrix(orth)) == d - 1:
+            found.append(g)
+    return tuple(sorted(found))
+
+
+# Cones on which the rank prefilter alone would pass a pair of rays that are
+# not adjacent, so only the combinatorial test keeps their combination out.
+PREFILTER_IS_NOT_ENOUGH = [
+    [(-1, 0, 0, -1), (-1, 1, 0, -1), (-1, 1, 1, 0), (0, -1, 1, 1), (0, 0, 0, -1), (0, 0, 0, 1),
+     (0, 1, 1, 0)],
+    [(-1, -1, 1, 1, 0), (-1, 0, 1, 1, 0), (-1, 1, 0, 1, 0), (0, -1, -1, 1, 0), (0, 0, 1, 1, 0),
+     (1, -1, 0, -1, 0), (1, 0, -1, 0, -1), (1, 0, -1, 0, 0), (1, 1, 1, -1, -1)],
+]
+
+
+def test_double_description_matches_subset_enumeration():
+    """Duals and rays from double description equal the subset-enumeration reference."""
+    rng = random.Random(71)
+    cones = [Cone(len(gens[0]), gens) for gens in PREFILTER_IS_NOT_ENOUGH]
+    for _ in range(1000):
+        d, e = rng.randint(1, 5), rng.choice((1, 3))
+        gens = [tuple(rng.randint(-e, e) for _ in range(d)) for _ in range(rng.randint(0, 10))]
+        cones.append(Cone(d, gens))
+    seen = set()
+    for cone in cones:
+        reference = _subset_dual(cone)
+        assert cone.dual_generators() == reference, cone
+        assert _rays_or_error(cone) == _rank_rays(cone, reference), cone
+        seen |= _kinds(cone)
+    assert seen == {"empty", "pointed", "not pointed", "lower-dimensional"}
+
+
+def test_dual_and_rays_of_twenty_generators_in_dim_eight_are_fast():
+    """Subset enumeration computes C(20, 7) = 77,520 kernels on this cone."""
+    rng = random.Random(8)
+    cone = Cone(8, [(1,) + tuple(rng.randint(-3, 3) for _ in range(7)) for _ in range(20)])
+    start = time.perf_counter()
+    duals, edges = cone.dual_generators(), cone.rays()
+    assert time.perf_counter() - start < 10
+    assert (len(duals), len(edges)) == (604, 20)
+    assert all(_pair(n, g) >= 0 for n in duals for g in cone.generators)
 
 
 def test_hilbert_basis_of_semigroup_cone_is_phi_columns():

@@ -1,7 +1,7 @@
 """Divisor class groups, divisorial modules, multiplicity, the MCM scan."""
 
 import random
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 
 import pytest
 
@@ -32,7 +32,8 @@ from torica import (
     steinberg_variety,
     trace_surjectivity_witness,
 )
-from torica.divisor import product as variety_product
+from torica.divisor import _region_vertices, product as variety_product
+from torica.zlinalg import IntMatrix, solve_rational
 
 from suites import class_representative_suite
 
@@ -211,6 +212,32 @@ def test_module_generators_brute_force_oracle():
                 minimal.append(m)
         got = module_generators(v, v.divisor(coeffs)).generators
         assert list(got) == sorted(minimal), (drawn, coeffs)
+        cases += 1
+
+
+def test_region_vertices_match_subset_enumeration():
+    """Region vertices equal the feasible solutions of d-subsets of <m, u> = -a."""
+    rng = random.Random(43)
+    cases = 0
+    while cases < 60:
+        dim = 2 + cases % 3
+        ngens = dim + rng.randint(0, 5)
+        drawn = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(ngens)]
+        cone = Cone(dim, drawn)
+        if cone.dim() != dim or not cone.is_strongly_convex():
+            continue
+        rays = cone.rays()
+        spread = rng.choice((1, 3))  # small coefficients put many ray hyperplanes through a vertex
+        coeffs = [rng.randint(-spread, spread) for _ in rays]
+        expected = set()
+        for subset in combinations(range(len(rays)), dim):
+            system = IntMatrix([rays[i] for i in subset])
+            sol = solve_rational(system, [-coeffs[i] for i in subset])
+            if sol is not None and all(
+                sum(x * y for x, y in zip(sol, u)) >= -a for u, a in zip(rays, coeffs)
+            ):
+                expected.add(tuple(sol))
+        assert set(_region_vertices(rays, coeffs)) == expected, (drawn, coeffs)
         cases += 1
 
 
