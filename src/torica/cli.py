@@ -20,6 +20,7 @@ from .divisor import (
     a1_variety,
     canonical_class,
     canonical_divisor,
+    divisor_from_ray_coeffs,
     enumerate_mcm_rank_one_candidates,
     half_canonical,
     module_generators,
@@ -188,10 +189,9 @@ def _resolve_divisor(variety, token, args) -> TorusDivisor:
     if "coeffs" in doc:
         return TorusDivisor(variety, doc["coeffs"])
     if "ray_coeffs" in doc:
-        coeffs = [0] * len(variety.rays)
-        for ray, c in doc["ray_coeffs"]:
-            coeffs[variety.rays.index(tuple(int(x) for x in ray))] = int(c)
-        return TorusDivisor(variety, coeffs)
+        if isinstance(doc["ray_coeffs"], dict):
+            raise ValueError("ray_coeffs must be a list of [ray, coefficient] pairs")
+        return divisor_from_ray_coeffs(variety, doc["ray_coeffs"])
     raise UsageError("divisor document needs 'coeffs' or 'ray_coeffs'")
 
 

@@ -402,11 +402,10 @@ def div_of_character(v: ToricVariety, m) -> TorusDivisor:
 
 
 def divisor_from_ray_coeffs(v: ToricVariety, ray_coeffs) -> TorusDivisor:
-    """Build a divisor from {ray vector: coefficient}, unmentioned rays get 0."""
+    """A divisor from {ray: coeff} or (ray, coeff) pairs; unmentioned rays get 0."""
     coeffs = [0] * len(v.rays)
-    for ray, c in dict(ray_coeffs).items():
-        ray = tuple(int(x) for x in ray)
-        coeffs[v.rays.index(ray)] = int(c)
+    for ray, c in ray_coeffs.items() if hasattr(ray_coeffs, "items") else ray_coeffs:
+        coeffs[v.rays.index(tuple(int(x) for x in ray))] = int(c)
     return TorusDivisor(v, coeffs)
 
 

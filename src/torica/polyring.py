@@ -2,15 +2,17 @@
 
 Polynomials are dicts mapping exponent tuples to nonzero coefficients in
 F_p. Ideals carry a monomial order tag and cache their reduced Groebner
-basis. On top of the basis machinery this module provides elimination,
-saturation, quotient vector-space dimensions, and exact Hilbert-series
-certificates for regular sequences (on quotient rings and on monomial
-modules presented by ideals).
+basis as a tuple of (leading exponent, monic polynomial) records sorted
+by the order's key: the one form that the Buchberger engine, normal forms
+and leading-term queries share. On top of the basis machinery this module
+provides elimination, saturation, quotient vector-space dimensions, and
+exact Hilbert-series certificates for regular sequences (on quotient
+rings and on monomial modules presented by ideals).
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from itertools import product as iproduct
 
 from .errors import InconclusiveAtBound, NotHomogeneous
@@ -249,17 +251,11 @@ class Polynomial:
                 out[e] = s
             elif e in out:
                 del out[e]
-        result = Polynomial.__new__(Polynomial)
-        result.ring = self.ring
-        result.terms = out
-        return result
+        return _poly(self.ring, out)
 
     def __neg__(self):
         p = self.ring.char
-        result = Polynomial.__new__(Polynomial)
-        result.ring = self.ring
-        result.terms = {e: p - c for e, c in self.terms.items()}
-        return result
+        return _poly(self.ring, {e: p - c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -271,10 +267,7 @@ class Polynomial:
             c = other % self.ring.char
             if c == 0:
                 return self.ring.zero()
-            result = Polynomial.__new__(Polynomial)
-            result.ring = self.ring
-            result.terms = {e: (c * v) % self.ring.char for e, v in self.terms.items()}
-            return result
+            return _poly(self.ring, {e: (c * v) % self.ring.char for e, v in self.terms.items()})
         self._check(other)
         p = self.ring.char
         out = {}
@@ -286,10 +279,7 @@ class Polynomial:
                     out[e] = s
                 elif e in out:
                     del out[e]
-        result = Polynomial.__new__(Polynomial)
-        result.ring = self.ring
-        result.terms = out
-        return result
+        return _poly(self.ring, out)
 
     __rmul__ = __mul__
 
@@ -334,11 +324,7 @@ class Polynomial:
         return e, self.terms[e]
 
     def monic(self, key):
-        if not self.terms:
-            return self
-        _, c = self.leading_term(key)
-        inv = pow(c, -1, self.ring.char)
-        return self * inv
+        return _record(self, key)[1] if self.terms else self
 
     # -- display --------------------------------------------------------------------
 
@@ -377,6 +363,14 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
+def _poly(ring, terms):
+    """A Polynomial on a term dict that is already reduced mod p, without checks."""
+    out = Polynomial.__new__(Polynomial)
+    out.ring = ring
+    out.terms = terms
+    return out
+
+
 # -- division and Buchberger -----------------------------------------------------
 
 
@@ -396,30 +390,26 @@ def _lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def _reduce_terms(ring, terms, reducers, key):
-    """Full remainder of a term dict modulo (lt, inv_lc, poly) reducers."""
+def _reduce_terms(ring, terms, records, key):
+    """Full remainder of a term dict modulo monic records, tried in order."""
     p = ring.char
     work = dict(terms)
     remainder = {}
     while work:
         e = max(work, key=key)
         c = work.pop(e)
-        hit = None
-        for lt, inv_lc, g in reducers:
+        for lt, g in records:
             if _divides(lt, e):
-                hit = (lt, inv_lc, g)
                 break
-        if hit is None:
+        else:
             remainder[e] = c
             continue
-        lt, inv_lc, g = hit
         shift = _sub(e, lt)
-        factor = (c * inv_lc) % p
         for ge, gc in g.terms.items():
+            if ge == lt:
+                continue  # cancels e exactly
             te = _add(ge, shift)
-            s = (work.get(te, 0) - factor * gc) % p
-            if te == e:
-                continue  # cancelled exactly
+            s = (work.get(te, 0) - c * gc) % p
             if s:
                 work[te] = s
             elif te in work:
@@ -427,83 +417,82 @@ def _reduce_terms(ring, terms, reducers, key):
     return remainder
 
 
-def _prepare_reducers(polys, key):
-    reducers = []
-    for g in polys:
-        if g.is_zero():
-            continue
-        lt, lc = g.leading_term(key)
-        reducers.append((lt, pow(lc, -1, g.ring.char), g))
-    return reducers
+def _record(g, key):
+    """The (leading exponent, monic polynomial) record of a nonzero g."""
+    lt, lc = g.leading_term(key)
+    return lt, g * pow(lc, -1, g.ring.char)
 
 
-def _normal_form(f, polys, key):
-    reducers = _prepare_reducers(polys, key)
-    rem = _reduce_terms(f.ring, f.terms, reducers, key)
-    out = Polynomial.__new__(Polynomial)
-    out.ring = f.ring
-    out.terms = rem
+def _s_terms(a, b, p):
+    """Terms of the S-polynomial of two monic records."""
+    (lt_a, f), (lt_b, g) = a, b
+    lcm = _lcm(lt_a, lt_b)
+    shift_a, shift_b = _sub(lcm, lt_a), _sub(lcm, lt_b)
+    out = {_add(e, shift_a): c for e, c in f.terms.items()}
+    for e, c in g.terms.items():
+        te = _add(e, shift_b)
+        s = (out.get(te, 0) - c) % p
+        if s:
+            out[te] = s
+        elif te in out:
+            del out[te]
     return out
 
 
+def _normal_form(f, polys, key):
+    records = [_record(g, key) for g in polys if g.terms]
+    return _poly(f.ring, _reduce_terms(f.ring, f.terms, records, key))
+
+
 def _s_poly(f, g, key):
-    p = f.ring.char
-    lt_f, lc_f = f.leading_term(key)
-    lt_g, lc_g = g.leading_term(key)
-    lcm = _lcm(lt_f, lt_g)
-    mf = f.ring.monomial(_sub(lcm, lt_f), pow(lc_f, -1, p))
-    mg = f.ring.monomial(_sub(lcm, lt_g), pow(lc_g, -1, p))
-    return mf * f - mg * g
+    return _poly(f.ring, _s_terms(_record(f, key), _record(g, key), f.ring.char))
 
 
-def _buchberger(generators, key):
-    basis = []
-    for g in generators:
-        if not g.is_zero():
-            basis.append(g.monic(key))
-    basis.sort(key=lambda g: key(g.leading_term(key)[0]))
-    lts = [g.leading_term(key)[0] for g in basis]
-    heap = []
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            heappush(heap, (key(_lcm(lts[i], lts[j])), i, j))
+def _groebner(ring, generators, key):
+    """The reduced Groebner basis of the generators as a tuple of records.
+
+    Buchberger's algorithm skips pairs with coprime leading exponents and
+    takes the pair of least lcm first. The result drops each record whose
+    leading exponent a kept one divides, then reduces every kept record by
+    the others; it is sorted by the order's key.
+    """
+    p = ring.char
+    basis = sorted((_record(g, key) for g in generators if g.terms), key=lambda r: key(r[0]))
+    heap = [
+        (key(_lcm(basis[i][0], basis[j][0])), i, j)
+        for i in range(len(basis))
+        for j in range(i + 1, len(basis))
+    ]
+    heapify(heap)
     while heap:
         _, i, j = heappop(heap)
-        if _lcm(lts[i], lts[j]) == _add(lts[i], lts[j]):
+        lt_i, lt_j = basis[i][0], basis[j][0]
+        if _lcm(lt_i, lt_j) == _add(lt_i, lt_j):
             continue  # coprime leading terms: S-polynomial reduces to zero
-        s = _s_poly(basis[i], basis[j], key)
-        r = _normal_form(s, basis, key)
-        if not r.is_zero():
-            r = r.monic(key)
-            basis.append(r)
-            lts.append(r.leading_term(key)[0])
-            new = len(basis) - 1
-            for k in range(new):
-                heappush(heap, (key(_lcm(lts[k], lts[new])), k, new))
-    return basis
-
-
-def _reduce_basis(basis, key):
-    """Minimalize and inter-reduce a Groebner basis; sorted, monic output."""
-    polys = [g for g in basis if not g.is_zero()]
-    polys.sort(key=lambda g: key(g.leading_term(key)[0]))
+        r = _reduce_terms(ring, _s_terms(basis[i], basis[j], p), basis, key)
+        if r:
+            new = _record(_poly(ring, r), key)
+            for k, (lt, _) in enumerate(basis):
+                heappush(heap, (key(_lcm(lt, new[0])), k, len(basis)))
+            basis.append(new)
+    basis.sort(key=lambda r: key(r[0]))
     minimal = []
-    for g in polys:
-        lt = g.leading_term(key)[0]
-        if any(_divides(m.leading_term(key)[0], lt) for m in minimal):
-            continue
-        minimal.append(g)
-    reduced = []
-    for idx, g in enumerate(minimal):
-        others = minimal[:idx] + minimal[idx + 1 :]
-        r = _normal_form(g, others, key) if others else g
-        reduced.append(r.monic(key))
-    reduced.sort(key=lambda g: key(g.leading_term(key)[0]))
-    return reduced
+    for lt, g in basis:
+        if not any(_divides(m, lt) for m, _ in minimal):
+            minimal.append((lt, g))
+    return tuple(
+        (lt, _poly(ring, _reduce_terms(ring, g.terms, minimal[:i] + minimal[i + 1 :], key)))
+        for i, (lt, g) in enumerate(minimal)
+    )
 
 
 class Ideal:
-    """Ideal presented by generators, with a monomial order and GB cache."""
+    """Ideal presented by generators, with a monomial order and GB cache.
+
+    The cache `_gb` holds the reduced Groebner basis as a tuple of
+    (leading exponent, monic polynomial) records sorted by the order's key;
+    each leading exponent is found once, when its element joins the basis.
+    """
 
     __slots__ = ("ring", "generators", "order", "_gb")
 
@@ -529,24 +518,27 @@ class Ideal:
     def key(self):
         return order_key(self.order, self.ring.nvars)
 
-    def groebner(self):
-        """The reduced Groebner basis, as a cached list of polynomials."""
+    def _records(self):
         if self._gb is None:
-            key = self.key()
-            self._gb = tuple(_reduce_basis(_buchberger(list(self.generators), key), key))
-        return list(self._gb)
+            self._gb = _groebner(self.ring, self.generators, self.key())
+        return self._gb
+
+    def groebner(self):
+        """The reduced Groebner basis, as a list of monic polynomials."""
+        return [g for _, g in self._records()]
 
     def normal_form(self, f):
         if isinstance(f, str):
             f = self.ring.parse(f)
-        return _normal_form(f, self.groebner(), self.key())
+        if f.ring != self.ring:
+            raise ValueError("polynomial from a different ring")
+        return _poly(self.ring, _reduce_terms(self.ring, f.terms, self._records(), self.key()))
 
     def contains(self, f):
         return self.normal_form(f).is_zero()
 
     def leading_exponents(self):
-        key = self.key()
-        return [g.leading_term(key)[0] for g in self.groebner()]
+        return [lt for lt, _ in self._records()]
 
     def with_order(self, order):
         return Ideal(self.ring, self.generators, order=order)
@@ -554,9 +546,8 @@ class Ideal:
 
 def groebner_basis(i: Ideal) -> Ideal:
     """A new Ideal generated by the reduced Groebner basis of `i`."""
-    gb = i.groebner()
-    out = Ideal(i.ring, gb, order=i.order)
-    out._gb = tuple(gb)
+    out = Ideal(i.ring, i.groebner(), order=i.order)
+    out._gb = i._records()
     return out
 
 
@@ -703,8 +694,7 @@ def hilbert_numerator(i: Ideal):
     [1]; the unit ideal gives [].
     """
     _check_homogeneous(i.generators)
-    lead = _minimize_monomials(i.leading_exponents())
-    return _monomial_numerator(tuple(lead), {})
+    return _monomial_numerator(tuple(i.leading_exponents()), {})
 
 
 def hilbert_function(numerator, nvars, upto):

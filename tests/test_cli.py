@@ -198,6 +198,14 @@ def test_div_module_gens(tmp_path, capsys):
     assert data2 == data
 
 
+def test_div_ray_coeffs_unknown_ray_is_bad_input(tmp_path, capsys):
+    for doc in ({"ray_coeffs": [[[1, 1, 1], -1]]}, {"ray_coeffs": {"100": -1}}):
+        divisor_file = write_json(tmp_path / "d.json", doc)
+        code, out, err = run_cli(["div", "module-gens", "@S", divisor_file], capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["code"] == "BAD_INPUT"
+
+
 def test_div_multiplicity(capsys):
     for k, s, expected in ((0, 0, 1), (1, 0, 2), (1, 2, 2), (2, 0, 4), (3, 1, 8)):
         data = out_json(

@@ -88,6 +88,15 @@ def test_divisor_arithmetic(surface):
     assert d.divisor_class() + e.divisor_class() == (d + e).divisor_class()
 
 
+def test_divisor_from_ray_coeff_pairs(surface):
+    """The JSON pair-list form gives the same divisor as a mapping; unknown rays are refused."""
+    pairs = divisor_from_ray_coeffs(surface, [[[1, 0, 0], -1], [[0, 0, 1], -1]])
+    mapping = divisor_from_ray_coeffs(surface, {(1, 0, 0): -1, (0, 0, 1): -1})
+    assert pairs.coeffs == mapping.coeffs == (-1, 0, -1, 0)
+    with pytest.raises(ValueError):
+        divisor_from_ray_coeffs(surface, [[[1, 1, 1], 1]])
+
+
 def test_variety_mismatch_is_rejected(surface):
     other = steinberg_variety()
     d = surface.zero_divisor()

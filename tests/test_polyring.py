@@ -1,6 +1,7 @@
 """Polynomials, Groebner bases, saturation, Hilbert data over prime fields."""
 
 import random
+from heapq import heappop, heappush
 from itertools import product as iproduct
 
 import pytest
@@ -23,8 +24,9 @@ from torica import (
     saturate,
     standard_monomials,
 )
+from torica.polyring import _add, _divides, _lcm, _sub
 
-from suites import buchberger_suite, saturation_suite
+from suites import _random_polynomial, buchberger_suite, saturation_suite
 
 
 def test_ring_requires_prime_characteristic():
@@ -255,3 +257,129 @@ def test_buchberger_property_suite():
 
 def test_saturation_property_suite():
     saturation_suite(cases=200)
+
+
+def test_polynomial_from_another_ring_is_refused():
+    ring = PolyRing(101, ("x", "y", "z"))
+    ideal = ring.ideal(["x^2 - y", "y*z"])
+    for other in (PolyRing(101, ("x", "y")), PolyRing(103, ("x", "y", "z"))):
+        for call in (ideal.normal_form, ideal.contains):
+            with pytest.raises(ValueError):
+                call(other.parse("x^3"))
+
+
+# -- the earlier engine, kept as a reference --------------------------------
+#
+# Buchberger on plain polynomials, followed by a separate minimalise and
+# inter-reduce pass; every normal form rebuilds (lt, inv_lc, poly) reducers.
+
+
+def _ref_prepare_reducers(polys, key):
+    reducers = []
+    for g in polys:
+        if g.is_zero():
+            continue
+        lt, lc = g.leading_term(key)
+        reducers.append((lt, pow(lc, -1, g.ring.char), g))
+    return reducers
+
+
+def _ref_normal_form(f, polys, key):
+    p = f.ring.char
+    reducers = _ref_prepare_reducers(polys, key)
+    work = dict(f.terms)
+    remainder = {}
+    while work:
+        e = max(work, key=key)
+        c = work.pop(e)
+        hit = next((r for r in reducers if _divides(r[0], e)), None)
+        if hit is None:
+            remainder[e] = c
+            continue
+        lt, inv_lc, g = hit
+        shift = _sub(e, lt)
+        factor = (c * inv_lc) % p
+        for ge, gc in g.terms.items():
+            te = _add(ge, shift)
+            s = (work.get(te, 0) - factor * gc) % p
+            if te == e:
+                continue
+            if s:
+                work[te] = s
+            elif te in work:
+                del work[te]
+    return f.ring.polynomial(remainder)
+
+
+def _ref_s_poly(f, g, key):
+    p = f.ring.char
+    lt_f, lc_f = f.leading_term(key)
+    lt_g, lc_g = g.leading_term(key)
+    lcm = _lcm(lt_f, lt_g)
+    mf = f.ring.monomial(_sub(lcm, lt_f), pow(lc_f, -1, p))
+    mg = f.ring.monomial(_sub(lcm, lt_g), pow(lc_g, -1, p))
+    return mf * f - mg * g
+
+
+def _ref_buchberger(generators, key):
+    basis = [g.monic(key) for g in generators if not g.is_zero()]
+    basis.sort(key=lambda g: key(g.leading_term(key)[0]))
+    lts = [g.leading_term(key)[0] for g in basis]
+    heap = []
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            heappush(heap, (key(_lcm(lts[i], lts[j])), i, j))
+    while heap:
+        _, i, j = heappop(heap)
+        if _lcm(lts[i], lts[j]) == _add(lts[i], lts[j]):
+            continue
+        r = _ref_normal_form(_ref_s_poly(basis[i], basis[j], key), basis, key)
+        if not r.is_zero():
+            r = r.monic(key)
+            basis.append(r)
+            lts.append(r.leading_term(key)[0])
+            new = len(basis) - 1
+            for k in range(new):
+                heappush(heap, (key(_lcm(lts[k], lts[new])), k, new))
+    return basis
+
+
+def _ref_reduce_basis(basis, key):
+    polys = [g for g in basis if not g.is_zero()]
+    polys.sort(key=lambda g: key(g.leading_term(key)[0]))
+    minimal = []
+    for g in polys:
+        lt = g.leading_term(key)[0]
+        if any(_divides(m.leading_term(key)[0], lt) for m in minimal):
+            continue
+        minimal.append(g)
+    reduced = []
+    for idx, g in enumerate(minimal):
+        others = minimal[:idx] + minimal[idx + 1 :]
+        r = _ref_normal_form(g, others, key) if others else g
+        reduced.append(r.monic(key))
+    reduced.sort(key=lambda g: key(g.leading_term(key)[0]))
+    return reduced
+
+
+def test_groebner_records_match_reference_engine():
+    """Bases, leading exponents and normal forms equal the earlier engine's on seeded ideals."""
+    rng = random.Random(20405)
+    seen = set()
+    for case in range(300):
+        char = rng.choice((5, 7, 101, 32003))
+        nvars = rng.randint(2, 4)
+        order = rng.choice(("grevlex", "lex", ("elim", 1)))
+        seen.add(order)
+        ring = PolyRing(char, tuple("wxyz"[:nvars]))
+        max_exp = 5 - nvars  # keeps lex bases in 4 variables small
+        gens = [_random_polynomial(rng, ring, 3, max_exp) for _ in range(rng.randint(2, 4))]
+        ideal = Ideal(ring, gens, order=order)
+        key = ideal.key()
+        reference = _ref_reduce_basis(_ref_buchberger(list(ideal.generators), key), key)
+        assert ideal.groebner() == reference, (case, gens, order)
+        assert ideal.leading_exponents() == [g.leading_term(key)[0] for g in reference], case
+        for _ in range(3):
+            f = _random_polynomial(rng, ring, 5, 4)
+            assert ideal.normal_form(f) == _ref_normal_form(f, reference, key), (case, f)
+    assert seen == {"grevlex", "lex", ("elim", 1)}
