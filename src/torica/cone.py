@@ -22,7 +22,7 @@ from itertools import product as iproduct
 from math import ceil, floor, gcd, prod
 
 from .errors import BudgetExceeded, NotPointed, NotStronglyConvex
-from .zlinalg import IntMatrix, kernel_basis, lattice_member, rank
+from .zlinalg import IntMatrix, _int_tuple, kernel_basis, lattice_member, rank
 
 _BOX_BUDGET = 10**6
 
@@ -141,7 +141,7 @@ class Cone:
         for g in generators:
             if len(g) != self.ambient_dim:
                 raise ValueError("generator has wrong length")
-            p = _primitive([int(x) for x in g])
+            p = _primitive(_int_tuple(g))
             if p is not None:
                 prims.add(p)
         self.generators = tuple(sorted(prims))

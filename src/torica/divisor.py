@@ -24,7 +24,7 @@ from .cone import Cone, Semigroup, _box_points, _dot, _double_description, _grad
 from .errors import NonUnique, NoSolution, VarietyMismatch
 from .polyring import _add, _sub, module_regular_sequence
 from .toric import PHI_COLUMNS, _power_presentation, steinberg_ring_mod_l
-from .zlinalg import IntMatrix, invert_unimodular, smith_normal_form
+from .zlinalg import IntMatrix, _int_tuple, invert_unimodular, smith_normal_form
 
 
 class ToricVariety:
@@ -192,7 +192,7 @@ class TorusDivisor:
     __slots__ = ("variety", "coeffs")
 
     def __init__(self, variety: ToricVariety, coeffs):
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = _int_tuple(coeffs)
         if len(coeffs) != len(variety.rays):
             raise ValueError("one coefficient per ray required")
         self.variety = variety
@@ -405,7 +405,7 @@ def divisor_from_ray_coeffs(v: ToricVariety, ray_coeffs) -> TorusDivisor:
     """A divisor from {ray: coeff} or (ray, coeff) pairs; unmentioned rays get 0."""
     coeffs = [0] * len(v.rays)
     for ray, c in ray_coeffs.items() if hasattr(ray_coeffs, "items") else ray_coeffs:
-        coeffs[v.rays.index(tuple(int(x) for x in ray))] = int(c)
+        coeffs[v.rays.index(_int_tuple(ray))] = c
     return TorusDivisor(v, coeffs)
 
 

@@ -1,14 +1,28 @@
 """Exact linear algebra over the integers.
 
-Hermite and Smith normal forms with tracked unimodular transforms, integer
-kernels, and cokernel presentations. Everything runs on Python ints, so
-nothing ever overflows; rational solves use fractions.Fraction.
+One Hermite elimination, `_echelon`, tracks its unimodular transform T with
+T @ A == H (Cohen, GTM 138, section 2.4). Hermite forms, rank, kernels,
+determinants, rational solves and unimodular inverses are all read off
+(H, T). `smith_normal_form` keeps its own pivot loop: class coordinates are
+read off its U, which is not canonical, so a Smith form built another way
+would change the documented coordinates of classes with free rank >= 2 or
+with torsion. Everything runs on Python ints, so nothing ever overflows;
+back-substitution uses fractions.Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import prod
+
+
+def _int_tuple(xs):
+    """The entries of `xs` as a tuple of ints; ValueError if one is not an integer."""
+    xs = tuple(xs)
+    ints = tuple(map(int, xs))
+    if ints != xs:
+        raise ValueError(f"not an integer vector: {list(xs)}")
+    return ints
 
 
 class IntMatrix:
@@ -21,7 +35,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries, cols=None):
-        data = tuple(tuple(int(x) for x in row) for row in entries)
+        data = tuple(_int_tuple(row) for row in entries)
         if data:
             width = len(data[0])
             if any(len(row) != width for row in data):
@@ -48,6 +62,8 @@ class IntMatrix:
         if not cols:
             return cls([], cols=0) if rows is None else cls([[] for _ in range(rows)], cols=0)
         height = len(cols[0])
+        if any(len(col) != height for col in cols):
+            raise ValueError("ragged columns")
         return cls([[col[i] for col in cols] for i in range(height)])
 
     def column(self, j):
@@ -270,6 +286,48 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     return SmithDecomposition(IntMatrix(u), IntMatrix(d), IntMatrix(v), factors)
 
 
+def _echelon(rows, ncols):
+    """Hermite elimination of the rows of A, tracking the transform.
+
+    Returns (H, T, rank, sign) with T unimodular and T @ A == H. H is the
+    row-style Hermite form with its zero rows last; sign is det(T), which
+    each row swap and each negation flips.
+    """
+    m = len(rows)
+    # rows of [A | I]: the operations that bring A to H build T on the right
+    h = [list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(rows)]
+    sign = 1
+    r = 0
+    for col in range(ncols):
+        if r >= m:
+            break
+        # reduce rows >= r until at most one has a nonzero in col
+        while True:
+            live = [i for i in range(r, m) if h[i][col] != 0]
+            if len(live) <= 1:
+                break
+            live.sort(key=lambda i: abs(h[i][col]))
+            base, other = live[0], live[1]
+            q = h[other][col] // h[base][col]
+            h[other] = [x - q * y for x, y in zip(h[other], h[base])]
+        if not live:
+            continue
+        i = live[0]
+        if i != r:
+            h[r], h[i] = h[i], h[r]
+            sign = -sign
+        if h[r][col] < 0:
+            h[r] = [-x for x in h[r]]
+            sign = -sign
+        pivot = h[r][col]
+        for i in range(r):
+            q = h[i][col] // pivot
+            if q:
+                h[i] = [x - q * y for x, y in zip(h[i], h[r])]
+        r += 1
+    return [row[:ncols] for row in h], [row[ncols:] for row in h], r, sign
+
+
 def hermite_normal_form(a: IntMatrix) -> IntMatrix:
     """Row-style Hermite normal form of the row lattice of `a`.
 
@@ -277,35 +335,8 @@ def hermite_normal_form(a: IntMatrix) -> IntMatrix:
     above a pivot lie in [0, pivot). Zero rows are dropped, so the result
     is the canonical basis of the row lattice.
     """
-    m, n = a.rows, a.cols
-    h = [list(row) for row in a.entries]
-    pivot_row = 0
-    for col in range(n):
-        if pivot_row >= m:
-            break
-        # reduce rows >= pivot_row until at most one has a nonzero in col
-        while True:
-            live = [i for i in range(pivot_row, m) if h[i][col] != 0]
-            if len(live) <= 1:
-                break
-            live.sort(key=lambda i: abs(h[i][col]))
-            base, other = live[0], live[1]
-            q = h[other][col] // h[base][col]
-            h[other] = [x - q * y for x, y in zip(h[other], h[base])]
-        live = [i for i in range(pivot_row, m) if h[i][col] != 0]
-        if not live:
-            continue
-        i = live[0]
-        h[pivot_row], h[i] = h[i], h[pivot_row]
-        if h[pivot_row][col] < 0:
-            h[pivot_row] = [-x for x in h[pivot_row]]
-        pivot = h[pivot_row][col]
-        for i in range(pivot_row):
-            q = h[i][col] // pivot
-            if q:
-                h[i] = [x - q * y for x, y in zip(h[i], h[pivot_row])]
-        pivot_row += 1
-    return IntMatrix([row for row in h[:pivot_row]], cols=n)
+    h, _, r, _ = _echelon(a.entries, a.cols)
+    return IntMatrix(h[:r], cols=a.cols)
 
 
 def lattice_member(hnf: IntMatrix, vec) -> bool:
@@ -326,25 +357,19 @@ def lattice_member(hnf: IntMatrix, vec) -> bool:
 
 
 def rank(a: IntMatrix) -> int:
-    return hermite_normal_form(a).rows
+    return _echelon(a.entries, a.cols)[2]
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:
     """Basis for {x : A x = 0}, as the columns of the returned matrix.
 
-    The basis spans the full (saturated) kernel lattice and is normalized
-    by Hermite reduction, so equal kernels give equal matrices.
+    The rows of T that sit on zero rows of the echelon form T @ A^T span
+    the full (saturated) kernel lattice, since T is unimodular. They are
+    normalized by Hermite reduction, so equal kernels give equal matrices.
     """
-    if a.rows == 0:
-        basis = IntMatrix.identity(a.cols)
-        return basis
-    snf = smith_normal_form(a)
-    r = sum(1 for f in snf.invariant_factors if f != 0)
-    cols = [snf.v.column(j) for j in range(r, a.cols)]
-    if not cols:
-        return IntMatrix([[] for _ in range(a.cols)], cols=0)
-    reduced = hermite_normal_form(IntMatrix(cols))
-    return IntMatrix.from_columns([list(row) for row in reduced.entries], rows=a.cols)
+    _, t, r, _ = _echelon(a.transpose().entries, a.rows)
+    reduced = hermite_normal_form(IntMatrix(t[r:], cols=a.cols))
+    return IntMatrix.from_columns(reduced.entries, rows=a.cols)
 
 
 def cokernel_presentation(a: IntMatrix):
@@ -357,76 +382,42 @@ def cokernel_presentation(a: IntMatrix):
 
 
 def det(a: IntMatrix) -> int:
-    """Determinant by fraction-free Bareiss elimination."""
+    """Determinant: det(T) times the diagonal of the Hermite form H = T @ A."""
     if a.rows != a.cols:
         raise ValueError("determinant of a non-square matrix")
-    n = a.rows
-    if n == 0:
-        return 1
-    m = [list(row) for row in a.entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    h, _, _, sign = _echelon(a.entries, a.cols)
+    return sign * prod(row[i] for i, row in enumerate(h))  # a zero row when singular
 
 
 def solve_rational(a: IntMatrix, rhs):
     """Unique rational solution of A x = rhs, or None.
 
     Returns None when the system is singular (no unique solution) or
-    inconsistent. Used for unimodular inversion.
+    inconsistent. With T @ A == H, a unique solution needs rank == cols and
+    (T rhs)[cols:] == 0; it is then back-substituted on H.
     """
-    m, n = a.rows, a.cols
-    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(a.entries, rhs)]
-    pivots = []
-    row = 0
-    for col in range(n):
-        pivot = next((i for i in range(row, m) if aug[i][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        pv = aug[row][col]
-        aug[row] = [x / pv for x in aug[row]]
-        for i in range(m):
-            if i != row and aug[i][col] != 0:
-                factor = aug[i][col]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    if len(pivots) < n:
+    rhs = [Fraction(b) for b in rhs]
+    if len(rhs) != a.rows:
+        raise ValueError("right-hand side length does not match the rows")
+    n = a.cols
+    h, t, r, _ = _echelon(a.entries, n)
+    if r < n:
         return None
-    for i in range(row, m):
-        if aug[i][n] != 0:
-            return None
+    c = [sum(x * b for x, b in zip(row, rhs)) for row in t]
+    if any(c[n:]):
+        return None
     sol = [Fraction(0)] * n
-    for i, col in enumerate(pivots):
-        sol[col] = aug[i][n]
+    for i in reversed(range(n)):
+        sol[i] = (c[i] - sum(h[i][j] * sol[j] for j in range(i + 1, n))) / h[i][i]
     return sol
 
 
 def invert_unimodular(a: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular integer matrix."""
+    """Exact inverse of a unimodular integer matrix: T, once T @ A is the identity."""
     n = a.rows
     if a.cols != n:
         raise ValueError("not square")
-    cols = []
-    for j in range(n):
-        rhs = [int(i == j) for i in range(n)]
-        sol = solve_rational(a, rhs)
-        if sol is None or any(x.denominator != 1 for x in sol):
-            raise ValueError("matrix is not unimodular")
-        cols.append([int(x) for x in sol])
-    return IntMatrix.from_columns(cols, rows=n)
+    h, t, _, _ = _echelon(a.entries, n)
+    if h != [[int(i == j) for j in range(n)] for i in range(n)]:
+        raise ValueError("matrix is not unimodular")
+    return IntMatrix(t, cols=n)

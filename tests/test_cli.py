@@ -206,6 +206,19 @@ def test_div_ray_coeffs_unknown_ray_is_bad_input(tmp_path, capsys):
         assert json.loads(err)["error"]["code"] == "BAD_INPUT"
 
 
+def test_non_integral_numbers_are_bad_input(tmp_path, capsys):
+    cases = (
+        (["ideal", "toric"], {"phi": [[1.5, 1, 1], [0, 1, 2]]}),
+        (["cone", "dual"], {"dim": 2, "generators": [[1.9, 0], [0.5, 1]]}),
+        (["div", "module-gens", "@S"], {"coeffs": [-1.5, 0, -1, 0]}),
+        (["div", "module-gens", "@S"], {"ray_coeffs": [[[1.5, 0, 0], -1]]}),
+    )
+    for argv, doc in cases:
+        code, out, err = run_cli(argv + [write_json(tmp_path / "in.json", doc)], capsys)
+        assert (code, out) == (2, ""), argv
+        assert json.loads(err)["error"]["code"] == "BAD_INPUT"
+
+
 def test_div_multiplicity(capsys):
     for k, s, expected in ((0, 0, 1), (1, 0, 2), (1, 2, 2), (2, 0, 4), (3, 1, 8)):
         data = out_json(

@@ -23,6 +23,12 @@ def test_generators_are_primitivized_deduped_sorted():
     assert cone.generators == ((1, 0), (1, 3))
 
 
+def test_non_integral_generators_are_refused():
+    with pytest.raises(ValueError):
+        Cone(2, [(1.9, 0), (0.5, 1)])
+    assert Cone(2, [(2.0, 0), (0, 1)]).generators == ((0, 1), (1, 0))
+
+
 def test_dual_of_semigroup_cone_is_surface_cone():
     cone = Cone(3, DUAL_GENS)
     assert cone.dual().rays() == ((0, 0, 1), (0, 1, 0), (1, 0, 0), (2, 2, -1))

@@ -97,6 +97,18 @@ def test_divisor_from_ray_coeff_pairs(surface):
         divisor_from_ray_coeffs(surface, [[[1, 1, 1], 1]])
 
 
+def test_non_integral_coefficients_are_refused(surface):
+    with pytest.raises(ValueError):
+        TorusDivisor(surface, (-1.5, 0, -1, 0))
+    with pytest.raises(ValueError):
+        surface.divisor((0, 0.5, 0, 0))
+    with pytest.raises(ValueError):
+        divisor_from_ray_coeffs(surface, [[[1.5, 0, 0], -1]])
+    with pytest.raises(ValueError):
+        divisor_from_ray_coeffs(surface, [[[1, 0, 0], -1.5]])
+    assert divisor_from_ray_coeffs(surface, [[[1.0, 0, 0], -1.0]]).coeffs == (0, 0, -1, 0)
+
+
 def test_variety_mismatch_is_rejected(surface):
     other = steinberg_variety()
     d = surface.zero_divisor()

@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -152,3 +154,180 @@ def test_json_round_trip():
 
 def test_snf_property_suite():
     snf_suite(cases=500)
+
+
+# -- reference routes: the separate eliminations the Hermite core replaced ----
+
+
+def _bareiss_det(a):
+    n = a.rows
+    if n == 0:
+        return 1
+    m = [list(row) for row in a.entries]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def _gauss_jordan_solve(a, rhs):
+    m, n = a.rows, a.cols
+    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(a.entries, rhs)]
+    pivots = []
+    row = 0
+    for col in range(n):
+        pivot = next((i for i in range(row, m) if aug[i][col] != 0), None)
+        if pivot is None:
+            continue
+        aug[row], aug[pivot] = aug[pivot], aug[row]
+        pv = aug[row][col]
+        aug[row] = [x / pv for x in aug[row]]
+        for i in range(m):
+            if i != row and aug[i][col] != 0:
+                factor = aug[i][col]
+                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[row])]
+        pivots.append(col)
+        row += 1
+        if row == m:
+            break
+    if len(pivots) < n or any(aug[i][n] != 0 for i in range(row, m)):
+        return None
+    sol = [Fraction(0)] * n
+    for i, col in enumerate(pivots):
+        sol[col] = aug[i][n]
+    return sol
+
+
+def _gauss_jordan_inverse(a):
+    n = a.rows
+    cols = []
+    for j in range(n):
+        sol = _gauss_jordan_solve(a, [int(i == j) for i in range(n)])
+        if sol is None or any(x.denominator != 1 for x in sol):
+            return None
+        cols.append([int(x) for x in sol])
+    return IntMatrix.from_columns(cols, rows=n)
+
+
+def _smith_then_hermite_kernel(a):
+    if a.rows == 0:
+        return IntMatrix.identity(a.cols)
+    snf = smith_normal_form(a)
+    r = sum(1 for f in snf.invariant_factors if f != 0)
+    cols = [snf.v.column(j) for j in range(r, a.cols)]
+    if not cols:
+        return IntMatrix([[] for _ in range(a.cols)], cols=0)
+    reduced = hermite_normal_form(IntMatrix(cols))
+    return IntMatrix.from_columns([list(row) for row in reduced.entries], rows=a.cols)
+
+
+def _cofactor_det(entries):
+    if not entries:
+        return 1
+    return sum(
+        (-1) ** j * x * _cofactor_det([row[:j] + row[j + 1 :] for row in entries[1:]])
+        for j, x in enumerate(entries[0])
+        if x
+    )
+
+
+def _differential_panel():
+    """Seeded matrices: square, wide, tall, rank-deficient, zero-row and zero-column."""
+    rng = random.Random(2024)
+    panel = [IntMatrix([], cols=0), IntMatrix([], cols=3), IntMatrix([[], [], []], cols=0)]
+    for _ in range(600):
+        m, n = rng.randint(0, 5), rng.randint(0, 5)
+        bound = rng.choice((1, 3, 9))
+        rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)]
+        if m >= 2 and rng.random() < 0.3:  # force a dependent row
+            c = rng.randint(-2, 2)
+            rows[-1] = [x + c * y for x, y in zip(rows[0], rows[1])]
+        panel.append(IntMatrix(rows, cols=n))
+    for _ in range(200):  # unimodular: Smith transforms of random maps
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        a = IntMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)])
+        panel.append(smith_normal_form(a).u)
+    return panel, rng
+
+
+def test_hermite_core_matches_reference_eliminations():
+    panel, rng = _differential_panel()
+    seen = set()
+    for a in panel:
+        r = rank(a)
+        kinds = {
+            "zero-row": a.rows == 0,
+            "zero-column": a.cols == 0,
+            "tall": a.rows > a.cols,
+            "rank-deficient": 0 < r < min(a.rows, a.cols),
+        }
+        seen.update(kind for kind, hit in kinds.items() if hit)
+        assert kernel_basis(a) == _smith_then_hermite_kernel(a)
+        assert hermite_normal_form(a).rows == r
+        for _ in range(2):
+            rhs = [rng.randint(-4, 4) for _ in range(a.rows)]
+            if rng.random() < 0.5 and a.cols:  # a consistent right-hand side
+                rhs = list(a @ [rng.randint(-3, 3) for _ in range(a.cols)])
+            sol = solve_rational(a, rhs)
+            assert sol == _gauss_jordan_solve(a, rhs)
+            assert sol is None or all(type(x) is Fraction for x in sol)
+        if a.rows == a.cols:
+            assert det(a) == _bareiss_det(a)
+            ref = _gauss_jordan_inverse(a)
+            if ref is None:
+                with pytest.raises(ValueError):
+                    invert_unimodular(a)
+            else:
+                seen.add("unimodular")
+                assert invert_unimodular(a) == ref
+    assert {"zero-row", "zero-column", "tall", "rank-deficient", "unimodular"} <= seen
+
+
+def test_smith_prefix_products_are_gcds_of_minors():
+    rng = random.Random(31)
+    for _ in range(150):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        entries = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
+        if m >= 2 and rng.random() < 0.3:
+            entries[-1] = [2 * x for x in entries[0]]
+        factors = smith_normal_form(IntMatrix(entries)).invariant_factors
+        product = 1
+        for k in range(1, min(m, n) + 1):
+            product *= factors[k - 1]
+            minors = 0
+            for rows in combinations(range(m), k):
+                for cols in combinations(range(n), k):
+                    minors = gcd(minors, _cofactor_det([[entries[i][j] for j in cols] for i in rows]))
+            assert product == minors
+
+
+def test_non_integral_entries_are_refused():
+    for entries in ([[1.5, 1]], [[1, 0], [0, Fraction(1, 2)]], [["2"]]):
+        with pytest.raises(ValueError):
+            IntMatrix(entries)
+    assert IntMatrix([[2.0, Fraction(4, 2)]]).entries == ((2, 2),)
+    with pytest.raises(ValueError):
+        IntMatrix.from_json({"entries": [[0.5]]})
+
+
+def test_shape_checks():
+    a = IntMatrix([[1, 0], [0, 1]])
+    with pytest.raises(ValueError):
+        solve_rational(a, (1, 2, 3))
+    with pytest.raises(ValueError):
+        solve_rational(a, (1,))
+    with pytest.raises(ValueError):
+        IntMatrix.from_columns([(1, 2), (3,)])
+    with pytest.raises(ValueError):
+        IntMatrix.from_columns([(1,), (2, 3)])
