@@ -191,7 +191,7 @@ class Cone:
         return Cone(self.ambient_dim, self.dual_generators())
 
     def contains(self, vec) -> bool:
-        vec = tuple(int(x) for x in vec)
+        vec = _int_tuple(vec)
         return all(_dot(n, vec) >= 0 for n in self.dual_generators())
 
     def __eq__(self, other):

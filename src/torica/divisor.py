@@ -395,7 +395,7 @@ def class_group(v: ToricVariety) -> ClassGroup:
 
 
 def div_of_character(v: ToricVariety, m) -> TorusDivisor:
-    m = tuple(int(x) for x in m)
+    m = _int_tuple(m)
     if len(m) != v.cone.ambient_dim:
         raise ValueError("character lattice point has wrong dimension")
     return TorusDivisor(v, tuple(_dot(m, u) for u in v.rays))

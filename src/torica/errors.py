@@ -68,7 +68,12 @@ class NonUnique(ToricaError):
 
 
 class BudgetExceeded(ToricaError):
-    """A lattice-point enumeration would scan more points than its budget."""
+    """An enumeration or a computation would go past its documented budget.
+
+    Raised before a lattice-point box of more than 10^6 points is scanned,
+    and when a Groebner basis computation reduces more than 5,000 S-pairs or
+    finds more than 1,000 elements. `budget` is the limit that tripped.
+    """
 
     code = "BUDGET_EXCEEDED"
 

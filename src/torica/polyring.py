@@ -1,13 +1,19 @@
 """Multivariate polynomials over a prime field with a Buchberger engine.
 
 Polynomials are dicts mapping exponent tuples to nonzero coefficients in
-F_p. Ideals carry a monomial order tag and cache their reduced Groebner
-basis as a tuple of (leading exponent, monic polynomial) records sorted
-by the order's key: the one form that the Buchberger engine, normal forms
-and leading-term queries share. On top of the basis machinery this module
-provides elimination, saturation, quotient vector-space dimensions, and
-exact Hilbert-series certificates for regular sequences (on quotient
-rings and on monomial modules presented by ideals).
+F_p. Every monomial order (grevlex, lex, ("elim", k)) is a nonnegative
+weight matrix: compare the weights, then the exponents. The Buchberger
+engine packs each monomial into one int (Monagan & Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors", CASC
+2007; see `_Packing`), divides with a heap, prunes S-pairs by the
+Gebauer-Moeller criteria (JSC 6, 1988) and raises BudgetExceeded past its
+pair and basis-size budget. Ideals cache their reduced basis as monic
+packed records (leading monomial, tail terms) sorted by the order, next
+to the same elements as Polynomials; callers only see exponent tuples.
+On top of the basis machinery this module provides elimination,
+saturation, quotient vector-space dimensions, and exact Hilbert-series
+certificates for regular sequences (on quotient rings and on monomial
+modules presented by ideals).
 """
 
 from __future__ import annotations
@@ -15,9 +21,13 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from itertools import product as iproduct
 
-from .errors import InconclusiveAtBound, NotHomogeneous
+from .errors import BudgetExceeded, InconclusiveAtBound, NotHomogeneous
 
 INFINITE = float("inf")
+
+# Limits on one Groebner basis computation (docs/formats.md, "Error object").
+_PAIR_BUDGET = 5000
+_BASIS_BUDGET = 1000
 
 
 def _is_prime(n):
@@ -33,22 +43,33 @@ def _is_prime(n):
     return True
 
 
-def order_key(order, nvars):
-    """Key function on exponent tuples; larger key = larger monomial."""
+def _weight_rows(order, nvars):
+    """Nonnegative weight rows; comparing them, then the exponents, is the order.
 
-    def grevlex(e):
-        return (sum(e), tuple(-x for x in reversed(e)))
+    grevlex is the degree, then the partial sums e_1 + .. + e_(n-1), ..,
+    e_1; lex has no rows; ("elim", k) is grevlex on the first k variables
+    followed by grevlex on the rest.
+    """
+
+    def grevlex(lo, hi):
+        return [tuple(int(lo <= i < j) for i in range(nvars)) for j in range(hi, lo, -1)]
 
     if order == "grevlex":
-        return grevlex
+        return grevlex(0, nvars)
     if order == "lex":
-        return lambda e: tuple(e)
+        return []
     if isinstance(order, tuple) and len(order) == 2 and order[0] == "elim":
         k = order[1]
         if not 0 < k < nvars:
             raise ValueError("elimination block size out of range")
-        return lambda e: (grevlex(e[:k]), grevlex(e[k:]))
+        return grevlex(0, k) + grevlex(k, nvars)
     raise ValueError(f"unknown monomial order: {order!r}")
+
+
+def order_key(order, nvars):
+    """Key function on exponent tuples; larger key = larger monomial."""
+    rows = _weight_rows(order, nvars)
+    return lambda e: tuple(sum(w * x for w, x in zip(row, e)) for row in rows) + tuple(e)
 
 
 class PolyRing:
@@ -324,7 +345,9 @@ class Polynomial:
         return e, self.terms[e]
 
     def monic(self, key):
-        return _record(self, key)[1] if self.terms else self
+        if not self.terms:
+            return self
+        return self * pow(self.leading_term(key)[1], -1, self.ring.char)
 
     # -- display --------------------------------------------------------------------
 
@@ -371,7 +394,16 @@ def _poly(ring, terms):
     return out
 
 
-# -- division and Buchberger -----------------------------------------------------
+# -- packed monomials and Buchberger -----------------------------------------------
+#
+# Inside the engine a monomial is one int. Its fields, most significant first,
+# are the order's weight rows applied to the exponents, then the exponents
+# e_1 .. e_n themselves. Each field is `bits` wide and its top bit is a guard
+# that stays clear while every field is at most `limit`. Then `<` on the ints
+# is the monomial order, `+` is the product, and a divides b exactly when
+# b - a sets no guard bit. A sum of two fitting fields cannot carry past its
+# guard, so every product the engine forms is checked by one `& guard`, and
+# a set guard raises _Overflow, on which the caller repacks with wider fields.
 
 
 def _divides(a, b):
@@ -387,111 +419,251 @@ def _add(a, b):
 
 
 def _lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
-def _reduce_terms(ring, terms, records, key):
-    """Full remainder of a term dict modulo monic records, tried in order."""
-    p = ring.char
-    work = dict(terms)
+class _Overflow(Exception):
+    """A packed product set a guard bit: some field outgrew the packing."""
+
+
+class _Packing:
+    """The packed encoding of one order's monomials in fields of one width."""
+
+    __slots__ = ("rows", "limit", "guard", "shifts", "variables")
+
+    def __init__(self, rows, nvars, bits):
+        fields = len(rows) + nvars
+        self.rows = rows
+        self.limit = (1 << (bits - 1)) - 1
+        self.guard = sum(1 << (bits * f + bits - 1) for f in range(fields))
+        self.shifts = tuple(bits * (nvars - 1 - i) for i in range(nvars))
+        tops = [bits * (fields - 1 - r) for r in range(len(rows))]
+        self.variables = tuple(
+            (1 << self.shifts[i]) + sum(row[i] << s for row, s in zip(rows, tops))
+            for i in range(nvars)
+        )
+
+    def pack(self, e):
+        """The packed monomial of an exponent tuple whose fields fit."""
+        return sum(x * v for x, v in zip(e, self.variables))
+
+    def unpack(self, m):
+        return tuple((m >> s) & self.limit for s in self.shifts)
+
+    def pack_terms(self, terms):
+        return {self.pack(e): c for e, c in terms.items()}
+
+    def unpack_terms(self, terms):
+        return {self.unpack(m): c for m, c in terms.items() if c}
+
+    def lcm(self, a, b):
+        """The packed lcm of two exponent tuples; _Overflow if it does not fit.
+
+        Each field of the lcm is at most the sum of two fitting fields, so an
+        lcm that does not fit sets its guard bit instead of carrying.
+        """
+        m = self.pack(_lcm(a, b))
+        if m & self.guard:
+            raise _Overflow
+        return m
+
+
+def _field_max(rows, exponents):
+    """The largest field, weight or exponent, of any of the exponent tuples."""
+    return max(
+        (max(e + tuple(sum(w * x for w, x in zip(row, e)) for row in rows), default=0)
+         for e in exponents),
+        default=0,
+    )
+
+
+def _field_bits(top):
+    """Field width, guard included, for fields up to `top`: 4x headroom, at least 8 bits."""
+    return max(8, top.bit_length() + 3)
+
+
+def _widening(order, nvars, term_dicts, run):
+    """run(packing) on fields fitted to the terms, doubled in width on each _Overflow.
+
+    run starts again from scratch on the wider packing, so an answer is
+    never computed from a carried field.
+    """
+    rows = _weight_rows(order, nvars)
+    bits = _field_bits(max((_field_max(rows, terms) for terms in term_dicts), default=0))
+    while True:
+        try:
+            return run(_Packing(rows, nvars, bits))
+        except _Overflow:
+            bits *= 2
+
+
+def _reduce(work, records, p, guard):
+    """Full remainder of a packed term dict modulo monic packed records, tried in order.
+
+    `work` is consumed. Its monomials leave a heap largest first. A cancelled
+    term keeps a zero entry until it is popped, and every new term is smaller
+    than the one being reduced, so each monomial enters the heap once.
+    """
+    heap = [-m for m in work]
+    heapify(heap)
     remainder = {}
-    while work:
-        e = max(work, key=key)
-        c = work.pop(e)
-        for lt, g in records:
-            if _divides(lt, e):
+    while heap:
+        m = -heappop(heap)
+        c = work.pop(m)
+        if not c:
+            continue
+        for lt, tail in records:
+            if not (m - lt) & guard:
                 break
         else:
-            remainder[e] = c
+            remainder[m] = c
             continue
-        shift = _sub(e, lt)
-        for ge, gc in g.terms.items():
-            if ge == lt:
-                continue  # cancels e exactly
-            te = _add(ge, shift)
-            s = (work.get(te, 0) - c * gc) % p
-            if s:
-                work[te] = s
-            elif te in work:
-                del work[te]
+        shift = m - lt
+        for ge, gc in tail:
+            te = ge + shift
+            s = work.get(te)
+            if s is None:
+                if te & guard:
+                    raise _Overflow
+                work[te] = -c * gc % p
+                heappush(heap, -te)
+            else:
+                work[te] = (s - c * gc) % p
     return remainder
 
 
-def _record(g, key):
-    """The (leading exponent, monic polynomial) record of a nonzero g."""
-    lt, lc = g.leading_term(key)
-    return lt, g * pow(lc, -1, g.ring.char)
+def _monic(terms, p):
+    """The monic record (leading monomial, tail terms) of packed terms with nonzero coefficients."""
+    lt = max(terms)
+    inv = pow(terms[lt], -1, p)
+    return lt, tuple((m, c * inv % p) for m, c in terms.items() if m != lt)
 
 
-def _s_terms(a, b, p):
-    """Terms of the S-polynomial of two monic records."""
-    (lt_a, f), (lt_b, g) = a, b
-    lcm = _lcm(lt_a, lt_b)
-    shift_a, shift_b = _sub(lcm, lt_a), _sub(lcm, lt_b)
-    out = {_add(e, shift_a): c for e, c in f.terms.items()}
-    for e, c in g.terms.items():
-        te = _add(e, shift_b)
-        s = (out.get(te, 0) - c) % p
-        if s:
-            out[te] = s
-        elif te in out:
-            del out[te]
+def _s_terms(a, b, lcm, p, guard):
+    """Packed terms of the S-polynomial of two monic records whose leaders divide lcm."""
+    (lt_a, tail_a), (lt_b, tail_b) = a, b
+    shift = lcm - lt_a
+    out = {ge + shift: gc for ge, gc in tail_a}
+    shift = lcm - lt_b
+    for ge, gc in tail_b:
+        te = ge + shift
+        out[te] = (out.get(te, 0) - gc) % p
+    if any(te & guard for te in out):
+        raise _Overflow
     return out
 
 
-def _normal_form(f, polys, key):
-    records = [_record(g, key) for g in polys if g.terms]
-    return _poly(f.ring, _reduce_terms(f.ring, f.terms, records, key))
+def _normal_form(f, polys, order):
+    """Full remainder of f modulo polys, tried in order, largest term first."""
+    ring, p = f.ring, f.ring.char
+
+    def run(packing):
+        records = [_monic(packing.pack_terms(g.terms), p) for g in polys if g.terms]
+        rem = _reduce(packing.pack_terms(f.terms), records, p, packing.guard)
+        return _poly(ring, packing.unpack_terms(rem))
+
+    return _widening(order, ring.nvars, [f.terms] + [g.terms for g in polys], run)
 
 
-def _s_poly(f, g, key):
-    return _poly(f.ring, _s_terms(_record(f, key), _record(g, key), f.ring.char))
+def _s_poly(f, g, order):
+    ring, p = f.ring, f.ring.char
+
+    def run(packing):
+        a, b = (_monic(packing.pack_terms(h.terms), p) for h in (f, g))
+        lcm = packing.lcm(packing.unpack(a[0]), packing.unpack(b[0]))
+        terms = _s_terms(a, b, lcm, p, packing.guard)
+        return _poly(ring, packing.unpack_terms(terms))
+
+    return _widening(order, ring.nvars, [f.terms, g.terms], run)
 
 
-def _groebner(ring, generators, key):
-    """The reduced Groebner basis of the generators as a tuple of records.
+def _groebner(ring, generators, order):
+    """The reduced Groebner basis of the generators: (packing, sorted monic records).
 
-    Buchberger's algorithm skips pairs with coprime leading exponents and
-    takes the pair of least lcm first. The result drops each record whose
-    leading exponent a kept one divides, then reduces every kept record by
-    the others; it is sorted by the order's key.
+    Buchberger's algorithm with the Gebauer-Moeller update: a new element h
+    drops each old pair whose lcm LT(h) divides unless h shares that lcm with
+    one of its members (criterion B); of h's own pairs it keeps one per
+    least lcm (criteria M and F), and then drops those with coprime leaders.
+    Pairs are taken least lcm first. The result keeps the records whose
+    leaders no other kept leader divides, each reduced by the others.
+    Reducing more than _PAIR_BUDGET pairs, or finding more than
+    _BASIS_BUDGET elements, raises BudgetExceeded.
     """
     p = ring.char
-    basis = sorted((_record(g, key) for g in generators if g.terms), key=lambda r: key(r[0]))
-    heap = [
-        (key(_lcm(basis[i][0], basis[j][0])), i, j)
-        for i in range(len(basis))
-        for j in range(i + 1, len(basis))
-    ]
-    heapify(heap)
-    while heap:
-        _, i, j = heappop(heap)
-        lt_i, lt_j = basis[i][0], basis[j][0]
-        if _lcm(lt_i, lt_j) == _add(lt_i, lt_j):
-            continue  # coprime leading terms: S-polynomial reduces to zero
-        r = _reduce_terms(ring, _s_terms(basis[i], basis[j], p), basis, key)
-        if r:
-            new = _record(_poly(ring, r), key)
-            for k, (lt, _) in enumerate(basis):
-                heappush(heap, (key(_lcm(lt, new[0])), k, len(basis)))
-            basis.append(new)
-    basis.sort(key=lambda r: key(r[0]))
-    minimal = []
-    for lt, g in basis:
-        if not any(_divides(m, lt) for m, _ in minimal):
-            minimal.append((lt, g))
-    return tuple(
-        (lt, _poly(ring, _reduce_terms(ring, g.terms, minimal[:i] + minimal[i + 1 :], key)))
-        for i, (lt, g) in enumerate(minimal)
-    )
+
+    def run(packing):
+        guard = packing.guard
+        records = []  # every element found, in order
+        leads = []  # their leading exponent tuples
+        active = []  # indices of the elements whose leaders stay minimal
+        reducers = []  # their records
+        pairs = []  # heap of (lcm, i, j)
+
+        def insert(record):
+            h, lt_h = len(records), record[0]
+            if h >= _BASIS_BUDGET:
+                raise BudgetExceeded(
+                    f"Groebner basis grew past {_BASIS_BUDGET} elements, over its budget",
+                    _BASIS_BUDGET,
+                )
+            lead_h = packing.unpack(lt_h)
+            lcms = [packing.lcm(e, lead_h) for e in leads]
+            pairs[:] = [
+                (m, i, j) for m, i, j in pairs
+                if (m - lt_h) & guard or m == lcms[i] or m == lcms[j]
+            ]
+            new = sorted((lcms[g], g) for g in active)
+            kept = []
+            for n, (m, g) in enumerate(new):
+                if (
+                    m == lt_h + records[g][0]
+                    or not (n + 1 < len(new) and new[n + 1][0] == m)
+                    and all((m - k) & guard for k, _ in kept)
+                ):
+                    kept.append((m, g))
+            pairs.extend((m, g, h) for m, g in kept if m != lt_h + records[g][0])
+            heapify(pairs)
+            active[:] = [g for g in active if (records[g][0] - lt_h) & guard]
+            active.append(h)
+            records.append(record)
+            leads.append(lead_h)
+            reducers[:] = [records[g] for g in active]
+
+        for record in sorted(_monic(packing.pack_terms(g.terms), p) for g in generators if g.terms):
+            insert(record)
+        reduced = 0
+        while pairs:
+            if reduced == _PAIR_BUDGET:
+                raise BudgetExceeded(
+                    f"Groebner basis reduced {_PAIR_BUDGET} S-pairs with {len(pairs)} left, "
+                    f"over its budget",
+                    _PAIR_BUDGET,
+                )
+            reduced += 1
+            m, i, j = heappop(pairs)
+            r = _reduce(_s_terms(records[i], records[j], m, p, guard), reducers, p, guard)
+            if r:
+                insert(_monic(r, p))
+        minimal = []
+        for lt, tail in sorted(reducers, key=lambda r: r[0]):
+            if all((lt - m) & guard for m, _ in minimal):
+                minimal.append((lt, tail))
+        return packing, tuple(
+            (lt, tuple(_reduce(dict(tail), minimal[:i] + minimal[i + 1 :], p, guard).items()))
+            for i, (lt, tail) in enumerate(minimal)
+        )
+
+    return _widening(order, ring.nvars, [g.terms for g in generators], run)
 
 
 class Ideal:
     """Ideal presented by generators, with a monomial order and GB cache.
 
-    The cache `_gb` holds the reduced Groebner basis as a tuple of
-    (leading exponent, monic polynomial) records sorted by the order's key;
-    each leading exponent is found once, when its element joins the basis.
+    The cache `_gb` holds the reduced Groebner basis once computed, as
+    (packing, records, polynomials): the packed encoding it was computed in,
+    its monic records (packed leading monomial, packed tail terms) sorted by
+    the order, and the same elements as Polynomials. Callers only ever see
+    exponent tuples and Polynomials.
     """
 
     __slots__ = ("ring", "generators", "order", "_gb")
@@ -507,7 +679,7 @@ class Ideal:
                 gens.append(g)
         self.ring = ring
         self.generators = tuple(gens)
-        order_key(order, ring.nvars)  # validate
+        _weight_rows(order, ring.nvars)  # validate
         self.order = order
         self._gb = None
 
@@ -518,27 +690,41 @@ class Ideal:
     def key(self):
         return order_key(self.order, self.ring.nvars)
 
-    def _records(self):
+    def _basis(self):
         if self._gb is None:
-            self._gb = _groebner(self.ring, self.generators, self.key())
+            packing, records = _groebner(self.ring, self.generators, self.order)
+            polys = []
+            for lt, tail in records:
+                terms = {packing.unpack(lt): 1}
+                terms.update(packing.unpack_terms(dict(tail)))
+                polys.append(_poly(self.ring, terms))
+            self._gb = (packing, records, tuple(polys))
         return self._gb
 
     def groebner(self):
         """The reduced Groebner basis, as a list of monic polynomials."""
-        return [g for _, g in self._records()]
+        return list(self._basis()[2])
 
     def normal_form(self, f):
         if isinstance(f, str):
             f = self.ring.parse(f)
         if f.ring != self.ring:
             raise ValueError("polynomial from a different ring")
-        return _poly(self.ring, _reduce_terms(self.ring, f.terms, self._records(), self.key()))
+        packing, records, polys = self._basis()
+        if _field_max(packing.rows, f.terms) <= packing.limit:
+            try:
+                rem = _reduce(packing.pack_terms(f.terms), records, self.ring.char, packing.guard)
+                return _poly(self.ring, packing.unpack_terms(rem))
+            except _Overflow:
+                pass
+        return _normal_form(f, polys, self.order)
 
     def contains(self, f):
         return self.normal_form(f).is_zero()
 
     def leading_exponents(self):
-        return [lt for lt, _ in self._records()]
+        packing, records, _ = self._basis()
+        return [packing.unpack(lt) for lt, _ in records]
 
     def with_order(self, order):
         return Ideal(self.ring, self.generators, order=order)
@@ -547,7 +733,7 @@ class Ideal:
 def groebner_basis(i: Ideal) -> Ideal:
     """A new Ideal generated by the reduced Groebner basis of `i`."""
     out = Ideal(i.ring, i.groebner(), order=i.order)
-    out._gb = i._records()
+    out._gb = i._basis()
     return out
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from .cone import Cone, Semigroup, _grading
 from .errors import InfiniteCokernel
 from .polyring import Ideal, PolyRing, saturate
-from .zlinalg import IntMatrix, kernel_basis, rank
+from .zlinalg import IntMatrix, _int_tuple, kernel_basis, rank
 
 PHI_COLUMNS = ((1, 0, 1), (1, 0, 2), (1, 0, 0), (0, 1, 1), (0, 1, 2), (0, 1, 0))
 STEINBERG_VARIABLES = ("A", "B", "C", "X", "Y", "Z")
@@ -86,7 +86,7 @@ class ToricPresentation:
         lift, or to None when the point has no lift.
         """
         cone, weight = self._lift_setup()
-        m = tuple(int(x) for x in m)
+        m = _int_tuple(m)
         cols = self.map.phi.columns()
         memo = self._lift_memo
 

@@ -341,7 +341,7 @@ def hermite_normal_form(a: IntMatrix) -> IntMatrix:
 
 def lattice_member(hnf: IntMatrix, vec) -> bool:
     """Is `vec` in the row lattice presented by a Hermite normal form?"""
-    v = [int(x) for x in vec]
+    v = _int_tuple(vec)
     if hnf.cols != len(v):
         raise ValueError("dimension mismatch")
     for row in hnf.entries:

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from torica import polyring
 from torica.cli import main
 
 PHI_CONE = {"dim": 3, "generators": [[1, 0, 0], [0, 1, 0], [1, 0, 2], [0, 1, 2]]}
@@ -251,6 +252,26 @@ def test_div_mcm_scan_over_budget_exits_one(capsys):
     data = out_json(["div", "mcm-scan", "@S", "--window", "100000"], capsys, expect_code=1)
     assert data["error"]["code"] == "BUDGET_EXCEEDED"
     assert data["error"]["budget"] == 10**6
+
+
+def test_ideal_groebner_over_budget_exits_one(tmp_path, monkeypatch, capsys):
+    """The lex basis below reduces more than 100 S-pairs; with that pair budget the CLI says so."""
+    doc = {
+        "field": 101,
+        "variables": ["x", "y", "z"],
+        "order": "lex",
+        "generators": [
+            "-45*x*y^2*z^3 + 50*x^2*z^3 - 24*y",
+            "-11*x^3*y*z^3 - 33*x*y^3*z^3 + 47*x^2*y^2*z + 25*y^3",
+            "-4*x^3*y^3*z - 48*y^2*z",
+        ],
+    }
+    ideal_file = write_json(tmp_path / "hostile.json", doc)
+    monkeypatch.setattr(polyring, "_PAIR_BUDGET", 100)
+    data = out_json(["ideal", "groebner", ideal_file], capsys, expect_code=1)
+    assert data["error"]["code"] == "BUDGET_EXCEEDED"
+    assert data["error"]["budget"] == 100
+    assert "100 S-pairs" in data["error"]["message"]
 
 
 def test_verify_report(tmp_path, capsys):

@@ -29,6 +29,13 @@ def test_non_integral_generators_are_refused():
     assert Cone(2, [(2.0, 0), (0, 1)]).generators == ((0, 1), (1, 0))
 
 
+def test_contains_refuses_non_integral_vectors():
+    cone = Cone(2, [(1, 0), (0, 1)])
+    with pytest.raises(ValueError):
+        cone.contains((-0.5, 0))
+    assert cone.contains((1.0, 2)) and not cone.contains((-1, 0))
+
+
 def test_dual_of_semigroup_cone_is_surface_cone():
     cone = Cone(3, DUAL_GENS)
     assert cone.dual().rays() == ((0, 0, 1), (0, 1, 0), (1, 0, 0), (2, 2, -1))

@@ -109,6 +109,12 @@ def test_non_integral_coefficients_are_refused(surface):
     assert divisor_from_ray_coeffs(surface, [[[1.0, 0, 0], -1.0]]).coeffs == (0, 0, -1, 0)
 
 
+def test_div_of_character_refuses_non_integral_points(surface):
+    with pytest.raises(ValueError):
+        div_of_character(surface, (0.5, 0, 0))
+    assert div_of_character(surface, (1.0, 0, 0)) == div_of_character(surface, (1, 0, 0))
+
+
 def test_variety_mismatch_is_rejected(surface):
     other = steinberg_variety()
     d = surface.zero_divisor()

@@ -1,13 +1,15 @@
 """Polynomials, Groebner bases, saturation, Hilbert data over prime fields."""
 
 import random
-from heapq import heappop, heappush
+import time
+from heapq import heapify, heappop, heappush
 from itertools import product as iproduct
 
 import pytest
 
 from torica import (
     INFINITE,
+    BudgetExceeded,
     Ideal,
     InconclusiveAtBound,
     NotHomogeneous,
@@ -24,7 +26,8 @@ from torica import (
     saturate,
     standard_monomials,
 )
-from torica.polyring import _add, _divides, _lcm, _sub
+from torica import polyring
+from torica.polyring import _add, _divides, _lcm, _normal_form, _sub
 
 from suites import _random_polynomial, buchberger_suite, saturation_suite
 
@@ -268,118 +271,219 @@ def test_polynomial_from_another_ring_is_refused():
                 call(other.parse("x^3"))
 
 
+HOSTILE = [
+    "-45*x*y^2*z^3 + 50*x^2*z^3 - 24*y",
+    "-11*x^3*y*z^3 - 33*x*y^3*z^3 + 47*x^2*y^2*z + 25*y^3",
+    "-4*x^3*y^3*z - 48*y^2*z",
+]
+
+
+def test_hostile_lex_basis_ends_within_ten_seconds():
+    """A lex basis that ran past a minute under the tuple engine ends with a basis or the typed error."""
+    ring = PolyRing(101, ("x", "y", "z"))
+    start = time.perf_counter()
+    try:
+        basis = Ideal(ring, HOSTILE, order="lex").groebner()
+    except BudgetExceeded:
+        basis = None
+    assert time.perf_counter() - start <= 10.0
+    if basis is not None:  # the same ideal: each side reduces to zero modulo the other's basis
+        lex, grevlex = Ideal(ring, basis, order="lex"), Ideal(ring, HOSTILE)
+        assert all(lex.contains(g) for g in grevlex.generators)
+        assert all(grevlex.contains(g) for g in basis)
+
+
+def test_groebner_budget_quotes_the_counter_that_tripped(monkeypatch):
+    ring = PolyRing(101, ("x", "y", "z"))
+    monkeypatch.setattr(polyring, "_PAIR_BUDGET", 100)
+    with pytest.raises(BudgetExceeded) as info:
+        Ideal(ring, HOSTILE, order="lex").groebner()
+    assert info.value.budget == 100 and "100 S-pairs" in str(info.value)
+    monkeypatch.setattr(polyring, "_BASIS_BUDGET", 5)
+    with pytest.raises(BudgetExceeded) as info:
+        Ideal(ring, HOSTILE, order="grevlex").groebner()
+    assert info.value.budget == 5 and "5 elements" in str(info.value)
+
+
+def test_exponents_at_the_field_limit(monkeypatch):
+    """Packed fields that fill up are widened, never carried, in every order.
+
+    With the narrowest legal fields the largest input field (x^7: exponent
+    and degree 7) sits exactly at the field limit 7, so nearly every
+    product overflows and the engine must repack; bases and normal forms
+    still equal the tuple engine's.
+    """
+    monkeypatch.setattr(polyring, "_field_bits", lambda top: top.bit_length() + 1)
+    ring = PolyRing(101, ("x", "y", "z"))
+    gens = [ring.parse("x^7 - y*z^2 + 3"), ring.parse("y^2*z - x*y + z"), ring.parse("x*z^3 - y")]
+    for order in ("grevlex", "lex", ("elim", 1)):
+        ideal = Ideal(ring, gens, order=order)
+        key = _ref_order_key(order, ring.nvars)
+        reference = _ref_groebner(ring, ideal.generators, key)
+        assert ideal.groebner() == [g for _, g in reference], order
+        assert ideal._basis()[0].limit > 7  # the fields were widened at least once
+        for text in ("x^7*z^7", "y^15 + x^9*y*z^3", "x^20 - z^13"):
+            f = ring.parse(text)
+            want = _ref_normal_form(f, [g for _, g in reference], key)
+            assert ideal.normal_form(f) == want, (order, text)
+    # at the default width, a lex remainder that outgrows the fields is widened too
+    ideal = Ideal(ring, ["x - y^2", "y - z^3"], order="lex")
+    limit = ideal._basis()[0].limit
+    assert ideal.normal_form(ring.monomial((limit, 0, 0))) == ring.monomial((0, 0, 6 * limit))
+
+
 # -- the earlier engine, kept as a reference --------------------------------
 #
-# Buchberger on plain polynomials, followed by a separate minimalise and
-# inter-reduce pass; every normal form rebuilds (lt, inv_lc, poly) reducers.
+# Buchberger on exponent tuples: a key function for the order, the least-lcm
+# pair first with only the coprime criterion, and `max(work, key=key)` to
+# pick each term of a reduction.
 
 
-def _ref_prepare_reducers(polys, key):
-    reducers = []
-    for g in polys:
-        if g.is_zero():
-            continue
-        lt, lc = g.leading_term(key)
-        reducers.append((lt, pow(lc, -1, g.ring.char), g))
-    return reducers
+def _ref_order_key(order, nvars):
+    def grevlex(e):
+        return (sum(e), tuple(-x for x in reversed(e)))
+
+    if order == "grevlex":
+        return grevlex
+    if order == "lex":
+        return lambda e: tuple(e)
+    k = order[1]
+    return lambda e: (grevlex(e[:k]), grevlex(e[k:]))
 
 
-def _ref_normal_form(f, polys, key):
-    p = f.ring.char
-    reducers = _ref_prepare_reducers(polys, key)
-    work = dict(f.terms)
+def _ref_reduce_terms(ring, terms, records, key):
+    p = ring.char
+    work = dict(terms)
     remainder = {}
     while work:
         e = max(work, key=key)
         c = work.pop(e)
-        hit = next((r for r in reducers if _divides(r[0], e)), None)
-        if hit is None:
+        for lt, g in records:
+            if _divides(lt, e):
+                break
+        else:
             remainder[e] = c
             continue
-        lt, inv_lc, g = hit
         shift = _sub(e, lt)
-        factor = (c * inv_lc) % p
         for ge, gc in g.terms.items():
-            te = _add(ge, shift)
-            s = (work.get(te, 0) - factor * gc) % p
-            if te == e:
+            if ge == lt:
                 continue
+            te = _add(ge, shift)
+            s = (work.get(te, 0) - c * gc) % p
             if s:
                 work[te] = s
             elif te in work:
                 del work[te]
-    return f.ring.polynomial(remainder)
+    return remainder
 
 
-def _ref_s_poly(f, g, key):
-    p = f.ring.char
-    lt_f, lc_f = f.leading_term(key)
-    lt_g, lc_g = g.leading_term(key)
-    lcm = _lcm(lt_f, lt_g)
-    mf = f.ring.monomial(_sub(lcm, lt_f), pow(lc_f, -1, p))
-    mg = f.ring.monomial(_sub(lcm, lt_g), pow(lc_g, -1, p))
-    return mf * f - mg * g
+def _ref_record(g, key):
+    lt, lc = g.leading_term(key)
+    return lt, g * pow(lc, -1, g.ring.char)
 
 
-def _ref_buchberger(generators, key):
-    basis = [g.monic(key) for g in generators if not g.is_zero()]
-    basis.sort(key=lambda g: key(g.leading_term(key)[0]))
-    lts = [g.leading_term(key)[0] for g in basis]
-    heap = []
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            heappush(heap, (key(_lcm(lts[i], lts[j])), i, j))
+def _ref_s_terms(a, b, p):
+    (lt_a, f), (lt_b, g) = a, b
+    lcm = _lcm(lt_a, lt_b)
+    shift_a, shift_b = _sub(lcm, lt_a), _sub(lcm, lt_b)
+    out = {_add(e, shift_a): c for e, c in f.terms.items()}
+    for e, c in g.terms.items():
+        te = _add(e, shift_b)
+        s = (out.get(te, 0) - c) % p
+        if s:
+            out[te] = s
+        elif te in out:
+            del out[te]
+    return out
+
+
+def _ref_groebner(ring, generators, key):
+    p = ring.char
+    basis = sorted((_ref_record(g, key) for g in generators if g.terms), key=lambda r: key(r[0]))
+    heap = [
+        (key(_lcm(basis[i][0], basis[j][0])), i, j)
+        for i in range(len(basis))
+        for j in range(i + 1, len(basis))
+    ]
+    heapify(heap)
     while heap:
         _, i, j = heappop(heap)
-        if _lcm(lts[i], lts[j]) == _add(lts[i], lts[j]):
+        lt_i, lt_j = basis[i][0], basis[j][0]
+        if _lcm(lt_i, lt_j) == _add(lt_i, lt_j):
             continue
-        r = _ref_normal_form(_ref_s_poly(basis[i], basis[j], key), basis, key)
-        if not r.is_zero():
-            r = r.monic(key)
-            basis.append(r)
-            lts.append(r.leading_term(key)[0])
-            new = len(basis) - 1
-            for k in range(new):
-                heappush(heap, (key(_lcm(lts[k], lts[new])), k, new))
-    return basis
-
-
-def _ref_reduce_basis(basis, key):
-    polys = [g for g in basis if not g.is_zero()]
-    polys.sort(key=lambda g: key(g.leading_term(key)[0]))
+        r = _ref_reduce_terms(ring, _ref_s_terms(basis[i], basis[j], p), basis, key)
+        if r:
+            new = _ref_record(ring.polynomial(r), key)
+            for k, (lt, _) in enumerate(basis):
+                heappush(heap, (key(_lcm(lt, new[0])), k, len(basis)))
+            basis.append(new)
+    basis.sort(key=lambda r: key(r[0]))
     minimal = []
-    for g in polys:
-        lt = g.leading_term(key)[0]
-        if any(_divides(m.leading_term(key)[0], lt) for m in minimal):
-            continue
-        minimal.append(g)
-    reduced = []
-    for idx, g in enumerate(minimal):
-        others = minimal[:idx] + minimal[idx + 1 :]
-        r = _ref_normal_form(g, others, key) if others else g
-        reduced.append(r.monic(key))
-    reduced.sort(key=lambda g: key(g.leading_term(key)[0]))
-    return reduced
+    for lt, g in basis:
+        if not any(_divides(m, lt) for m, _ in minimal):
+            minimal.append((lt, g))
+    return [
+        (lt, ring.polynomial(_ref_reduce_terms(ring, g.terms, minimal[:i] + minimal[i + 1 :], key)))
+        for i, (lt, g) in enumerate(minimal)
+    ]
+
+
+def _ref_normal_form(f, polys, key):
+    records = [_ref_record(g, key) for g in polys if g.terms]
+    return f.ring.polynomial(_ref_reduce_terms(f.ring, f.terms, records, key))
+
+
+def _dense_shapes(rng, field=32003):
+    """The five dense 4-variable systems of the benchmark's groebner workload."""
+    ring = PolyRing(field, ("w", "x", "y", "z"))
+    shapes = []
+    for cubics in range(5):
+        gens = []
+        for d in [2] * (4 - cubics) + [3] * cubics:
+            terms = {e: rng.randrange(1, field) for e in iproduct(range(d + 1), repeat=4) if sum(e) == d}
+            gens.append(ring.polynomial(terms))
+        shapes.append((ring, gens, "grevlex"))
+    return shapes
+
+
+def _saturation_inputs(rng, cases):
+    """Elimination ideals (I + (t*f - 1)) that `saturate` builds, over F_5 .. F_32003."""
+    out = []
+    for _ in range(cases):
+        char = rng.choice((5, 7, 101, 32003))
+        base = PolyRing(char, ("x", "y", "z"))
+        ext = PolyRing(char, ("t", "x", "y", "z"))
+        gens = [_random_polynomial(rng, base, 3, 2) for _ in range(2)]
+        f = base.monomial((rng.randint(0, 1), rng.randint(0, 1), 1))
+        lifted = [ext.polynomial({(0,) + e: c for e, c in g.terms.items()}) for g in gens + [f]]
+        out.append((ext, lifted[:-1] + [ext.variable("t") * lifted[-1] - ext.one()], ("elim", 1)))
+    return out
 
 
 def test_groebner_records_match_reference_engine():
-    """Bases, leading exponents and normal forms equal the earlier engine's on seeded ideals."""
+    """Bases, leading exponents and normal forms equal the tuple engine's on seeded ideals."""
     rng = random.Random(20405)
-    seen = set()
-    for case in range(300):
+    cases = []
+    for _ in range(300):
         char = rng.choice((5, 7, 101, 32003))
         nvars = rng.randint(2, 4)
-        order = rng.choice(("grevlex", "lex", ("elim", 1)))
-        seen.add(order)
         ring = PolyRing(char, tuple("wxyz"[:nvars]))
         max_exp = 5 - nvars  # keeps lex bases in 4 variables small
         gens = [_random_polynomial(rng, ring, 3, max_exp) for _ in range(rng.randint(2, 4))]
+        cases.append((ring, gens, rng.choice(("grevlex", "lex", ("elim", 1)))))
+    cases += _dense_shapes(rng) + _saturation_inputs(rng, 40)
+    seen = set()
+    for case, (ring, gens, order) in enumerate(cases):
+        seen.add(order)
         ideal = Ideal(ring, gens, order=order)
-        key = ideal.key()
-        reference = _ref_reduce_basis(_ref_buchberger(list(ideal.generators), key), key)
-        assert ideal.groebner() == reference, (case, gens, order)
-        assert ideal.leading_exponents() == [g.leading_term(key)[0] for g in reference], case
+        key = _ref_order_key(order, ring.nvars)
+        reference = _ref_groebner(ring, ideal.generators, key)
+        assert ideal.groebner() == [g for _, g in reference], (case, gens, order)
+        assert ideal.leading_exponents() == [lt for lt, _ in reference], case
+        basis = [g for _, g in reference]
         for _ in range(3):
             f = _random_polynomial(rng, ring, 5, 4)
-            assert ideal.normal_form(f) == _ref_normal_form(f, reference, key), (case, f)
+            assert ideal.normal_form(f) == _ref_normal_form(f, basis, key), (case, f)
+            got = _normal_form(f, ideal.generators, order)
+            assert got == _ref_normal_form(f, ideal.generators, key), (case, f)
     assert seen == {"grevlex", "lex", ("elim", 1)}

@@ -107,6 +107,13 @@ def test_lift_lattice_point_outside_semigroup():
     assert pres.lift_lattice_point((-1, 0, 0)) is None
 
 
+def test_lift_lattice_point_refuses_non_integral_points():
+    pres = steinberg_ring_mod_l(101)
+    with pytest.raises(ValueError):
+        pres.lift_lattice_point((1.5, 0, 1))
+    assert pres.lift_lattice_point((1.0, 0, 1)) == pres.lift_lattice_point((1, 0, 1))
+
+
 def test_lift_lattice_point_is_pinned():
     pres = steinberg_ring_mod_l(101)
     expected = {

@@ -321,6 +321,13 @@ def test_non_integral_entries_are_refused():
         IntMatrix.from_json({"entries": [[0.5]]})
 
 
+def test_lattice_member_refuses_non_integral_vectors():
+    hnf = hermite_normal_form(IntMatrix([[2, 0], [0, 2]]))
+    with pytest.raises(ValueError):
+        lattice_member(hnf, (2.5, 0))
+    assert lattice_member(hnf, (2.0, 4)) and not lattice_member(hnf, (3, 0))
+
+
 def test_shape_checks():
     a = IntMatrix([[1, 0], [0, 1]])
     with pytest.raises(ValueError):
