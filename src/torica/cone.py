@@ -6,20 +6,23 @@ the facets of atomic cones and the vertices of divisor regions, and rays
 follow from facet incidences. Product cones never enumerate: they compose
 their dual and rays from the factors'.
 
-Lattice points are enumerated in one place, `_box_points`: the box around
-conv(V) + [0, 1]·rays, cut at a grade bound. Every minimal generator of
-the module conv(V) + cone(rays) lies in it, since a point with a
-coefficient >= 1 on some ray can drop that ray. With V = {0} it is the
-zonotope bound that Hilbert bases use, plus an irreducibility sieve;
-divisorial modules use it with V the vertices of their region. A box of
-more than `_BOX_BUDGET` points raises `BudgetExceeded` before anything is
-scanned.
+Lattice points are held in slack coordinates: over a region
+{p : <n, p> + a >= 0}, p has the slack vector (<n, p> + a). p lies in the
+region when its slack is >= 0, its grade is the slack sum, and p - q lies in
+the cone exactly when slack(q) <= slack(p), as in monomial divisibility.
+`_minimal` is the one sieve on such keys. `_box_points` gives the region's
+points in the box around conv(V) + [0, 1]·rays, cut at a grade bound: the
+zonotope bound of Hilbert bases with V = {0}, and of divisorial modules with
+V their region's vertices. Every minimal generator lies in it, since a point
+with a coefficient >= 1 on some ray can drop that ray. A box of more than
+`_BOX_BUDGET` points raises `BudgetExceeded` before anything is scanned.
 """
 
 from __future__ import annotations
 
 from itertools import product as iproduct
 from math import ceil, floor, gcd, prod
+from operator import add, le, mul
 
 from .errors import BudgetExceeded, NotPointed, NotStronglyConvex
 from .zlinalg import IntMatrix, _int_tuple, kernel_basis, lattice_member, rank
@@ -37,7 +40,7 @@ def _primitive(vec):
 
 
 def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def _grading(cone):
@@ -46,15 +49,19 @@ def _grading(cone):
     return tuple(sum(n[i] for n in duals) for i in range(cone.ambient_dim))
 
 
-def _box_points(vertices, rays, weight):
-    """(grade, point) for the lattice points of the box around conv(vertices) + [0, 1]·rays.
+def _box_points(vertices, rays, normals, offsets):
+    """(slack, point) for the region's points in the box around conv(vertices) + [0, 1]·rays.
 
-    Points are yielded in lexicographic order, and only those whose grade
-    is at most ceil(max vertex grade) + the sum of the ray grades. Raises
-    BudgetExceeded, before scanning, if the box has more than _BOX_BUDGET
-    points.
+    The region is {p : <n, p> + a >= 0} over the normals n with offsets a,
+    and a point's grade is <w, p>, w the sum of the normals. Points of grade
+    above ceil(max vertex grade) + the ray grades are cut. The box is the
+    product of its first and last half of coordinates, each half with its
+    grades and slacks worked out once; a head meets the tails in grade order
+    up to the bound. Raises BudgetExceeded, before scanning, if the box has
+    more than _BOX_BUDGET points.
     """
-    d = len(weight)
+    d = len(vertices[0])
+    weight = [sum(n[i] for n in normals) for i in range(d)]
     lo = [floor(min(v[i] for v in vertices)) + sum(min(0, r[i]) for r in rays) for i in range(d)]
     hi = [ceil(max(v[i] for v in vertices)) + sum(max(0, r[i]) for r in rays) for i in range(d)]
     size = prod(h - l + 1 for l, h in zip(lo, hi))
@@ -63,8 +70,37 @@ def _box_points(vertices, rays, weight):
             f"lattice box of {size} points exceeds the budget of {_BOX_BUDGET}", _BOX_BUDGET
         )
     bound = ceil(max(_dot(weight, v) for v in vertices)) + sum(_dot(weight, r) for r in rays)
-    graded = ((_dot(weight, p), p) for p in iproduct(*(range(l, h + 1) for l, h in zip(lo, hi))))
-    return ((g, p) for g, p in graded if g <= bound)
+
+    def part(start, stop, shift):
+        w, rows = weight[start:stop], [n[start:stop] for n in normals]
+        return [
+            (_dot(w, p), tuple(_dot(n, p) + a for n, a in zip(rows, shift)), p)
+            for p in iproduct(*(range(lo[i], hi[i] + 1) for i in range(start, stop)))
+        ]
+
+    tails = sorted(part(d // 2, d, [0] * len(normals)))
+    for head_grade, head_slack, head in part(0, d // 2, offsets):
+        for tail_grade, tail_slack, tail in tails:
+            if head_grade + tail_grade > bound:
+                break
+            slack = tuple(map(add, head_slack, tail_slack))
+            if min(slack, default=0) >= 0:
+                yield slack, head + tail
+
+
+def _minimal(items):
+    """Values of the (key, value) pairs whose key is >= no other key, by key sum.
+
+    For slack keys that keeps the points no other point can be taken from,
+    for exponent keys the monomials no other one divides. A key can only be
+    >= keys of smaller sum, and testing the kept ones suffices, since a
+    dropped key is >= a kept one. A repeated key keeps its first value.
+    """
+    kept = []
+    for key, value in sorted(items, key=lambda kv: sum(kv[0])):
+        if not any(all(map(le, k, key)) for k, _ in kept):
+            kept.append((key, value))
+    return [value for _, value in kept]
 
 
 def _eliminate(a, k, v):
@@ -114,7 +150,7 @@ class Semigroup:
 
     def __init__(self, ambient_dim, hilbert_generators):
         self.ambient_dim = int(ambient_dim)
-        self.hilbert_generators = tuple(tuple(int(x) for x in g) for g in hilbert_generators)
+        self.hilbert_generators = tuple(_int_tuple(g, self.ambient_dim) for g in hilbert_generators)
 
     def __eq__(self, other):
         return (
@@ -139,9 +175,7 @@ class Cone:
         self.ambient_dim = int(ambient_dim)
         prims = set()
         for g in generators:
-            if len(g) != self.ambient_dim:
-                raise ValueError("generator has wrong length")
-            p = _primitive(_int_tuple(g))
+            p = _primitive(_int_tuple(g, self.ambient_dim))
             if p is not None:
                 prims.add(p)
         self.generators = tuple(sorted(prims))
@@ -191,7 +225,7 @@ class Cone:
         return Cone(self.ambient_dim, self.dual_generators())
 
     def contains(self, vec) -> bool:
-        vec = _int_tuple(vec)
+        vec = _int_tuple(vec, self.ambient_dim)
         return all(_dot(n, vec) >= 0 for n in self.dual_generators())
 
     def __eq__(self, other):
@@ -251,23 +285,16 @@ class Cone:
         """Minimal generating set of cone ∩ Z^d as a semigroup.
 
         Uses the standard zonotope bound: every irreducible element is a
-        [0, 1]-combination of the extreme rays, so candidates come from
-        `_box_points` around the origin and are sieved by subtracting
-        accepted elements.
+        [0, 1]-combination of the extreme rays, so the nonzero points of
+        `_box_points` around the origin, slack taken over the dual
+        generators, go through the `_minimal` sieve.
         """
         if not self.is_strongly_convex():
             raise NotPointed("Hilbert basis requires a cone with no line")
         d = self.ambient_dim
-        candidates = sorted(
-            (g, point)
-            for g, point in _box_points([(0,) * d], self.rays(), _grading(self))
-            if g > 0 and self.contains(point)
-        )
-        basis = []
-        for _, point in candidates:
-            if not any(self.contains(tuple(x - y for x, y in zip(point, b))) for b in basis):
-                basis.append(point)
-        return Semigroup(d, sorted(basis))
+        duals = self.dual_generators()
+        points = _box_points([(0,) * d], self.rays(), duals, (0,) * len(duals))
+        return Semigroup(d, sorted(_minimal((s, p) for s, p in points if any(p))))
 
 
 # -- functional aliases ----------------------------------------------------

@@ -7,11 +7,11 @@ Smith normal form of the ray-pairing matrix; product varieties use
 concatenated per-factor coordinates so that factor classes stay visible.
 
 Divisorial modules O(D) are handled through their lattice regions
-{m : <m, u_rho> >= -a_rho} = conv(V) + sigma^dual, V the region's vertices,
-which the double description method (`cone._double_description`) finds.
-Minimal generators are found by exact enumeration of the zonotope box
-around conv(V) + [0, 1]·(dual rays), the same box (`cone._box_points`)
-that Hilbert bases use with V = {0}, followed by a minimality sieve.
+{m : <m, u_rho> + a_rho >= 0} = conv(V) + sigma^dual, V the region's
+vertices, found by double description (`cone._double_description`). Their
+minimal generators are the `cone._minimal` points, keyed by the slack
+(<m, u_rho> + a_rho), of the box around conv(V) + [0, 1]·(dual rays) that
+`cone._box_points` scans for Hilbert bases too.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import product as iproduct
 
-from .cone import Cone, Semigroup, _box_points, _dot, _double_description, _grading
+from .cone import Cone, Semigroup, _box_points, _dot, _double_description, _minimal
 from .errors import NonUnique, NoSolution, VarietyMismatch
 from .polyring import _add, _sub, module_regular_sequence
 from .toric import PHI_COLUMNS, _power_presentation, steinberg_ring_mod_l
@@ -192,9 +192,7 @@ class TorusDivisor:
     __slots__ = ("variety", "coeffs")
 
     def __init__(self, variety: ToricVariety, coeffs):
-        coeffs = _int_tuple(coeffs)
-        if len(coeffs) != len(variety.rays):
-            raise ValueError("one coefficient per ray required")
+        coeffs = _int_tuple(coeffs, len(variety.rays))
         self.variety = variety
         self.coeffs = coeffs
 
@@ -214,7 +212,8 @@ class TorusDivisor:
         return TorusDivisor(self.variety, tuple(-a for a in self.coeffs))
 
     def __mul__(self, n):
-        return TorusDivisor(self.variety, tuple(int(n) * a for a in self.coeffs))
+        (n,) = _int_tuple((n,))
+        return TorusDivisor(self.variety, tuple(n * a for a in self.coeffs))
 
     __rmul__ = __mul__
 
@@ -245,12 +244,9 @@ class DivisorClass:
 
     def __init__(self, variety: ToricVariety, free, torsion=()):
         cg = variety.class_group()
-        free = tuple(int(x) for x in free)
-        torsion = tuple(int(x) for x in torsion)
-        if len(free) != cg.free_rank or len(torsion) != len(cg.torsion):
-            raise ValueError("coordinate shape does not match the class group")
+        torsion = _int_tuple(torsion, len(cg.torsion))
         self.variety = variety
-        self.free = free
+        self.free = _int_tuple(free, cg.free_rank)
         self.torsion = tuple(r % m for r, m in zip(torsion, cg.torsion))
 
     def _check(self, other):
@@ -395,9 +391,7 @@ def class_group(v: ToricVariety) -> ClassGroup:
 
 
 def div_of_character(v: ToricVariety, m) -> TorusDivisor:
-    m = _int_tuple(m)
-    if len(m) != v.cone.ambient_dim:
-        raise ValueError("character lattice point has wrong dimension")
+    m = _int_tuple(m, v.cone.ambient_dim)
     return TorusDivisor(v, tuple(_dot(m, u) for u in v.rays))
 
 
@@ -456,10 +450,12 @@ class DivisorialModule:
 
     def __init__(self, divisor: TorusDivisor, generators):
         self.divisor = divisor
-        self.generators = tuple(tuple(int(x) for x in g) for g in generators)
+        self.generators = tuple(_int_tuple(g) for g in generators)
 
     def contains(self, m) -> bool:
-        return _region_member(self.divisor.variety.rays, self.divisor.coeffs, m)
+        v = self.divisor.variety
+        m = _int_tuple(m, v.cone.ambient_dim)
+        return all(_dot(m, u) + a >= 0 for u, a in zip(v.rays, self.divisor.coeffs))
 
     def __repr__(self):
         return f"DivisorialModule(generators={list(self.generators)})"
@@ -471,10 +467,6 @@ class DivisorialModule:
         }
 
 
-def _region_member(rays, coeffs, m):
-    return all(_dot(m, u) >= -a for u, a in zip(rays, coeffs))
-
-
 def _region_vertices(rays, coeffs):
     """Vertices of {m : <m, u> >= -a}: the rays (m, t), t > 0, of the cone over it, as m/t."""
     rows = [u + (a,) for u, a in zip(rays, coeffs)] + [(0,) * len(rays[0]) + (1,)]
@@ -483,16 +475,8 @@ def _region_vertices(rays, coeffs):
 
 
 def _atomic_module_generators(v: ToricVariety, d: TorusDivisor):
-    rays = v.rays
-    coeffs = d.coeffs
-    hilbert = v.semigroup.hilbert_generators
-    vertices = _region_vertices(rays, coeffs)
-    return sorted(
-        point
-        for _, point in _box_points(vertices, v.dual_cone.rays(), _grading(v.dual_cone))
-        if _region_member(rays, coeffs, point)
-        and not any(_region_member(rays, coeffs, _sub(point, h)) for h in hilbert)
-    )
+    vertices = _region_vertices(v.rays, d.coeffs)
+    return sorted(_minimal(_box_points(vertices, v.dual_cone.rays(), v.rays, d.coeffs)))
 
 
 def module_generators(v: ToricVariety, d: TorusDivisor) -> DivisorialModule:
@@ -540,12 +524,6 @@ def steinberg_multiplicity(k, s, field=101) -> int:
     return multiplicity(steinberg_product_variety(k, s, field))
 
 
-def _module_minimal_generators(v: ToricVariety, points):
-    """Minimal generators of the module generated by a finite monomial set."""
-    pts = sorted(set(points))
-    return [p for p in pts if not any(q != p and v.semigroup_contains(_sub(p, q)) for q in pts)]
-
-
 def trace_surjectivity_witness(v: ToricVariety, d: TorusDivisor, other=None, target=None):
     """Monomial witness that O(d) * O(other) equals a character times O(target).
 
@@ -560,7 +538,7 @@ def trace_surjectivity_witness(v: ToricVariety, d: TorusDivisor, other=None, tar
     gens_a = module_generators(v, d).generators
     gens_b = module_generators(v, other).generators
     sums = {_add(a, b) for a in gens_a for b in gens_b}
-    product_gens = _module_minimal_generators(v, sums)
+    product_gens = sorted(_minimal((tuple(_dot(p, u) for u in v.rays), p) for p in sums))
     target_gens = list(module_generators(v, target).generators)
     if len(product_gens) != len(target_gens):
         return False, None

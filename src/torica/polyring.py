@@ -21,6 +21,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from itertools import product as iproduct
 
+from .cone import _minimal
 from .errors import BudgetExceeded, InconclusiveAtBound, NotHomogeneous
 
 INFINITE = float("inf")
@@ -838,14 +839,6 @@ def _poly_mul(a, b):
 def _poly_shift(a, k):
     return _poly_trim([0] * k + list(a)) if a else []
 
-def _minimize_monomials(gens):
-    gens = sorted(set(gens), key=sum)
-    out = []
-    for g in gens:
-        if not any(_divides(h, g) for h in out):
-            out.append(g)
-    return out
-
 
 def _monomial_numerator(gens, memo):
     """Numerator of the Hilbert series of R/(monomial ideal) over (1-t)^n."""
@@ -861,9 +854,8 @@ def _monomial_numerator(gens, memo):
     else:
         rest = list(gens[:-1])
         m = gens[-1]
-        colon = _minimize_monomials(
-            [tuple(max(g[i] - m[i], 0) for i in range(len(m))) for g in rest]
-        )
+        colon = [tuple(max(x - y, 0) for x, y in zip(g, m)) for g in rest]
+        colon = _minimal((c, c) for c in colon)
         n_rest = _monomial_numerator(tuple(rest), memo)
         n_colon = _monomial_numerator(tuple(colon), memo)
         result = _poly_sub(n_rest, _poly_shift(n_colon, sum(m)))

@@ -85,8 +85,8 @@ class ToricPresentation:
         across calls, maps each visited point to the first column of its
         lift, or to None when the point has no lift.
         """
+        m = _int_tuple(m, self.map.phi.rows)
         cone, weight = self._lift_setup()
-        m = _int_tuple(m)
         cols = self.map.phi.columns()
         memo = self._lift_memo
 

@@ -16,12 +16,14 @@ from fractions import Fraction
 from math import prod
 
 
-def _int_tuple(xs):
-    """The entries of `xs` as a tuple of ints; ValueError if one is not an integer."""
+def _int_tuple(xs, length=None):
+    """`xs` as a tuple of ints; ValueError on a non-integer entry or a length other than `length`."""
     xs = tuple(xs)
     ints = tuple(map(int, xs))
     if ints != xs:
         raise ValueError(f"not an integer vector: {list(xs)}")
+    if length is not None and len(ints) != length:
+        raise ValueError(f"expected a vector of length {length}, got {list(xs)}")
     return ints
 
 
@@ -341,9 +343,7 @@ def hermite_normal_form(a: IntMatrix) -> IntMatrix:
 
 def lattice_member(hnf: IntMatrix, vec) -> bool:
     """Is `vec` in the row lattice presented by a Hermite normal form?"""
-    v = _int_tuple(vec)
-    if hnf.cols != len(v):
-        raise ValueError("dimension mismatch")
+    v = _int_tuple(vec, hnf.cols)
     for row in hnf.entries:
         col = next((j for j, x in enumerate(row) if x != 0), None)
         if col is None:

@@ -36,6 +36,20 @@ def test_contains_refuses_non_integral_vectors():
     assert cone.contains((1.0, 2)) and not cone.contains((-1, 0))
 
 
+def test_contains_refuses_wrong_length_vectors():
+    cone = Cone(2, [(1, 0), (0, 1)])
+    with pytest.raises(ValueError):
+        cone.contains((1,))
+    with pytest.raises(ValueError):
+        cone.contains((1, 0, -5))
+
+
+def test_semigroup_refuses_non_integral_generators():
+    with pytest.raises(ValueError):
+        Semigroup(2, [(0.5, 1)])
+    assert Semigroup(2, [(1.0, 1)]).hilbert_generators == ((1, 1),)
+
+
 def test_dual_of_semigroup_cone_is_surface_cone():
     cone = Cone(3, DUAL_GENS)
     assert cone.dual().rays() == ((0, 0, 1), (0, 1, 0), (1, 0, 0), (2, 2, -1))

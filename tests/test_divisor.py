@@ -2,6 +2,8 @@
 
 import random
 from itertools import combinations, product as iproduct
+from math import ceil, floor
+from operator import mul
 
 import pytest
 
@@ -32,8 +34,9 @@ from torica import (
     steinberg_variety,
     trace_surjectivity_witness,
 )
+from torica.cone import _grading
 from torica.divisor import _region_vertices, product as variety_product
-from torica.zlinalg import IntMatrix, solve_rational
+from torica.zlinalg import IntMatrix, det, solve_rational
 
 from suites import class_representative_suite
 
@@ -113,6 +116,34 @@ def test_div_of_character_refuses_non_integral_points(surface):
     with pytest.raises(ValueError):
         div_of_character(surface, (0.5, 0, 0))
     assert div_of_character(surface, (1.0, 0, 0)) == div_of_character(surface, (1, 0, 0))
+
+
+def test_divisor_times_non_integer_is_refused(surface):
+    d = surface.divisor((-1, 0, -1, 0))
+    with pytest.raises(ValueError):
+        d * 1.5
+    assert (d * 2.0).coeffs == (-2, 0, -2, 0)
+
+
+def test_divisor_class_refuses_non_integral_coordinates(surface):
+    with pytest.raises(ValueError):
+        DivisorClass(surface, (1.5,))
+    assert DivisorClass(surface, (1.0,)) == DivisorClass(surface, (1,))
+
+
+def test_semigroup_contains_refuses_wrong_length_points(surface):
+    with pytest.raises(ValueError):
+        surface.semigroup_contains((1, 0))
+    assert surface.semigroup_contains((1, 0, 2))
+
+
+def test_module_contains_refuses_malformed_points(surface):
+    module = module_generators(surface, surface.divisor((-1, 0, -1, 0)))
+    with pytest.raises(ValueError):
+        module.contains((1, 0, 1, 7))
+    with pytest.raises(ValueError):
+        module.contains((0.5, 0, 1))
+    assert all(module.contains(g) for g in module.generators)
 
 
 def test_variety_mismatch_is_rejected(surface):
@@ -242,6 +273,116 @@ def test_module_generators_brute_force_oracle():
         cases += 1
 
 
+def _pair(a, b):
+    return sum(map(mul, a, b))
+
+
+def _reference_box_points(vertices, rays, weight):
+    """(grade, point) over the zonotope box, as the box stood before slack coordinates."""
+    d = len(weight)
+    lo = [floor(min(v[i] for v in vertices)) + sum(min(0, r[i]) for r in rays) for i in range(d)]
+    hi = [ceil(max(v[i] for v in vertices)) + sum(max(0, r[i]) for r in rays) for i in range(d)]
+    bound = ceil(max(_pair(weight, v) for v in vertices)) + sum(_pair(weight, r) for r in rays)
+    box = iproduct(*(range(l, h + 1) for l, h in zip(lo, hi)))
+    return [(g, p) for g, p in ((_pair(weight, p), p) for p in box) if g <= bound]
+
+
+def _reference_hilbert_basis(cone):
+    """Box points sieved by Cone.contains on each difference with an accepted element."""
+    d = cone.ambient_dim
+    candidates = sorted(
+        (g, p)
+        for g, p in _reference_box_points([(0,) * d], cone.rays(), _grading(cone))
+        if g > 0 and cone.contains(p)
+    )
+    basis = []
+    for _, p in candidates:
+        if not any(cone.contains(tuple(x - y for x, y in zip(p, b))) for b in basis):
+            basis.append(p)
+    return sorted(basis)
+
+
+def _reference_module_generators(v, coeffs):
+    """Region points of the box from which no Hilbert basis element can be taken."""
+
+    def member(m):
+        return all(_pair(m, u) >= -a for u, a in zip(v.rays, coeffs))
+
+    box = _reference_box_points(
+        _region_vertices(v.rays, coeffs), v.dual_cone.rays(), _grading(v.dual_cone)
+    )
+    return sorted(
+        p
+        for _, p in box
+        if member(p)
+        and not any(
+            member(tuple(x - y for x, y in zip(p, h))) for h in v.semigroup.hilbert_generators
+        )
+    )
+
+
+def _reference_trace_witness(v, gens_a, gens_b, target_gens):
+    """Witness of O(a) O(b) = chi^m O(target), sieving products by semigroup_contains."""
+    pts = sorted({tuple(x + y for x, y in zip(a, b)) for a in gens_a for b in gens_b})
+    product_gens = [
+        p
+        for p in pts
+        if not any(
+            q != p and v.semigroup_contains(tuple(x - y for x, y in zip(p, q))) for q in pts
+        )
+    ]
+    if len(product_gens) != len(target_gens):
+        return False, None
+    shift = tuple(x - y for x, y in zip(product_gens[0], target_gens[0]))
+    if all(tuple(x + y for x, y in zip(t, shift)) == p for t, p in zip(target_gens, product_gens)):
+        return True, shift
+    return False, None
+
+
+def _lattice_shaped_cones(rng, count):
+    """Pointed full-dimensional cones in the lattice workload's shapes, plus the plane.
+
+    Dimension 2 with 2 or 3 generators, entries in [-2, 3]; dimension 3 with
+    4 or 5 generators, entries in [-1, 2]; dimension 4 simplicial, entries in
+    [-1, 1], index 1 to 4.
+    """
+    strata = ((2, 2, -2, 3), (2, 3, -2, 3), (3, 4, -1, 2), (3, 5, -1, 2), (4, 4, -1, 1))
+    cones = []
+    while len(cones) < count:
+        dim, ngens, lo, hi = strata[len(cones) % len(strata)]
+        cone = Cone(dim, [[rng.randint(lo, hi) for _ in range(dim)] for _ in range(ngens)])
+        if len(cone.generators) < ngens or cone.dim() != dim or not cone.is_strongly_convex():
+            continue
+        if dim == 4 and abs(det(IntMatrix(cone.generators))) > 4:
+            continue
+        cones.append(cone)
+    return cones
+
+
+def test_slack_sieve_matches_reference_sieves():
+    """Hilbert bases, module generators and trace witnesses equal the containment sieves'.
+
+    The references are the sieves that slack coordinates replaced: Hilbert
+    bases by `Cone.contains` on differences, module generators by region
+    membership after subtracting each Hilbert basis element, and the trace
+    witness's products by `semigroup_contains` on every pair.
+    """
+    rng = random.Random(47)
+    witnessed = 0
+    for cone in _lattice_shaped_cones(rng, 300):
+        v = ToricVariety(cone)
+        assert list(v.semigroup.hilbert_generators) == _reference_hilbert_basis(v.dual_cone)
+        assert list(cone.hilbert_basis().hilbert_generators) == _reference_hilbert_basis(cone)
+        d = v.divisor([rng.randint(-3, 3) for _ in v.rays])
+        gens = module_generators(v, d).generators
+        assert list(gens) == _reference_module_generators(v, d.coeffs), (cone, d)
+        canonical_gens = module_generators(v, canonical_divisor(v)).generators
+        expected = _reference_trace_witness(v, gens, gens, canonical_gens)
+        assert trace_surjectivity_witness(v, d) == expected, (cone, d)
+        witnessed += expected[0]
+    assert witnessed > 0
+
+
 def test_region_vertices_match_subset_enumeration():
     """Region vertices equal the feasible solutions of d-subsets of <m, u> = -a."""
     rng = random.Random(43)
@@ -353,6 +494,18 @@ def test_multiplicity_table():
 @pytest.mark.parametrize("k", [5, 6, 7, 8])
 def test_product_law_beyond_four_surface_factors(k):
     assert steinberg_multiplicity(k, 0) == 2**k
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_flat_product_cone_gives_the_product_law(k):
+    """S^k as one cone with no factors: 2^k generators, the factorwise ones."""
+    factorwise = steinberg_product_variety(k, 0)
+    flat = ToricVariety(Cone(3 * k, factorwise.cone.generators))
+    assert not flat.is_product() and flat.rays == factorwise.rays
+    assert multiplicity(flat) == 2**k
+    rep = class_group(factorwise).representative(half_canonical(factorwise))
+    flat_gens = module_generators(flat, flat.divisor(rep.coeffs)).generators
+    assert flat_gens == module_generators(factorwise, rep).generators
 
 
 def test_large_product_variety_is_assembled_from_factors():

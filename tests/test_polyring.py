@@ -27,6 +27,7 @@ from torica import (
     standard_monomials,
 )
 from torica import polyring
+from torica.cone import _minimal
 from torica.polyring import _add, _divides, _lcm, _normal_form, _sub
 
 from suites import _random_polynomial, buchberger_suite, saturation_suite
@@ -172,6 +173,18 @@ def test_hilbert_numerator_requires_homogeneous_input():
     ring = PolyRing(101, ("x", "y"))
     with pytest.raises(NotHomogeneous):
         hilbert_numerator(ring.ideal(["x^2 - y"]))
+
+
+def test_minimal_monomials_match_divisibility_sieve():
+    """`cone._minimal` on exponent keys keeps the monomials no other one divides."""
+    rng = random.Random(37)
+    for _ in range(300):
+        nvars = rng.randint(1, 4)
+        gens = [tuple(rng.randint(0, 4) for _ in range(nvars)) for _ in range(rng.randint(0, 8))]
+        minimal = [g for g in set(gens) if not any(h != g and _divides(h, g) for h in gens)]
+        got = _minimal((g, g) for g in gens)
+        assert sorted(got) == sorted(minimal)
+        assert [sum(g) for g in got] == sorted(sum(g) for g in got)
 
 
 def test_hilbert_function_against_standard_monomial_count():

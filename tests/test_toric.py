@@ -114,6 +114,14 @@ def test_lift_lattice_point_refuses_non_integral_points():
     assert pres.lift_lattice_point((1.0, 0, 1)) == pres.lift_lattice_point((1, 0, 1))
 
 
+def test_lift_lattice_point_refuses_wrong_length_points():
+    pres = steinberg_ring_mod_l(101)
+    with pytest.raises(ValueError):
+        pres.lift_lattice_point((1, 0))
+    with pytest.raises(ValueError):
+        pres.lift_lattice_point((1, 0, 1, 0))
+
+
 def test_lift_lattice_point_is_pinned():
     pres = steinberg_ring_mod_l(101)
     expected = {
