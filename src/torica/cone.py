@@ -10,22 +10,25 @@ Lattice points are held in slack coordinates: over a region
 {p : <n, p> + a >= 0}, p has the slack vector (<n, p> + a). p lies in the
 region when its slack is >= 0, its grade is the slack sum, and p - q lies in
 the cone exactly when slack(q) <= slack(p), as in monomial divisibility.
-`_minimal` is the one sieve on such keys. `_box_points` gives the region's
-points in the box around conv(V) + [0, 1]·rays, cut at a grade bound: the
-zonotope bound of Hilbert bases with V = {0}, and of divisorial modules with
-V their region's vertices. Every minimal generator lies in it, since a point
-with a coefficient >= 1 on some ray can drop that ray. A box of more than
-`_BOX_BUDGET` points raises `BudgetExceeded` before anything is scanned.
+`_minimal` is the one sieve on such keys. Its candidates come from a pulling
+triangulation (`_pulling`) of a pointed cone and the half-open
+parallelepipeds of its simplices (`_parallelepiped`), as in the primal
+algorithm of Normaliz (Bruns & Ichim, J. Algebra 2010): Hilbert bases use
+the cone itself, divisorial modules the cone over their region. Two budgets
+bound the work before anything is enumerated: the zonotope box around
+conv(V) + [0, 1]·rays (V = {0} for Hilbert bases, the region's vertices for
+modules) and the parallelepipeds' total may each hold at most `_BOX_BUDGET`
+points, or `BudgetExceeded` is raised.
 """
 
 from __future__ import annotations
 
 from itertools import product as iproduct
-from math import ceil, floor, gcd, prod
-from operator import add, le, mul
+from math import gcd, prod
+from operator import le, mul
 
 from .errors import BudgetExceeded, NotPointed, NotStronglyConvex
-from .zlinalg import IntMatrix, _int_tuple, kernel_basis, lattice_member, rank
+from .zlinalg import IntMatrix, _echelon, _int_tuple, kernel_basis, lattice_member, rank
 
 _BOX_BUDGET = 10**6
 
@@ -49,43 +52,107 @@ def _grading(cone):
     return tuple(sum(n[i] for n in duals) for i in range(cone.ambient_dim))
 
 
-def _box_points(vertices, rays, normals, offsets):
-    """(slack, point) for the region's points in the box around conv(vertices) + [0, 1]·rays.
+def _check_box(vertices, rays):
+    """Raise BudgetExceeded if the box around conv(vertices) + [0, 1]·rays is too large.
 
-    The region is {p : <n, p> + a >= 0} over the normals n with offsets a,
-    and a point's grade is <w, p>, w the sum of the normals. Points of grade
-    above ceil(max vertex grade) + the ray grades are cut. The box is the
-    product of its first and last half of coordinates, each half with its
-    grades and slacks worked out once; a head meets the tails in grade order
-    up to the bound. Raises BudgetExceeded, before scanning, if the box has
-    more than _BOX_BUDGET points.
+    Vertices are given homogenised, v as (q·v, q) with q > 0. The box is the
+    zonotope bound that holds every minimal generator, and its size, worked
+    out from its bounds only, is the budget of `docs/formats.md`: at most
+    `_BOX_BUDGET` points.
     """
-    d = len(vertices[0])
-    weight = [sum(n[i] for n in normals) for i in range(d)]
-    lo = [floor(min(v[i] for v in vertices)) + sum(min(0, r[i]) for r in rays) for i in range(d)]
-    hi = [ceil(max(v[i] for v in vertices)) + sum(max(0, r[i]) for r in rays) for i in range(d)]
-    size = prod(h - l + 1 for l, h in zip(lo, hi))
+    size = 1
+    for i in range(len(vertices[0]) - 1):
+        lo = min(v[i] // v[-1] for v in vertices) + sum(min(0, r[i]) for r in rays)
+        hi = max(-(-v[i] // v[-1]) for v in vertices) + sum(max(0, r[i]) for r in rays)
+        size *= hi - lo + 1
     if size > _BOX_BUDGET:
         raise BudgetExceeded(
             f"lattice box of {size} points exceeds the budget of {_BOX_BUDGET}", _BOX_BUDGET
         )
-    bound = ceil(max(_dot(weight, v) for v in vertices)) + sum(_dot(weight, r) for r in rays)
 
-    def part(start, stop, shift):
-        w, rows = weight[start:stop], [n[start:stop] for n in normals]
-        return [
-            (_dot(w, p), tuple(_dot(n, p) + a for n, a in zip(rows, shift)), p)
-            for p in iproduct(*(range(lo[i], hi[i] + 1) for i in range(start, stop)))
-        ]
 
-    tails = sorted(part(d // 2, d, [0] * len(normals)))
-    for head_grade, head_slack, head in part(0, d // 2, offsets):
-        for tail_grade, tail_slack, tail in tails:
-            if head_grade + tail_grade > bound:
-                break
-            slack = tuple(map(add, head_slack, tail_slack))
-            if min(slack, default=0) >= 0:
-                yield slack, head + tail
+def _pulling(face, facet_masks, dim):
+    """The simplices, as ray bit masks, of the pulling triangulation of a face.
+
+    A face is the bit mask of its rays and has dimension `dim`. A face with
+    as many rays as its dimension is a simplex. Otherwise its lowest ray is
+    coned over the facets of the face that miss it, which are the maximal
+    proper intersections face & mask.
+    """
+    if face.bit_count() == dim:
+        return [face]
+    low = face & -face
+    subs = {face & m for m in facet_masks} - {face}
+    return [
+        low | simplex
+        for sub in subs
+        if not sub & low and not any(sub != other and sub & other == sub for other in subs)
+        for simplex in _pulling(sub, facet_masks, dim - 1)
+    ]
+
+
+def _parallelepiped(gens, heights=None):
+    """(N, points) for the lattice points sum(l_i g_i), l in [0, 1)^r, of independent gens.
+
+    With T @ G^T == H (`_echelon`), the point c·G / N, c in [0, N)^r, is in
+    Z^d exactly when H @ c == 0 mod N, where N = prod h_ii counts the points.
+    H is upper triangular, so c is solved for from its last coordinate to
+    its first, each from one congruence h_ii c_i == -sum_{k>i} h_ik c_k
+    (mod N). With `heights` q only the points with sum(c_i q_i) = N, those
+    at height 1, are given: a partial sum above N is cut, and so is one
+    below N once no positive height is left. The points are produced
+    lazily, so N is known before any is enumerated.
+    """
+    r = len(gens)
+    columns = list(zip(*gens))
+    h = _echelon(columns, r)[0]
+    n = prod(h[i][i] for i in range(r))
+    q = heights or (0,) * r
+
+    def points():
+        partial = [((), 0)]  # (c_i, .., c_{r-1}), sum of their c_k q_k
+        for i in reversed(range(r)):
+            g = gcd(h[i][i], n)
+            step = n // g
+            inv = pow(h[i][i] // g, -1, step)
+            row, open_height = h[i][i + 1 :], heights is not None and any(q[:i])
+            grown = []
+            for tail, height in partial:
+                b = -_dot(row, tail)
+                if b % g:
+                    continue
+                for c in range(b // g * inv % step, n, step):
+                    top = height + c * q[i]
+                    if heights is None or top == n or top < n and open_height:
+                        grown.append(((c,) + tail, top))
+            partial = grown
+        for c, _ in partial:
+            yield tuple(_dot(c, col) // n for col in columns)
+
+    return n, points()
+
+
+def _simplicial_points(rays, normals, dim, heights=None):
+    """The parallelepiped points over a pulling triangulation of the pointed cone on `rays`.
+
+    The facet masks are the rays tight on each normal; a normal tight on
+    every ray (a lineality direction of the dual) is never a proper face.
+    `heights`, one per ray, keeps the points at height 1. Raises
+    BudgetExceeded, before enumerating, if the parallelepipeds hold more
+    than _BOX_BUDGET points in total.
+    """
+    masks = [sum(1 << i for i, r in enumerate(rays) if _dot(u, r) == 0) for u in normals]
+    parts = []
+    for simplex in _pulling((1 << len(rays)) - 1, masks, dim):
+        chosen = [i for i in range(len(rays)) if simplex >> i & 1]
+        sub_heights = None if heights is None else [heights[i] for i in chosen]
+        parts.append(_parallelepiped([rays[i] for i in chosen], sub_heights))
+    total = sum(n for n, _ in parts)
+    if total > _BOX_BUDGET:
+        raise BudgetExceeded(
+            f"parallelepipeds of {total} points exceed the budget of {_BOX_BUDGET}", _BOX_BUDGET
+        )
+    return [p for _, points in parts for p in points]
 
 
 def _minimal(items):
@@ -284,17 +351,24 @@ class Cone:
     def hilbert_basis(self) -> Semigroup:
         """Minimal generating set of cone ∩ Z^d as a semigroup.
 
-        Uses the standard zonotope bound: every irreducible element is a
-        [0, 1]-combination of the extreme rays, so the nonzero points of
-        `_box_points` around the origin, slack taken over the dual
-        generators, go through the `_minimal` sieve.
+        Every irreducible element of a simplicial cone is one of its rays or
+        a point of its half-open parallelepiped, so the rays and the
+        parallelepiped points of a pulling triangulation, keyed by their
+        slack over the dual generators, go through the `_minimal` sieve
+        (Bruns & Ichim, J. Algebra 2010). The zonotope box of the rays keeps
+        its budget: the parallelepipeds lie in it, with disjoint interiors.
         """
         if not self.is_strongly_convex():
             raise NotPointed("Hilbert basis requires a cone with no line")
         d = self.ambient_dim
+        rays = self.rays()
+        _check_box([(0,) * d + (1,)], rays)
+        if not rays:
+            return Semigroup(d, [])
         duals = self.dual_generators()
-        points = _box_points([(0,) * d], self.rays(), duals, (0,) * len(duals))
-        return Semigroup(d, sorted(_minimal((s, p) for s, p in points if any(p))))
+        points = list(rays) + _simplicial_points(rays, duals, self.dim())
+        keyed = ((tuple(_dot(u, p) for u in duals), p) for p in points if any(p))
+        return Semigroup(d, sorted(_minimal(keyed)))
 
 
 # -- functional aliases ----------------------------------------------------

@@ -1,6 +1,7 @@
 """Divisor class groups, divisorial modules, multiplicity, the MCM scan."""
 
 import random
+from fractions import Fraction
 from itertools import combinations, product as iproduct
 from math import ceil, floor
 from operator import mul
@@ -8,6 +9,7 @@ from operator import mul
 import pytest
 
 from torica import (
+    BudgetExceeded,
     Cone,
     DivisorClass,
     NonUnique,
@@ -34,8 +36,10 @@ from torica import (
     steinberg_variety,
     trace_surjectivity_witness,
 )
-from torica.cone import _grading
-from torica.divisor import _region_vertices, product as variety_product
+import torica.divisor
+from torica import cone as cone_module
+from torica.cone import _dot, _grading, _pulling
+from torica.divisor import _region_cone, product as variety_product
 from torica.zlinalg import IntMatrix, det, solve_rational
 
 from suites import class_representative_suite
@@ -277,6 +281,12 @@ def _pair(a, b):
     return sum(map(mul, a, b))
 
 
+def _region_vertices(rays, coeffs):
+    """Vertices of {m : <m, u> >= -a}, as m/t over the rays (m, t), t > 0, of the cone over it."""
+    hom = _region_cone(rays, coeffs)[1]
+    return [tuple(Fraction(x, r[-1]) for x in r[:-1]) for r in hom if r[-1] > 0]
+
+
 def _reference_box_points(vertices, rays, weight):
     """(grade, point) over the zonotope box, as the box stood before slack coordinates."""
     d = len(weight)
@@ -383,6 +393,90 @@ def test_slack_sieve_matches_reference_sieves():
     assert witnessed > 0
 
 
+def _box_size(vertices, rays):
+    """Points of the zonotope box around conv(vertices) + [0, 1]·rays."""
+    size = 1
+    for i in range(len(vertices[0])):
+        lo = floor(min(v[i] for v in vertices)) + sum(min(0, r[i]) for r in rays)
+        hi = ceil(max(v[i] for v in vertices)) + sum(max(0, r[i]) for r in rays)
+        size *= hi - lo + 1
+    return size
+
+
+def _parallelepiped_total(cone):
+    """Sum of |det| over the simplices of the pulling triangulation of a pointed cone."""
+    rays = cone.rays()
+    duals = cone.dual_generators()
+    masks = [sum(1 << i for i, r in enumerate(rays) if _dot(u, r) == 0) for u in duals]
+    simplices = _pulling((1 << len(rays)) - 1, masks, cone.dim())
+    return sum(
+        abs(det(IntMatrix([r for i, r in enumerate(rays) if s >> i & 1]))) for s in simplices
+    )
+
+
+def test_parallelepipeds_match_box_oracles():
+    """Hilbert bases and module generators equal the box scans', on non-simplicial cones too.
+
+    300 seeded pointed cones: dimension 2 with 3 generators in [-3, 3],
+    dimension 3 with 4 to 6 generators in [-2, 2], dimension 4 with 5 or 6
+    generators in [0, 1], divisors in [-3, 3]; and 60 cones of lower
+    dimension. The parallelepipeds of every Hilbert basis hold no more
+    points than its zonotope box, which is what keeps the box budget a bound
+    on them.
+    """
+    rng = random.Random(53)
+    strata = (
+        (2, 3, -3, 3), (3, 4, -1, 2), (3, 5, -1, 2), (3, 6, -2, 2), (4, 5, 0, 1), (4, 6, 0, 1)
+    )
+    cones = []
+    while len(cones) < 300:
+        dim, ngens, lo, hi = strata[len(cones) % len(strata)]
+        cone = Cone(dim, [[rng.randint(lo, hi) for _ in range(dim)] for _ in range(ngens)])
+        if len(cone.generators) == ngens and cone.dim() == dim and cone.is_strongly_convex():
+            cones.append(cone)
+    non_simplicial = [c.ambient_dim for c in cones if len(c.rays()) > c.ambient_dim]
+    assert len(non_simplicial) > 100 and non_simplicial.count(4) > 40
+    for cone in cones:
+        v = ToricVariety(cone)
+        for c, basis in ((cone, cone.hilbert_basis()), (v.dual_cone, v.semigroup)):
+            assert list(basis.hilbert_generators) == _reference_hilbert_basis(c), c
+            assert _parallelepiped_total(c) <= _box_size([(0,) * c.ambient_dim], c.rays()), c
+        d = v.divisor([rng.randint(-3, 3) for _ in v.rays])
+        assert list(module_generators(v, d).generators) == _reference_module_generators(v, d.coeffs)
+    # cones of lower dimension, whose parallelepipeds lie in the lattice of their span
+    lower = 0
+    while lower < 60:
+        dim = 2 + lower % 3
+        basis = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(dim - 1)]
+        drawn = [
+            [sum(rng.randint(0, 2) * b[i] for b in basis) for i in range(dim)] for _ in range(3)
+        ]
+        cone = Cone(dim, drawn)
+        if cone.generators and cone.dim() < dim and cone.is_strongly_convex():
+            assert list(cone.hilbert_basis().hilbert_generators) == _reference_hilbert_basis(cone)
+            lower += 1
+
+
+def test_module_parallelepiped_budget_raises_before_enumerating(monkeypatch):
+    """A module whose box passes but whose parallelepipeds hold more points is refused.
+
+    The region has vertices with denominators 9 and 19, and its
+    parallelepipeds hold 2,663 points against 2,184 in the zonotope box.
+    """
+    v = ToricVariety(Cone(3, [(-1, 2, 2), (1, 2, -1), (2, 1, -1), (2, 1, 2)]))
+    d = v.divisor((-1, 0, 1, -1))
+    vertices = _region_vertices(v.rays, d.coeffs)
+    assert _box_size(vertices, v.dual_cone.rays()) == 2184
+    expected = module_generators(v, d).generators
+    monkeypatch.setattr(cone_module, "_BOX_BUDGET", 2500)
+    with pytest.raises(BudgetExceeded) as info:
+        module_generators(v, d)
+    assert info.value.budget == 2500
+    assert str(info.value) == "parallelepipeds of 2663 points exceed the budget of 2500"
+    monkeypatch.setattr(cone_module, "_BOX_BUDGET", 2663)
+    assert module_generators(v, d).generators == expected
+
+
 def test_region_vertices_match_subset_enumeration():
     """Region vertices equal the feasible solutions of d-subsets of <m, u> = -a."""
     rng = random.Random(43)
@@ -420,6 +514,20 @@ def test_trace_witness_to_literal_canonical(surface):
     d = divisor_from_ray_coeffs(surface, {(1, 0, 0): -1, (0, 0, 1): -1})
     ok, witness = trace_surjectivity_witness(surface, d)
     assert ok and witness == (1, -1, 1)
+
+
+def test_default_trace_witness_enumerates_each_module_once(surface, monkeypatch):
+    """With `other` defaulting to d, only O(d) and the canonical module are enumerated."""
+    calls = []
+
+    def counted(v, d):
+        calls.append(d.coeffs)
+        return module_generators(v, d)
+
+    monkeypatch.setattr(torica.divisor, "module_generators", counted)
+    d = surface.divisor((1, 0, 0, 0))
+    assert trace_surjectivity_witness(surface, d) == trace_surjectivity_witness(surface, d, d)
+    assert calls == [(1, 0, 0, 0), (-1, -1, -1, -1)] * 2
 
 
 def test_trace_witness_failure_case(surface):
@@ -496,7 +604,7 @@ def test_product_law_beyond_four_surface_factors(k):
     assert steinberg_multiplicity(k, 0) == 2**k
 
 
-@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 3])
 def test_flat_product_cone_gives_the_product_law(k):
     """S^k as one cone with no factors: 2^k generators, the factorwise ones."""
     factorwise = steinberg_product_variety(k, 0)
@@ -506,6 +614,14 @@ def test_flat_product_cone_gives_the_product_law(k):
     rep = class_group(factorwise).representative(half_canonical(factorwise))
     flat_gens = module_generators(flat, flat.divisor(rep.coeffs)).generators
     assert flat_gens == module_generators(factorwise, rep).generators
+
+
+def test_flat_product_cone_beyond_three_factors_is_over_budget():
+    """Flat S^4 stops while its variety is built: the dual Hilbert basis box is too large."""
+    generators = steinberg_product_variety(4, 0).cone.generators
+    with pytest.raises(BudgetExceeded) as info:
+        ToricVariety(Cone(12, generators))
+    assert str(info.value) == "lattice box of 4100625 points exceeds the budget of 1000000"
 
 
 def test_large_product_variety_is_assembled_from_factors():
