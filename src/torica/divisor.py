@@ -334,7 +334,7 @@ class _AtomicClassData:
             if flip:
                 u_rows[pos] = [-x for x in u_rows[pos]]
         self.u = IntMatrix(u_rows)
-        self.u_inv = invert_unimodular(self.u)
+        self.u_inv = None  # only `representative` reads it, so it is inverted on first use
 
     def coords(self, coeffs):
         b = self.u @ tuple(coeffs)
@@ -348,6 +348,8 @@ class _AtomicClassData:
             b[pos] = val
         for pos, val in zip(self.torsion_positions, torsion):
             b[pos] = val
+        if self.u_inv is None:
+            self.u_inv = invert_unimodular(self.u)
         return self.u_inv @ tuple(b)
 
 

@@ -19,7 +19,6 @@ modules presented by ideals).
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from itertools import product as iproduct
 
 from .cone import _minimal
 from .errors import BudgetExceeded, InconclusiveAtBound, NotHomogeneous
@@ -175,11 +174,17 @@ def _tokenize(text):
     return tokens
 
 
+# Each parenthesis costs the recursive parser four frames, so deeper input
+# would end in a RecursionError instead of a refusal.
+_MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, ring, tokens):
         self.ring = ring
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
@@ -230,7 +235,11 @@ class _Parser:
                 raise ValueError(f"unknown variable {value!r}")
             return self.ring.variable(value)
         if kind == "(":
+            if self.depth == _MAX_NESTING:
+                raise ValueError(f"parentheses nested deeper than {_MAX_NESTING} levels")
+            self.depth += 1
             inner = self.expression()
+            self.depth -= 1
             if self.next()[0] != ")":
                 raise ValueError("unbalanced parentheses")
             return inner
@@ -787,21 +796,29 @@ def quotient_dimension(i: Ideal):
 
 
 def standard_monomials(i: Ideal):
-    """Monomials not in the leading-term ideal, or None if infinitely many."""
+    """Monomials not in the leading-term ideal, or None if infinitely many.
+
+    They are grown from 1 one variable at a time: a standard monomial in
+    the first v + 1 variables is a standard one in the first v times a
+    power of the next, and raising that power stops at the first multiple
+    of a leading exponent, since the standard monomials are closed under
+    division. A pure power of every variable among the leading exponents
+    makes the set finite.
+    """
     n = i.ring.nvars
     lead = i.leading_exponents()
     if any(sum(e) == 0 for e in lead):
         return []
-    bounds = []
+    if not all(any(sum(e) == e[v] for e in lead) for v in range(n)):
+        return None
+    out = [(0,) * n]
     for v in range(n):
-        pure = [e[v] for e in lead if sum(e) == e[v]]
-        if not pure:
-            return None
-        bounds.append(min(pure))
-    out = []
-    for exps in iproduct(*(range(b) for b in bounds)):
-        if not any(_divides(le, exps) for le in lead):
-            out.append(exps)
+        grown = []
+        for exps in out:
+            while not any(_divides(le, exps) for le in lead):
+                grown.append(exps)
+                exps = exps[:v] + (exps[v] + 1,) + exps[v + 1 :]
+        out = grown
     key = order_key("grevlex", n)
     out.sort(key=key)
     return out

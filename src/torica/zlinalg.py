@@ -3,10 +3,11 @@
 One Hermite elimination, `_echelon`, tracks its unimodular transform T with
 T @ A == H (Cohen, GTM 138, section 2.4). Hermite forms, rank, kernels,
 determinants, rational solves and unimodular inverses are all read off
-(H, T). `smith_normal_form` keeps its own pivot loop: class coordinates are
-read off its U, which is not canonical, so a Smith form built another way
-would change the documented coordinates of classes with free rank >= 2 or
-with torsion. Everything runs on Python ints, so nothing ever overflows;
+(H, T). `smith_normal_form` has no elimination of its own: it alternates
+`_echelon` on the rows and on the columns. Its U is not canonical, and
+class coordinates are read off it, so a change to how the passes run
+changes the documented coordinates of classes with free rank >= 2 or with
+torsion. Everything runs on Python ints, so nothing ever overflows;
 back-substitution uses fractions.Fraction.
 """
 
@@ -145,147 +146,39 @@ class SmithDecomposition:
         return f"SmithDecomposition(factors={self.invariant_factors})"
 
 
-def _xgcd(a, b):
-    # returns (g, x, y) with x*a + y*b == g == gcd(a, b), g >= 0
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
-    """Smith normal form with tracked transforms.
+    """Smith normal form with tracked transforms, from alternating Hermite forms.
 
-    Pivots are chosen as the smallest nonzero absolute value in the
-    remaining block, which keeps intermediate entries small on the sparse
-    matrices this library produces.
+    The rows of [D | U], then the rows of [D^T | V^T], and so on, go
+    through `_echelon` until D is diagonal (Kannan & Bachem, SIAM J.
+    Comput. 1979); each row operation reaches U or V^T as part of its row.
+    Where d_k does not divide d_{k+1}, line k+1 is added to line k, and the
+    next pass, across those lines, lowers d_k to their gcd without touching
+    the entries above it. Pivots come out positive with the zeros last.
     """
     m, n = a.rows, a.cols
-    d = [list(row) for row in a.entries]
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        if i != j:
-            d[i], d[j] = d[j], d[i]
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for row in d:
-                row[i], row[j] = row[j], row[i]
-            for row in v:
-                row[i], row[j] = row[j], row[i]
-
-    def combine_rows(i, j, x, y, s, t):
-        # (row_i, row_j) <- (x*row_i + y*row_j, s*row_i + t*row_j), det +-1
-        for mat in (d, u):
-            ri, rj = mat[i], mat[j]
-            for k in range(len(ri)):
-                ri[k], rj[k] = x * ri[k] + y * rj[k], s * ri[k] + t * rj[k]
-
-    def combine_cols(i, j, x, y, s, t):
-        for mat in (d, v):
-            for row in mat:
-                row[i], row[j] = x * row[i] + y * row[j], s * row[i] + t * row[j]
-
-    def clear_col_entry(pivot, i):
-        # zero out d[i][pivot] against d[pivot][pivot] by a unimodular row pair
-        p, q = d[pivot][pivot], d[i][pivot]
-        if q == 0:
-            return
-        if p != 0 and q % p == 0:
-            f = q // p
-            for mat in (d, u):
-                rp, ri = mat[pivot], mat[i]
-                for k in range(len(ri)):
-                    ri[k] -= f * rp[k]
-            return
-        g, x, y = _xgcd(p, q)
-        combine_rows(pivot, i, x, y, -(q // g), p // g)
-
-    def clear_row_entry(pivot, j):
-        p, q = d[pivot][pivot], d[pivot][j]
-        if q == 0:
-            return
-        if p != 0 and q % p == 0:
-            f = q // p
-            for mat in (d, v):
-                for row in mat:
-                    row[j] -= f * row[pivot]
-            return
-        g, x, y = _xgcd(p, q)
-        combine_cols(pivot, j, x, y, -(q // g), p // g)
-
-    limit = min(m, n)
-    for k in range(limit):
-        # move the smallest nonzero entry of the remaining block to (k, k)
-        best = None
-        for i in range(k, m):
-            for j in range(k, n):
-                if d[i][j] and (best is None or abs(d[i][j]) < abs(d[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        swap_rows(k, best[0])
-        swap_cols(k, best[1])
-        while True:
-            for i in range(k + 1, m):
-                clear_col_entry(k, i)
-            for j in range(k + 1, n):
-                clear_row_entry(k, j)
-            if all(d[i][k] == 0 for i in range(k + 1, m)) and all(
-                d[k][j] == 0 for j in range(k + 1, n)
-            ):
+    d = a.entries
+    left = [[int(i == j) for j in range(m)] for i in range(m)]
+    right = [[int(i == j) for j in range(n)] for i in range(n)]
+    flipped = False  # True while d holds D^T, left V^T and right U
+    while True:
+        d, t, _, _ = _echelon([list(x) + y for x, y in zip(d, left)], n)
+        left = [row[:m] for row in t]
+        if not any(x for i, row in enumerate(d) for j, x in enumerate(row) if i != j):
+            factors = [d[i][i] for i in range(min(m, n))]
+            k = next((k for k, f in enumerate(factors[:-1]) if f and factors[k + 1] % f), None)
+            if k is None:
                 break
-
-    # sign normalization
-    for k in range(limit):
-        if d[k][k] < 0:
-            for mat in (d, u):
-                mat[k] = [-x for x in mat[k]]
-
-    # push zero pivots to the end
-    diag_len = limit
-    nonzero = [k for k in range(diag_len) if d[k][k] != 0]
-    for target, src in enumerate(nonzero):
-        if src != target:
-            swap_rows(target, src)
-            swap_cols(target, src)
-
-    # divisibility sweep: make d_k | d_{k+1}
-    r = len(nonzero)
-    changed = True
-    while changed:
-        changed = False
-        for k in range(r - 1):
-            a_k, a_next = d[k][k], d[k + 1][k + 1]
-            if a_next % a_k != 0:
-                changed = True
-                # bring a_next into row k, then re-clear the 2x2 block
-                for mat in (d, u):
-                    row_k, row_next = mat[k], mat[k + 1]
-                    for idx in range(len(row_k)):
-                        row_k[idx] += row_next[idx]
-                while d[k][k + 1] != 0 or d[k + 1][k] != 0:
-                    clear_row_entry(k, k + 1)
-                    clear_col_entry(k, k + 1)
-                if d[k][k] < 0:
-                    for mat in (d, u):
-                        mat[k] = [-x for x in mat[k]]
-                if d[k + 1][k + 1] < 0:
-                    for mat in (d, u):
-                        mat[k + 1] = [-x for x in mat[k + 1]]
-
-    factors = tuple(d[k][k] for k in range(limit))
-    return SmithDecomposition(IntMatrix(u), IntMatrix(d), IntMatrix(v), factors)
+            d[k] = [x + y for x, y in zip(d[k], d[k + 1])]
+            left[k] = [x + y for x, y in zip(left[k], left[k + 1])]
+        d = [[row[j] for row in d] for j in range(n)]
+        m, n, left, right, flipped = n, m, right, left, not flipped
+    if flipped:
+        d = [[row[j] for row in d] for j in range(n)]
+        m, n, left, right = n, m, right, left
+    v = [[row[j] for row in right] for j in range(n)]
+    u = IntMatrix(left, cols=m)
+    return SmithDecomposition(u, IntMatrix(d, cols=n), IntMatrix(v, cols=n), factors)
 
 
 def _echelon(rows, ncols):

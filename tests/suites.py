@@ -25,27 +25,34 @@ from torica import (
 from torica.polyring import _normal_form, _s_poly
 
 
-def snf_suite(cases=500, seed=20401):
+def check_smith(a, case=None):
     """U A V = D, both transforms unimodular, diagonal divisibility chain."""
+    dec = smith_normal_form(a)
+    assert abs(det(dec.u)) == 1, f"case {case}: U not unimodular"
+    assert abs(det(dec.v)) == 1, f"case {case}: V not unimodular"
+    product = dec.u @ a @ dec.v
+    assert product == dec.d, f"case {case}: UAV is not D"
+    for i in range(a.rows):
+        for j in range(a.cols):
+            expect = dec.invariant_factors[i] if i == j else 0
+            assert product.entries[i][j] == expect, f"case {case}: UAV is not diagonal"
+    factors = [f for f in dec.invariant_factors if f != 0]
+    assert all(f > 0 for f in factors), f"case {case}: negative invariant factor"
+    for i in range(len(factors) - 1):
+        assert factors[i + 1] % factors[i] == 0, f"case {case}: divisibility broken"
+    tail = dec.invariant_factors[len(factors) :]
+    assert all(f == 0 for f in tail), f"case {case}: zero factors not trailing"
+    return dec
+
+
+def snf_suite(cases=500, seed=20401):
+    """`check_smith` on random matrices of 1 to 5 rows and columns."""
     rng = random.Random(seed)
     for case in range(cases):
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
         a = IntMatrix([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)])
-        dec = smith_normal_form(a)
-        assert abs(det(dec.u)) == 1, f"case {case}: U not unimodular"
-        assert abs(det(dec.v)) == 1, f"case {case}: V not unimodular"
-        product = dec.u @ a @ dec.v
-        for i in range(rows):
-            for j in range(cols):
-                expect = dec.invariant_factors[i] if i == j else 0
-                assert product.entries[i][j] == expect, f"case {case}: UAV is not D"
-        factors = [f for f in dec.invariant_factors if f != 0]
-        assert all(f > 0 for f in factors), f"case {case}: negative invariant factor"
-        for i in range(len(factors) - 1):
-            assert factors[i + 1] % factors[i] == 0, f"case {case}: divisibility broken"
-        tail = dec.invariant_factors[len(factors) :]
-        assert all(f == 0 for f in tail), f"case {case}: zero factors not trailing"
+        check_smith(a, case)
 
 
 def _random_pointed_cone(rng):

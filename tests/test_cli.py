@@ -373,6 +373,16 @@ def test_ideal_non_string_generator_is_bad_input(monkeypatch, capsys):
     assert json.loads(err)["error"]["code"] == "BAD_INPUT"
 
 
+def test_deeply_nested_parentheses_are_bad_input(monkeypatch, capsys):
+    doc = {"field": 101, "variables": ["x"], "generators": ["(" * 3000 + "x" + ")" * 3000]}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code, out, err = run_cli(["ideal", "groebner", "-"], capsys)
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["code"] == "BAD_INPUT"
+    assert "nested deeper than 100 levels" in error["message"]
+
+
 def test_unexpected_exception_is_internal_exit_three(monkeypatch, capsys):
     def broken(variety, divisor):
         raise RecursionError("maximum recursion depth exceeded")

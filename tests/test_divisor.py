@@ -76,6 +76,41 @@ def test_ray_divisor_classes(surface):
     assert classes == [1, -2, -2, 1]
 
 
+@pytest.mark.parametrize(
+    "generators, presentation, coords, representatives",
+    [
+        (  # torsion: Z + Z/3
+            [(-2, -1, -2), (-2, 2, -1), (-1, 2, 1), (0, 1, -1), (1, 2, 1)],
+            (1, (3,)),
+            [((-2,), (1,)), ((1,), (0,)), ((2,), (0,)), ((-3,), (2,))],
+            [(4, -1, -1, -3), (-2, 0, 0, 1), (-4, 0, 0, 2), (6, -2, -2, -5)],
+        ),
+        (  # free rank 2
+            [(-2, -1, -1), (-2, 1, 2), (-1, -2, 0), (-1, 1, 2), (1, 0, 1)],
+            (2, ()),
+            [((-7, -9), ()), ((0, 1), ()), ((4, 5), ()), ((1, 0), ()), ((-9, -11), ())],
+            [
+                (0, -9, 0, -7, 0), (0, 1, 0, 0, 0), (0, 5, 0, 4, 0),
+                (0, 0, 0, 1, 0), (0, -11, 0, -9, 0),
+            ],
+        ),
+    ],
+)
+def test_class_coordinates_where_they_are_not_canonical(
+    generators, presentation, coords, representatives
+):
+    """Pinned: these coordinates are read off the Smith U, so a new Smith form shows up here."""
+    v = ToricVariety(Cone(3, generators))
+    cg = class_group(v)
+    assert cg.presentation() == presentation
+    n = len(v.rays)
+    classes = [v.divisor([int(i == j) for j in range(n)]).divisor_class() for i in range(n)]
+    assert [(c.free, c.torsion) for c in classes] == coords
+    reps = [cg.representative(c) for c in classes]
+    assert [r.coeffs for r in reps] == representatives
+    assert [r.divisor_class() for r in reps] == classes
+
+
 def test_principal_divisors_are_trivial(surface):
     assert div_of_character(surface, (1, 0, 0)).coeffs == (0, 0, 1, 2)
     assert div_of_character(surface, (0, 0, 1)).coeffs == (1, 0, 0, -1)

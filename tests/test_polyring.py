@@ -54,6 +54,13 @@ def test_parser_rejects_unknown_variables():
         ring.parse("x + w")
 
 
+def test_parser_refuses_nesting_beyond_one_hundred_levels():
+    ring = PolyRing(101, ("x",))
+    assert ring.parse("(" * 100 + "x" + ")" * 100) == ring.parse("x")
+    with pytest.raises(ValueError, match="nested deeper than 100 levels"):
+        ring.parse("(" * 101 + "x" + ")" * 101)
+
+
 def test_arithmetic_mod_p():
     ring = PolyRing(5, ("x", "y"))
     f = ring.parse("3*x + 4*x")  # 7 = 2 mod 5
@@ -160,6 +167,53 @@ def test_quotient_dimension_of_cut_surface():
     assert quotient_dimension(cut) == 4
     names = sorted(str(ring.monomial(e)) for e in standard_monomials(cut))
     assert names == ["1", "A", "B", "X"]
+
+
+def _box_standard_monomials(ideal):
+    """Reference: scan the box below the pure-power bounds for exponents no leading one divides."""
+    n = ideal.ring.nvars
+    lead = ideal.leading_exponents()
+    if any(sum(e) == 0 for e in lead):
+        return []
+    bounds = []
+    for v in range(n):
+        pure = [e[v] for e in lead if sum(e) == e[v]]
+        if not pure:
+            return None
+        bounds.append(min(pure))
+    box = iproduct(*(range(b) for b in bounds))
+    out = [e for e in box if not any(_divides(le, e) for le in lead)]
+    return sorted(out, key=polyring.order_key("grevlex", n))
+
+
+def test_staircase_walk_matches_box_scan():
+    rng = random.Random(20410)
+    finite = 0
+    for _ in range(150):
+        nvars = rng.randint(1, 3)
+        ring = PolyRing(101, tuple("xyz"[:nvars]))
+        gens = [_random_polynomial(rng, ring, 3, 3) for _ in range(rng.randint(0, 3))]
+        for v in range(nvars):
+            if rng.random() < 0.9:
+                power = tuple(rng.randint(4, 7) if w == v else 0 for w in range(nvars))
+                gens.append(ring.monomial(power) + _random_polynomial(rng, ring, 2, 1))
+        ideal = ring.ideal(gens)
+        expected = _box_standard_monomials(ideal)
+        assert standard_monomials(ideal) == expected
+        finite += expected is not None and len(expected) > 1
+    assert finite >= 60
+
+
+def test_staircase_of_a_thin_ideal_is_fast():
+    # the box scan takes seconds already at n = 100; the staircase holds 3n - 2 monomials
+    ring = PolyRing(101, ("x", "y", "z"))
+    n = 2000
+    ideal = ring.ideal([f"x^{n}", f"y^{n}", f"z^{n}", "x*y", "y*z", "x*z"])
+    start = time.perf_counter()
+    monomials = standard_monomials(ideal)
+    assert time.perf_counter() - start < 5.0
+    assert len(monomials) == quotient_dimension(ideal) == 3 * n - 2
+    assert monomials[:4] == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
 
 def test_hilbert_numerator_complete_intersection():

@@ -20,7 +20,7 @@ from torica import (
     solve_rational,
 )
 
-from suites import snf_suite
+from suites import check_smith, snf_suite
 
 PHI_ROWS = [
     [1, 1, 1, 0, 0, 0],
@@ -51,6 +51,27 @@ def test_smith_normal_form_frozen_example():
     dec = smith_normal_form(IntMatrix([[2, 4], [6, 8]]))
     assert dec.invariant_factors == (2, 4)
     assert (dec.u @ IntMatrix([[2, 4], [6, 8]]) @ dec.v).entries == ((2, 0), (0, 4))
+
+
+@pytest.mark.parametrize(
+    "entries, cols, factors",
+    [
+        ([], 0, ()),
+        ([], 3, ()),
+        ([[], [], []], 0, ()),
+        ([[0, 0], [0, 0], [0, 0]], 2, (0, 0)),
+        ([[0, 1], [0, 0]], 2, (1, 0)),
+        ([[2, 0], [0, 3]], 2, (1, 6)),
+        ([[4, 0], [0, 6]], 2, (2, 12)),
+        ([[2, 0, 0], [0, 4, 0], [0, 0, 3]], 3, (1, 2, 12)),
+        ([[6, 0, 0], [0, 10, 0], [0, 0, 15]], 3, (1, 30, 30)),
+    ],
+)
+def test_smith_normal_form_degenerate_shapes_and_divisibility_steps(entries, cols, factors):
+    a = IntMatrix(entries, cols=cols)
+    dec = check_smith(a)
+    assert dec.invariant_factors == factors
+    assert (dec.u.rows, dec.d.rows, dec.d.cols, dec.v.cols) == (a.rows, a.rows, a.cols, a.cols)
 
 
 def test_smith_normal_form_of_phi():
