@@ -4,7 +4,8 @@ A cone is stored by primitive integer generators. The double description
 method (`_double_description`) is the one polyhedral enumeration: it gives
 the facets of atomic cones and the vertices of divisor regions, and rays
 follow from facet incidences. Product cones never enumerate: they compose
-their dual and rays from the factors'.
+their dual and rays from the factors'. The dual of a pointed cone takes its
+own dual generators from that cone's rays.
 
 Lattice points are held in slack coordinates: over a region
 {p : <n, p> + a >= 0}, p has the slack vector (<n, p> + a). p lies in the
@@ -289,7 +290,15 @@ class Cone:
         return self._dual_gens
 
     def dual(self) -> "Cone":
-        return Cone(self.ambient_dim, self.dual_generators())
+        """The dual cone; on a strongly convex cone its own dual is composed, not enumerated.
+
+        The dual of a pointed cone is full-dimensional, and its facet normals
+        are the primitive rays of the cone.
+        """
+        dual = Cone(self.ambient_dim, self.dual_generators())
+        if self.is_strongly_convex():
+            dual._dual_gens = tuple(sorted(self.rays()))
+        return dual
 
     def contains(self, vec) -> bool:
         vec = _int_tuple(vec, self.ambient_dim)

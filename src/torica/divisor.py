@@ -14,6 +14,10 @@ Their minimal generators are the `cone._minimal` points, keyed by the slack
 (<m, u_rho> + a_rho), among the integral vertices and the height-1 points of
 the parallelepipeds of a triangulation of that cone
 (`cone._simplicial_points`), the routine behind Hilbert bases too.
+
+Ring presentations build their ideals when first read, so class groups,
+module generators and multiplicities compute no Groebner basis; only the
+Cohen-Macaulay certificates, which work in the presentation ring, do.
 """
 
 from __future__ import annotations
@@ -177,7 +181,8 @@ def steinberg_product_variety(k, s, field=101) -> ToricVariety:
 
     The k surface factors are one shared `ToricVariety` object, and so are
     the s line factors. The product's cone, dual cone and ring presentation
-    are assembled from theirs, so nothing is enumerated or saturated again.
+    are assembled from theirs, so nothing is enumerated again, and nothing
+    is saturated until the presentation's ideal is read.
     """
     k, s = int(k), int(s)
     if k < 0 or s < 0 or k + s < 1:

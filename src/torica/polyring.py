@@ -7,13 +7,15 @@ engine packs each monomial into one int (Monagan & Pearce, "Polynomial
 division using dynamic arrays, heaps, and packed exponent vectors", CASC
 2007; see `_Packing`), divides with a heap, prunes S-pairs by the
 Gebauer-Moeller criteria (JSC 6, 1988) and raises BudgetExceeded past its
-pair and basis-size budget. Ideals cache their reduced basis as monic
-packed records (leading monomial, tail terms) sorted by the order, next
-to the same elements as Polynomials; callers only see exponent tuples.
-On top of the basis machinery this module provides elimination,
+pair and basis-size budget. It can start from a known reduced basis, whose
+elements it pairs only with the new generators. Ideals cache their reduced
+basis as monic packed records (leading monomial, tail terms) sorted by the
+order, next to the same elements as Polynomials; callers only see exponent
+tuples. On top of the basis machinery this module provides elimination,
 saturation, quotient vector-space dimensions, and exact Hilbert-series
 certificates for regular sequences (on quotient rings and on monomial
-modules presented by ideals).
+modules presented by ideals), each step's basis grown from the previous
+step's.
 """
 
 from __future__ import annotations
@@ -439,11 +441,12 @@ class _Overflow(Exception):
 class _Packing:
     """The packed encoding of one order's monomials in fields of one width."""
 
-    __slots__ = ("rows", "limit", "guard", "shifts", "variables")
+    __slots__ = ("rows", "bits", "limit", "guard", "shifts", "variables")
 
     def __init__(self, rows, nvars, bits):
         fields = len(rows) + nvars
         self.rows = rows
+        self.bits = bits
         self.limit = (1 << (bits - 1)) - 1
         self.guard = sum(1 << (bits * f + bits - 1) for f in range(fields))
         self.shifts = tuple(bits * (nvars - 1 - i) for i in range(nvars))
@@ -492,14 +495,14 @@ def _field_bits(top):
     return max(8, top.bit_length() + 3)
 
 
-def _widening(order, nvars, term_dicts, run):
+def _widening(order, nvars, term_dicts, run, bits=0):
     """run(packing) on fields fitted to the terms, doubled in width on each _Overflow.
 
-    run starts again from scratch on the wider packing, so an answer is
-    never computed from a carried field.
+    The fields are at least `bits` wide. run starts again from scratch on
+    the wider packing, so an answer is never computed from a carried field.
     """
     rows = _weight_rows(order, nvars)
-    bits = _field_bits(max((_field_max(rows, terms) for terms in term_dicts), default=0))
+    bits = max(bits, _field_bits(max((_field_max(rows, terms) for terms in term_dicts), default=0)))
     while True:
         try:
             return run(_Packing(rows, nvars, bits))
@@ -587,17 +590,23 @@ def _s_poly(f, g, order):
     return _widening(order, ring.nvars, [f.terms, g.terms], run)
 
 
-def _groebner(ring, generators, order):
-    """The reduced Groebner basis of the generators: (packing, sorted monic records).
+def _groebner(ring, generators, order, known=None):
+    """The reduced Groebner basis of known + generators: (packing, sorted monic records).
 
-    Buchberger's algorithm with the Gebauer-Moeller update: a new element h
-    drops each old pair whose lcm LT(h) divides unless h shares that lcm with
-    one of its members (criterion B); of h's own pairs it keeps one per
-    least lcm (criteria M and F), and then drops those with coprime leaders.
+    `known` is the `Ideal._gb` triple of a reduced Groebner basis in the
+    same order. Its elements join the basis first, in fields at least as
+    wide as its own packing, so that its records are reused as they stand.
+    Their S-pairs all reduce to zero among themselves, so none is formed.
+    Then each generator joins through the Gebauer-Moeller update, which
+    pairs it with every element found before it, known ones included: a
+    new element h drops each old pair whose lcm LT(h) divides unless h
+    shares that lcm with one of its members (criterion B); of h's own pairs
+    it keeps one per least lcm (criteria M and F), and then drops those
+    with coprime leaders.
     Pairs are taken least lcm first. The result keeps the records whose
     leaders no other kept leader divides, each reduced by the others.
     Reducing more than _PAIR_BUDGET pairs, or finding more than
-    _BASIS_BUDGET elements, raises BudgetExceeded.
+    _BASIS_BUDGET elements, known ones included, raises BudgetExceeded.
     """
     p = ring.char
 
@@ -609,7 +618,7 @@ def _groebner(ring, generators, order):
         reducers = []  # their records
         pairs = []  # heap of (lcm, i, j)
 
-        def insert(record):
+        def insert(record, paired=True):
             h, lt_h = len(records), record[0]
             if h >= _BASIS_BUDGET:
                 raise BudgetExceeded(
@@ -617,28 +626,35 @@ def _groebner(ring, generators, order):
                     _BASIS_BUDGET,
                 )
             lead_h = packing.unpack(lt_h)
-            lcms = [packing.lcm(e, lead_h) for e in leads]
-            pairs[:] = [
-                (m, i, j) for m, i, j in pairs
-                if (m - lt_h) & guard or m == lcms[i] or m == lcms[j]
-            ]
-            new = sorted((lcms[g], g) for g in active)
-            kept = []
-            for n, (m, g) in enumerate(new):
-                if (
-                    m == lt_h + records[g][0]
-                    or not (n + 1 < len(new) and new[n + 1][0] == m)
-                    and all((m - k) & guard for k, _ in kept)
-                ):
-                    kept.append((m, g))
-            pairs.extend((m, g, h) for m, g in kept if m != lt_h + records[g][0])
-            heapify(pairs)
-            active[:] = [g for g in active if (records[g][0] - lt_h) & guard]
+            if paired:
+                lcms = [packing.lcm(e, lead_h) for e in leads]
+                pairs[:] = [
+                    (m, i, j) for m, i, j in pairs
+                    if (m - lt_h) & guard or m == lcms[i] or m == lcms[j]
+                ]
+                new = sorted((lcms[g], g) for g in active)
+                kept = []
+                for n, (m, g) in enumerate(new):
+                    if (
+                        m == lt_h + records[g][0]
+                        or not (n + 1 < len(new) and new[n + 1][0] == m)
+                        and all((m - k) & guard for k, _ in kept)
+                    ):
+                        kept.append((m, g))
+                pairs.extend((m, g, h) for m, g in kept if m != lt_h + records[g][0])
+                heapify(pairs)
+                active[:] = [g for g in active if (records[g][0] - lt_h) & guard]
             active.append(h)
             records.append(record)
             leads.append(lead_h)
             reducers[:] = [records[g] for g in active]
 
+        if known:
+            known_packing, known_records, known_polys = known
+            if known_packing.bits != packing.bits:
+                known_records = [_monic(packing.pack_terms(g.terms), p) for g in known_polys]
+            for record in known_records:
+                insert(record, paired=False)
         for record in sorted(_monic(packing.pack_terms(g.terms), p) for g in generators if g.terms):
             insert(record)
         reduced = 0
@@ -663,7 +679,8 @@ def _groebner(ring, generators, order):
             for i, (lt, tail) in enumerate(minimal)
         )
 
-    return _widening(order, ring.nvars, [g.terms for g in generators], run)
+    bits = known[0].bits if known else 0
+    return _widening(order, ring.nvars, [g.terms for g in generators], run, bits)
 
 
 class Ideal:
@@ -702,13 +719,7 @@ class Ideal:
 
     def _basis(self):
         if self._gb is None:
-            packing, records = _groebner(self.ring, self.generators, self.order)
-            polys = []
-            for lt, tail in records:
-                terms = {packing.unpack(lt): 1}
-                terms.update(packing.unpack_terms(dict(tail)))
-                polys.append(_poly(self.ring, terms))
-            self._gb = (packing, records, tuple(polys))
+            self._gb = _cached_basis(self.ring, *_groebner(self.ring, self.generators, self.order))
         return self._gb
 
     def groebner(self):
@@ -738,6 +749,23 @@ class Ideal:
 
     def with_order(self, order):
         return Ideal(self.ring, self.generators, order=order)
+
+
+def _cached_basis(ring, packing, records):
+    """The `Ideal._gb` triple of a reduced basis: (packing, records, polynomials)."""
+    polys = []
+    for lt, tail in records:
+        terms = {packing.unpack(lt): 1}
+        terms.update(packing.unpack_terms(dict(tail)))
+        polys.append(_poly(ring, terms))
+    return packing, records, tuple(polys)
+
+
+def _extended(i: Ideal, generators) -> Ideal:
+    """i + (generators), its basis grown from the cached basis of i."""
+    out = Ideal(i.ring, i.generators + tuple(generators), order=i.order)
+    out._gb = _cached_basis(i.ring, *_groebner(i.ring, generators, i.order, i._basis()))
+    return out
 
 
 def groebner_basis(i: Ideal) -> Ideal:
@@ -858,25 +886,26 @@ def _poly_shift(a, k):
 
 
 def _monomial_numerator(gens, memo):
-    """Numerator of the Hilbert series of R/(monomial ideal) over (1-t)^n."""
+    """Numerator of the Hilbert series of R/(monomial ideal) over (1-t)^n.
+
+    With the generators sorted as g_1 .. g_r, N(g_1 .. g_j) is
+    N(g_1 .. g_(j-1)) - t^deg(g_j) N((g_1 .. g_(j-1)) : g_j). The chain of
+    prefixes is walked in a loop from the longest one already in the memo,
+    so only the colon ideals, which are smaller, are recursed into.
+    """
     gens = tuple(sorted(gens))
-    if gens in memo:
-        return memo[gens]
-    if not gens:
-        result = [1]
-    elif any(sum(g) == 0 for g in gens):
-        result = []
-    elif len(gens) == 1:
-        result = _poly_sub([1], _poly_shift([1], sum(gens[0])))
-    else:
-        rest = list(gens[:-1])
-        m = gens[-1]
-        colon = [tuple(max(x - y, 0) for x, y in zip(g, m)) for g in rest]
+    if any(sum(g) == 0 for g in gens):
+        return []
+    start = len(gens)
+    while start and gens[:start] not in memo:
+        start -= 1
+    result = memo[gens[:start]] if start else [1]
+    for j in range(start, len(gens)):
+        m = gens[j]
+        colon = [tuple(max(x - y, 0) for x, y in zip(g, m)) for g in gens[:j]]
         colon = _minimal((c, c) for c in colon)
-        n_rest = _monomial_numerator(tuple(rest), memo)
-        n_colon = _monomial_numerator(tuple(colon), memo)
-        result = _poly_sub(n_rest, _poly_shift(n_colon, sum(m)))
-    memo[gens] = result
+        result = _poly_sub(result, _poly_shift(_monomial_numerator(colon, memo), sum(m)))
+        memo[gens[: j + 1]] = result
     return result
 
 
@@ -924,14 +953,14 @@ def is_regular_sequence(elements, i: Ideal, degree_bound=12) -> bool:
     ring = i.ring
     elements = [ring.parse(f) if isinstance(f, str) else f for f in elements]
     _check_homogeneous(list(i.generators) + elements)
-    current = list(i.generators)
+    current = i
     n_prev = hilbert_numerator(i)
     for f in elements:
         if f.is_zero():
             return not n_prev  # 0 is regular only on the zero module
         e = f.degree()
-        current.append(f)
-        n_next = hilbert_numerator(Ideal(ring, current, order=i.order))
+        current = _extended(current, [f])
+        n_next = hilbert_numerator(current)
         expected = _poly_mul(n_prev, _poly_sub([1], _poly_shift([1], e)))
         top = max(len(n_next), len(expected))
         for d in range(min(degree_bound, top - 1) + 1):
@@ -961,19 +990,17 @@ def module_regular_sequence(i: Ideal, module_gens, elements) -> bool:
     _check_homogeneous(list(i.generators) + module_gens + elements)
     if not module_gens:
         return False  # zero module: nothing to certify
-    base = list(i.generators)
-    n_top = hilbert_numerator(Ideal(ring, base + module_gens, order=i.order))
+    n_top = hilbert_numerator(_extended(i, module_gens))
     n_prev = _poly_sub(hilbert_numerator(i), n_top)
     if not n_prev:
         return False  # module is zero
-    cut = []
+    cut = i
     for f in elements:
         if f.is_zero():
             return False
         e = f.degree()
-        cut.extend(f * g for g in module_gens)
-        n_k = hilbert_numerator(Ideal(ring, base + cut, order=i.order))
-        n_mod = _poly_sub(n_k, n_top)
+        cut = _extended(cut, [f * g for g in module_gens])
+        n_mod = _poly_sub(hilbert_numerator(cut), n_top)
         expected = _poly_mul(n_prev, _poly_sub([1], _poly_shift([1], e)))
         if n_mod != expected:
             return False

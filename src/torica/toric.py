@@ -4,7 +4,9 @@ Builds toric ideals as saturated lattice ideals from an integer matrix
 whose columns record the monomial substitution, and packages the specific
 rings used across the library: the base surface ring on six variables
 (A,B,C,X,Y,Z with A=xz, B=xz^2, C=x, X=yz, Y=yz^2, Z=y) and tensor-power
-products of it with polynomial variables.
+products of it with polynomial variables. A presentation builds its ideal
+(the saturation, or the shifted copies of a factor's ideal) on the first
+read of `ideal`, so constructing one computes no Groebner basis.
 """
 
 from __future__ import annotations
@@ -43,21 +45,43 @@ class MonomialMap:
 
 
 class ToricPresentation:
-    """A semigroup ring presented as F[variables]/lattice ideal."""
+    """A semigroup ring presented as F[variables]/lattice ideal.
 
-    __slots__ = ("map", "ideal", "semigroup", "_lift_cone", "_lift_weight", "_lift_memo")
+    The presentations built here saturate, or copy their factors' ideals,
+    only when `ideal` is first read, so a caller that only needs the map,
+    the ring or lattice-point lifts computes no Groebner basis.
+    """
+
+    __slots__ = (
+        "map", "semigroup", "_ring", "_ideal", "_build", "_lift_cone", "_lift_weight", "_lift_memo"
+    )
 
     def __init__(self, map: MonomialMap, ideal: Ideal, semigroup: Semigroup):
         self.map = map
-        self.ideal = ideal
         self.semigroup = semigroup
+        self._ring = ideal.ring
+        self._ideal = ideal
+        self._build = None
         self._lift_cone = None
         self._lift_weight = None
         self._lift_memo = None
 
+    @classmethod
+    def _deferred(cls, map: MonomialMap, ring: PolyRing, build, semigroup: Semigroup):
+        """The presentation whose ideal in `ring` is `build()`, called on its first read."""
+        pres = cls(map, Ideal(ring, []), semigroup)
+        pres._ideal, pres._build = None, build
+        return pres
+
+    @property
+    def ideal(self) -> Ideal:
+        if self._ideal is None:
+            self._ideal = self._build()
+        return self._ideal
+
     @property
     def ring(self) -> PolyRing:
-        return self.ideal.ring
+        return self._ring
 
     def __repr__(self):
         return (
@@ -148,26 +172,25 @@ def toric_ideal(map: MonomialMap, char) -> ToricPresentation:
 
     The lattice ideal of an HNF kernel basis is saturated at the product
     of all variables, which removes the dependence on the choice of
-    kernel basis.
+    kernel basis. The saturation runs when the presentation's ideal is
+    first read.
     """
     phi = map.phi
     if rank(phi) < phi.rows:
         raise InfiniteCokernel("the column lattice has infinite cokernel")
     ring = PolyRing(char, map.variable_names)
-    ker = kernel_basis(phi)
-    gens = [ring.binomial_from_vector(col) for col in ker.columns()]
-    if gens:
-        lattice_ideal = Ideal(ring, gens)
-        all_vars = ring.monomial((1,) * ring.nvars)
-        ideal = saturate(lattice_ideal, all_vars)
-    else:
-        ideal = Ideal(ring, [])
+
+    def build():
+        gens = [ring.binomial_from_vector(col) for col in kernel_basis(phi).columns()]
+        if not gens:
+            return Ideal(ring, [])
+        return saturate(Ideal(ring, gens), ring.monomial((1,) * ring.nvars))
+
     seen = []
     for col in phi.columns():
         if col not in seen:
             seen.append(col)
-    semigroup = Semigroup(phi.rows, seen)
-    return ToricPresentation(map, ideal, semigroup)
+    return ToricPresentation._deferred(map, ring, build, Semigroup(phi.rows, seen))
 
 
 def steinberg_monomial_map() -> MonomialMap:
@@ -214,7 +237,8 @@ def _power_presentation(base, k, s, char) -> ToricPresentation:
 
     Each copy gets its own block of lattice coordinates and of variables, so
     the base ideal is reused as it stands and never saturated again. `base`
-    is only read when k >= 1.
+    is only read when k >= 1, and its ideal only when the product's ideal
+    is first read.
     """
     base_dim = base.map.phi.rows if k else 0
     base_nvars = base.ring.nvars if k else 0
@@ -237,16 +261,18 @@ def _power_presentation(base, k, s, char) -> ToricPresentation:
     map = MonomialMap(IntMatrix.from_columns(columns, rows=dim), names)
 
     ring = PolyRing(char, names)
-    gens = []
-    for f in range(k):
-        offset = base_nvars * f
-        for g in base.ideal.generators:
-            shifted = {}
-            for exps, coeff in g.terms.items():
-                e = [0] * ring.nvars
-                e[offset : offset + base_nvars] = list(exps)
-                shifted[tuple(e)] = coeff
-            gens.append(ring.polynomial(shifted))
-    ideal = Ideal(ring, gens)
-    semigroup = Semigroup(dim, columns)
-    return ToricPresentation(map, ideal, semigroup)
+
+    def build():
+        gens = []
+        for f in range(k):
+            offset = base_nvars * f
+            for g in base.ideal.generators:
+                shifted = {}
+                for exps, coeff in g.terms.items():
+                    e = [0] * ring.nvars
+                    e[offset : offset + base_nvars] = list(exps)
+                    shifted[tuple(e)] = coeff
+                gens.append(ring.polynomial(shifted))
+        return Ideal(ring, gens)
+
+    return ToricPresentation._deferred(map, ring, build, Semigroup(dim, columns))

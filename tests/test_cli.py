@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -283,6 +284,15 @@ def test_verify_report(tmp_path, capsys):
     assert all(c["pass"] for c in data["checks"])
     on_disk = json.loads(report_file.read_text())
     assert on_disk == data
+
+
+def test_verify_reports_are_pinned(capsys):
+    """The default and the F_3 report equal the committed ones byte for byte."""
+    data = Path(__file__).parent / "data"
+    for argv, name in ((["verify", "--json"], "verify.json"), (["verify", "--field", "3"], "verify_field3.json")):
+        code, out, _err = run_cli(argv, capsys)
+        assert code == 0
+        assert out == (data / name).read_text(), name
 
 
 def test_verify_field_independence(capsys):

@@ -166,6 +166,21 @@ def test_product_duals_and_rays_match_recomputation():
     assert seen == {"empty", "pointed", "not pointed", "lower-dimensional"}
 
 
+def test_composed_double_dual_matches_recomputation():
+    """A dual's composed dual generators equal double description run on it afresh."""
+    rng = random.Random(83)
+    seen = []
+    for _ in range(400):
+        cone = _random_small_cone(rng)
+        fresh = Cone(cone.ambient_dim, cone.dual_generators()).dual_generators()
+        assert cone.dual().dual_generators() == fresh, cone
+        seen.append(_kinds(cone))
+    composed = [k for k in seen if "pointed" in k or "empty" in k]
+    assert len(composed) >= 300
+    assert any({"pointed", "lower-dimensional"} <= k for k in composed)
+    assert {"empty"} in seen
+
+
 def _pair(a, b):
     return sum(x * y for x, y in zip(a, b))
 

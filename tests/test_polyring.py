@@ -25,8 +25,9 @@ from torica import (
     quotient_dimension,
     saturate,
     standard_monomials,
+    steinberg_multiplicity,
 )
-from torica import polyring
+from torica import divisor, polyring
 from torica.cone import _minimal
 from torica.polyring import _add, _divides, _lcm, _normal_form, _sub
 
@@ -527,9 +528,8 @@ def _saturation_inputs(rng, cases):
     return out
 
 
-def test_groebner_records_match_reference_engine():
-    """Bases, leading exponents and normal forms equal the tuple engine's on seeded ideals."""
-    rng = random.Random(20405)
+def _reference_suite(rng):
+    """345 seeded ideals: 300 random ones in every order, the dense shapes, 40 saturations."""
     cases = []
     for _ in range(300):
         char = rng.choice((5, 7, 101, 32003))
@@ -538,7 +538,13 @@ def test_groebner_records_match_reference_engine():
         max_exp = 5 - nvars  # keeps lex bases in 4 variables small
         gens = [_random_polynomial(rng, ring, 3, max_exp) for _ in range(rng.randint(2, 4))]
         cases.append((ring, gens, rng.choice(("grevlex", "lex", ("elim", 1)))))
-    cases += _dense_shapes(rng) + _saturation_inputs(rng, 40)
+    return cases + _dense_shapes(rng) + _saturation_inputs(rng, 40)
+
+
+def test_groebner_records_match_reference_engine():
+    """Bases, leading exponents and normal forms equal the tuple engine's on seeded ideals."""
+    rng = random.Random(20405)
+    cases = _reference_suite(rng)
     seen = set()
     for case, (ring, gens, order) in enumerate(cases):
         seen.add(order)
@@ -554,3 +560,168 @@ def test_groebner_records_match_reference_engine():
             got = _normal_form(f, ideal.generators, order)
             assert got == _ref_normal_form(f, ideal.generators, key), (case, f)
     assert seen == {"grevlex", "lex", ("elim", 1)}
+
+
+def _basis_terms(ring, packing, records):
+    """Each reduced basis element as its (exponents, coefficient) items, in stored order."""
+    return [list(g.terms.items()) for g in polyring._cached_basis(ring, packing, records)[2]]
+
+
+def test_groebner_grown_from_a_known_basis_matches_from_scratch():
+    """Seeding with the basis of a prefix of the generators gives the same reduced basis."""
+    rng = random.Random(20406)
+    cases = _reference_suite(random.Random(20405))
+    seen = set()
+    for case, (ring, gens, order) in enumerate(cases):
+        seen.add(order)
+        gens = Ideal(ring, gens, order=order).generators
+        split = rng.randint(1, len(gens) - 1)
+        known = Ideal(ring, gens[:split], order=order)._basis()
+        grown = polyring._groebner(ring, gens[split:], order, known)
+        fresh = polyring._groebner(ring, gens, order)
+        assert _basis_terms(ring, *grown) == _basis_terms(ring, *fresh), (case, split, order)
+    assert seen == {"grevlex", "lex", ("elim", 1)}
+
+
+def test_known_basis_counts_toward_the_basis_budget(monkeypatch):
+    ring = PolyRing(101, ("x", "y", "z"))
+    known = Ideal(ring, ["x^2", "y^2", "z^2"])._basis()
+    monkeypatch.setattr(polyring, "_BASIS_BUDGET", 3)
+    with pytest.raises(BudgetExceeded) as info:
+        polyring._groebner(ring, [ring.parse("x*y")], "grevlex", known)
+    assert info.value.budget == 3
+
+
+def test_known_basis_in_narrower_fields_is_repacked():
+    """A new generator that outgrows the known basis's fields gets the known elements repacked."""
+    ring = PolyRing(101, ("x", "y", "z"))
+    known = Ideal(ring, ["x^2 - y*z", "y^3 - z^3"])._basis()
+    big = ring.parse("x^200*z - y^201")
+    grown = polyring._groebner(ring, [big], "grevlex", known)
+    assert grown[0].bits > known[0].bits
+    fresh = polyring._groebner(ring, list(known[2]) + [big], "grevlex")
+    assert _basis_terms(ring, *grown) == _basis_terms(ring, *fresh)
+
+
+# -- regular sequences from scratch, kept as a reference ----------------------
+#
+# Each step's basis computed from the raw generators of the step's ideal.
+
+
+def _scratch_is_regular_sequence(elements, i, degree_bound=12):
+    ring = i.ring
+    current = list(i.generators)
+    n_prev = hilbert_numerator(i)
+    for f in elements:
+        if f.is_zero():
+            return not n_prev
+        current.append(f)
+        n_next = hilbert_numerator(Ideal(ring, current, order=i.order))
+        expected = polyring._poly_mul(n_prev, polyring._poly_sub([1], [0] * f.degree() + [1]))
+        top = max(len(n_next), len(expected))
+        for d in range(min(degree_bound, top - 1) + 1):
+            got = n_next[d] if d < len(n_next) else 0
+            want = expected[d] if d < len(expected) else 0
+            if got != want:
+                return False
+        if max(polyring._support_degree(n_next), polyring._support_degree(expected)) > degree_bound:
+            raise InconclusiveAtBound("numerator support exceeds degree bound", degree_bound)
+        n_prev = n_next
+    return True
+
+
+def _scratch_module_regular_sequence(i, module_gens, elements):
+    ring = i.ring
+    if not module_gens:
+        return False
+    base = list(i.generators)
+    n_top = hilbert_numerator(Ideal(ring, base + list(module_gens), order=i.order))
+    n_prev = polyring._poly_sub(hilbert_numerator(i), n_top)
+    if not n_prev:
+        return False
+    cut = []
+    for f in elements:
+        if f.is_zero():
+            return False
+        cut.extend(f * g for g in module_gens)
+        n_k = hilbert_numerator(Ideal(ring, base + cut, order=i.order))
+        n_mod = polyring._poly_sub(n_k, n_top)
+        expected = polyring._poly_mul(n_prev, polyring._poly_sub([1], [0] * f.degree() + [1]))
+        if n_mod != expected:
+            return False
+        n_prev = n_mod
+    return True
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except InconclusiveAtBound as exc:
+        return ("inconclusive", exc.bound)
+
+
+def test_regular_sequences_on_the_scan_classes_match_from_scratch(monkeypatch):
+    """On all 31 classes of the surface's MCM scan, both certificates agree with the scratch route."""
+    v = divisor.steinberg_variety()
+    cg = v.class_group()
+    calls = []  # (presentation ideal, lifted module generators, parameter sequence) per class
+    monkeypatch.setattr(divisor, "module_regular_sequence", lambda *args: calls.append(args))
+    for k in range(-15, 16):
+        rep = cg.representative(divisor.DivisorClass(v, (k,)))
+        divisor.module_is_maximal_cohen_macaulay(v, divisor.module_generators(v, rep).generators)
+    monkeypatch.undo()
+    assert len(calls) == 31
+    certified = []
+    for k, (i, module, sequence) in zip(range(-15, 16), calls):
+        got = module_regular_sequence(i, module, sequence)
+        assert got == _scratch_module_regular_sequence(i, module, sequence), k
+        top = ideal_sum(i, Ideal(i.ring, module))
+        assert _outcome(is_regular_sequence, sequence, top) == _outcome(
+            _scratch_is_regular_sequence, sequence, top
+        ), k
+        if got:
+            certified.append(k)
+    assert certified == [-1, 0, 1, 2, 3]
+
+
+def _random_form(rng, ring, degree, terms=3):
+    """A homogeneous polynomial of the given degree with up to `terms` terms."""
+    out = {}
+    for _ in range(rng.randint(1, terms)):
+        cuts = sorted(rng.randint(0, degree) for _ in range(ring.nvars - 1))
+        out[tuple(b - a for a, b in zip([0] + cuts, cuts + [degree]))] = rng.randint(1, ring.char - 1)
+    return ring.polynomial(out)
+
+
+def test_regular_sequences_on_seeded_forms_match_from_scratch():
+    rng = random.Random(20407)
+    outcomes = set()
+    for case in range(120):
+        ring = PolyRing(rng.choice((5, 101, 32003)), tuple("wxyz"[: rng.randint(2, 4)]))
+        i = Ideal(ring, [_random_form(rng, ring, rng.randint(2, 3)) for _ in range(rng.randint(0, 2))])
+        elements = [_random_form(rng, ring, rng.randint(1, 2), 2) for _ in range(rng.randint(1, 3))]
+        got = _outcome(is_regular_sequence, elements, i, 6)
+        assert got == _outcome(_scratch_is_regular_sequence, elements, i, 6), (case, i, elements)
+        module = [_random_form(rng, ring, rng.randint(0, 1), 2) for _ in range(rng.randint(1, 2))]
+        got_module = module_regular_sequence(i, module, elements)
+        assert got_module == _scratch_module_regular_sequence(i, module, elements), (case, i, module)
+        outcomes |= {repr(got), repr(got_module)}
+    assert {"True", "False"} <= outcomes
+
+
+def test_surface_multiplicities_compute_no_groebner_basis(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Groebner basis was computed")
+
+    monkeypatch.setattr(polyring, "_groebner", refuse)
+    assert [steinberg_multiplicity(k, 0) for k in range(1, 6)] == [2, 4, 8, 16, 32]
+
+
+def test_hilbert_numerator_of_a_thousand_monomials_is_the_closed_form():
+    """The chain of 1,000 generators is walked without a RecursionError."""
+    ring = PolyRing(101, ("x", "y"))
+    ideal = ring.ideal([ring.monomial((i, 999 - i)) for i in range(1000)])
+    start = time.perf_counter()
+    numerator = hilbert_numerator(ideal)
+    assert time.perf_counter() - start <= 20.0
+    assert numerator == [1] + [0] * 998 + [-1000, 999]
