@@ -60,7 +60,7 @@ def main():
     elements = [ring.parse(s) for s in ("C", "Y", "B-Z")]
     print(
         "(C, Y, B - Z) is a regular sequence:",
-        is_regular_sequence(elements, pres.ideal, degree_bound=12),
+        is_regular_sequence(elements, pres.ideal),
     )
 
 

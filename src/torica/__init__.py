@@ -50,7 +50,6 @@ from .divisor import (
 )
 from .errors import (
     BudgetExceeded,
-    InconclusiveAtBound,
     InfiniteCokernel,
     NonUnique,
     NoSolution,

@@ -31,13 +31,11 @@ from .divisor import (
     TorusDivisor,
     trace_surjectivity_witness,
 )
-from .errors import BudgetExceeded, InconclusiveAtBound, NonUnique, ToricaError
+from .errors import BudgetExceeded, NonUnique, ToricaError
 from .polyring import (
-    INFINITE,
     Ideal,
     PolyRing,
     is_regular_sequence,
-    quotient_dimension,
     saturate,
     standard_monomials,
 )
@@ -46,7 +44,6 @@ from .verification import run_checks
 from .zlinalg import IntMatrix
 
 DEFAULT_FIELD = 101
-DEFAULT_DEGREE_BOUND = 12
 DEFAULT_WORKSPACE = "torica_workspace.json"
 FIELD_ENV_VAR = "TORICA_FIELD"
 WORKSPACE_ENV_VAR = "TORICA_WORKSPACE"
@@ -58,6 +55,13 @@ _AFFINE_BUILTIN = re.compile(r"^@A\^(\d+)$")
 
 class UsageError(Exception):
     """Bad invocation or unparseable input; maps to exit code 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors become USAGE error objects."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 # -- IO helpers --------------------------------------------------------------
@@ -286,11 +290,10 @@ def cmd_ideal(args):
         _emit(_ideal_to_json(saturate(ideal, ideal.ring.parse(args.at))), args)
     elif args.sub == "quotient-dim":
         ideal = _ideal_from_json(_load_json_arg(args.input, args), args)
-        dim = quotient_dimension(ideal)
         basis = standard_monomials(ideal)
         _emit(
             {
-                "dimension": "INFINITE" if dim == INFINITE else dim,
+                "dimension": "INFINITE" if basis is None else len(basis),
                 "standard_monomials": None
                 if basis is None
                 else [str(ideal.ring.monomial(e)) for e in basis],
@@ -300,15 +303,8 @@ def cmd_ideal(args):
     elif args.sub == "regular-seq":
         ideal = _ideal_from_json(_load_json_arg(args.input, args), args)
         elements = [ideal.ring.parse(e) for e in args.elements]
-        regular = is_regular_sequence(elements, ideal, degree_bound=args.degree_bound)
-        _emit(
-            {
-                "regular": regular,
-                "elements": [str(e) for e in elements],
-                "degree_bound": args.degree_bound,
-            },
-            args,
-        )
+        regular = is_regular_sequence(elements, ideal)
+        _emit({"regular": regular, "elements": [str(e) for e in elements]}, args)
     return 0
 
 
@@ -361,7 +357,7 @@ def cmd_verify(args):
     field = _resolve_field(args)
     if field == 2:
         raise UsageError("field 2 refused: the construction needs an odd prime")
-    report = run_checks(field=field, degree_bound=args.degree_bound)
+    report = run_checks(field=field)
     _emit(report, args)
     if args.report:
         _write_json(args.report, report)
@@ -394,15 +390,12 @@ def cmd_workspace(args):
 
 
 def _build_parser():
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--field", type=int, default=None, help="prime field characteristic")
-    common.add_argument(
-        "--degree-bound", type=int, default=DEFAULT_DEGREE_BOUND, dest="degree_bound"
-    )
     common.add_argument("--json", action="store_true", help="compact machine output")
     common.add_argument("--workspace", default=None, help="workspace JSON file path")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="torica",
         description="Exact computations on affine toric varieties.",
     )
@@ -489,8 +482,6 @@ def _error_json(code, err):
     body = {"code": code, "message": str(err)}
     if isinstance(err, NonUnique):
         body["count"] = err.count
-    if isinstance(err, InconclusiveAtBound):
-        body["bound"] = err.bound
     if isinstance(err, BudgetExceeded):
         body["budget"] = err.budget
     return {"error": body}
@@ -498,8 +489,8 @@ def _error_json(code, err):
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.handler(args)
     except ToricaError as err:
         print(json.dumps(_error_json(err.code, err), indent=2, sort_keys=True))

@@ -29,16 +29,6 @@ class NotHomogeneous(ToricaError):
     code = "NOT_HOMOGENEOUS"
 
 
-class InconclusiveAtBound(ToricaError):
-    """Degree-by-degree comparison ran out of budget before certifying."""
-
-    code = "INCONCLUSIVE"
-
-    def __init__(self, message, bound):
-        super().__init__(message)
-        self.bound = bound
-
-
 class InfiniteCokernel(ToricaError):
     """A monomial map whose cokernel is infinite where finiteness is required."""
 
@@ -71,8 +61,9 @@ class BudgetExceeded(ToricaError):
     """An enumeration or a computation would go past its documented budget.
 
     Raised before a lattice-point box of more than 10^6 points is scanned,
-    and when a Groebner basis computation reduces more than 5,000 S-pairs or
-    finds more than 1,000 elements. `budget` is the limit that tripped.
+    before more than 10^6 standard monomials are listed, and when a
+    Groebner basis computation reduces more than 5,000 S-pairs or finds
+    more than 1,000 elements. `budget` is the limit that tripped.
     """
 
     code = "BUDGET_EXCEEDED"

@@ -21,15 +21,18 @@ step's.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from math import comb
 
 from .cone import _minimal
-from .errors import BudgetExceeded, InconclusiveAtBound, NotHomogeneous
+from .errors import BudgetExceeded, NotHomogeneous
 
 INFINITE = float("inf")
 
-# Limits on one Groebner basis computation (docs/formats.md, "Error object").
+# Limits on one Groebner basis computation and on the standard monomials
+# listed for one ideal (docs/formats.md, "Error object").
 _PAIR_BUDGET = 5000
 _BASIS_BUDGET = 1000
+_MONOMIAL_BUDGET = 10**6
 
 
 def _is_prime(n):
@@ -818,9 +821,20 @@ def saturate(i: Ideal, f) -> Ideal:
 
 
 def quotient_dimension(i: Ideal):
-    """dim_F of ring/i as a vector space, or INFINITE."""
-    mono = standard_monomials(i)
-    return INFINITE if mono is None else len(mono)
+    """dim_F of ring/i as a vector space, or INFINITE, with nothing listed.
+
+    ring/i has the standard monomials as a basis, finitely many exactly
+    when a pure power of every variable is a leading exponent. Then the
+    Hilbert series N(t)/(1-t)^n of the leading-term ideal is a polynomial
+    Q(t), and the dimension is Q(1) = (-1)^n sum_k N_k C(k, n), from the
+    n-th derivative of N = (1-t)^n Q at t = 1.
+    """
+    n = i.ring.nvars
+    lead = i.leading_exponents()
+    if not all(any(sum(e) == e[v] for e in lead) for v in range(n)):
+        return INFINITE
+    numerator = _monomial_numerator(tuple(lead), {})
+    return (-1) ** n * sum(c * comb(k, n) for k, c in enumerate(numerator))
 
 
 def standard_monomials(i: Ideal):
@@ -830,15 +844,19 @@ def standard_monomials(i: Ideal):
     the first v + 1 variables is a standard one in the first v times a
     power of the next, and raising that power stops at the first multiple
     of a leading exponent, since the standard monomials are closed under
-    division. A pure power of every variable among the leading exponents
-    makes the set finite.
+    division. More than _MONOMIAL_BUDGET of them, counted first by
+    quotient_dimension, raise BudgetExceeded before any is listed.
     """
+    count = quotient_dimension(i)
+    if count == INFINITE:
+        return None
+    if count > _MONOMIAL_BUDGET:
+        raise BudgetExceeded(
+            f"quotient has {count} standard monomials, over its budget of {_MONOMIAL_BUDGET}",
+            _MONOMIAL_BUDGET,
+        )
     n = i.ring.nvars
     lead = i.leading_exponents()
-    if any(sum(e) == 0 for e in lead):
-        return []
-    if not all(any(sum(e) == e[v] for e in lead) for v in range(n)):
-        return None
     out = [(0,) * n]
     for v in range(n):
         grown = []
@@ -936,73 +954,43 @@ def _check_homogeneous(polys):
             raise NotHomogeneous(f"{f} is not homogeneous")
 
 
-def _support_degree(numerator):
-    return max((d for d, c in enumerate(numerator) if c), default=-1)
-
-
-def is_regular_sequence(elements, i: Ideal, degree_bound=12) -> bool:
-    """Regular-sequence test on ring/i, certified up to degree_bound.
-
-    Uses the Hilbert-series identity: a homogeneous f of degree e is a
-    nonzerodivisor on the graded quotient Q iff N(Q/f) = N(Q)*(1 - t^e).
-    Numerator coefficients are compared degree by degree. A mismatch
-    within the bound is a definite False; agreement is a certificate when
-    both numerators are supported within the bound, and otherwise raises
-    InconclusiveAtBound rather than guessing.
-    """
-    ring = i.ring
-    elements = [ring.parse(f) if isinstance(f, str) else f for f in elements]
-    _check_homogeneous(list(i.generators) + elements)
-    current = i
-    n_prev = hilbert_numerator(i)
-    for f in elements:
-        if f.is_zero():
-            return not n_prev  # 0 is regular only on the zero module
-        e = f.degree()
-        current = _extended(current, [f])
-        n_next = hilbert_numerator(current)
-        expected = _poly_mul(n_prev, _poly_sub([1], _poly_shift([1], e)))
-        top = max(len(n_next), len(expected))
-        for d in range(min(degree_bound, top - 1) + 1):
-            got = n_next[d] if d < len(n_next) else 0
-            want = expected[d] if d < len(expected) else 0
-            if got != want:
-                return False
-        if max(_support_degree(n_next), _support_degree(expected)) > degree_bound:
-            raise InconclusiveAtBound(
-                f"numerator support exceeds degree bound {degree_bound}", degree_bound
-            )
-        n_prev = n_next
-    return True
+def is_regular_sequence(elements, i: Ideal) -> bool:
+    """Regular-sequence test on ring/i: module_regular_sequence on (1 + i)/i."""
+    return module_regular_sequence(i, [i.ring.one()], elements)
 
 
 def module_regular_sequence(i: Ideal, module_gens, elements) -> bool:
-    """Regular-sequence test for elements acting on the module (J+i)/i.
+    """Regular-sequence test for elements acting on the module M = (J+i)/i.
 
     J is the ideal generated by `module_gens`. Successive quotients
     M/(f_1..f_j)M = (J+i)/(i + f_1 J + .. + f_j J) have Hilbert series
-    HS(R/(i + sum f_a J)) - HS(R/(i+J)), and each step is certified by
-    the same numerator identity as is_regular_sequence.
+    HS(R/(i + sum f_a J)) - HS(R/(i+J)). A homogeneous f of degree e is a
+    nonzerodivisor on a graded quotient Q iff N(Q/fQ) = N(Q)*(1 - t^e), and
+    both numerators are exact integer polynomials, so each step compares
+    them whole. As in Bruns & Herzog, Def. 1.1.1, a sequence is regular
+    only on a nonzero module. One memo of monomial numerators serves every
+    step, since each step's leading-term ideal contains the previous one's.
     """
     ring = i.ring
     module_gens = [ring.parse(g) if isinstance(g, str) else g for g in module_gens]
     elements = [ring.parse(f) if isinstance(f, str) else f for f in elements]
     _check_homogeneous(list(i.generators) + module_gens + elements)
-    if not module_gens:
-        return False  # zero module: nothing to certify
-    n_top = hilbert_numerator(_extended(i, module_gens))
-    n_prev = _poly_sub(hilbert_numerator(i), n_top)
+    memo = {}
+
+    def numerator(ideal):
+        return _monomial_numerator(tuple(ideal.leading_exponents()), memo)
+
+    n_top = numerator(_extended(i, module_gens))
+    n_prev = _poly_sub(numerator(i), n_top)
     if not n_prev:
-        return False  # module is zero
+        return False  # the zero module
     cut = i
     for f in elements:
         if f.is_zero():
             return False
-        e = f.degree()
         cut = _extended(cut, [f * g for g in module_gens])
-        n_mod = _poly_sub(hilbert_numerator(cut), n_top)
-        expected = _poly_mul(n_prev, _poly_sub([1], _poly_shift([1], e)))
-        if n_mod != expected:
+        n_mod = _poly_sub(numerator(cut), n_top)
+        if n_mod != _poly_mul(n_prev, _poly_sub([1], _poly_shift([1], f.degree()))):
             return False
         n_prev = n_mod
     return True

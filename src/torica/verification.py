@@ -47,7 +47,7 @@ from .toric import (
 )
 from .zlinalg import IntMatrix, kernel_basis
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 _CHECKS = []
 
@@ -72,9 +72,8 @@ def _jsonable(value):
 class _Context:
     """Shared lazily-built objects so checks do not rebuild the same rings."""
 
-    def __init__(self, field, degree_bound):
+    def __init__(self, field):
         self.field = field
-        self.degree_bound = degree_bound
         self._surface = None
         self._presentation = None
 
@@ -283,7 +282,7 @@ def check_parameter_sequence_regular(ctx):
     pres = ctx.presentation
     ring = pres.ring
     elems = [ring.parse("C"), ring.parse("Y"), ring.parse("B-Z")]
-    got = is_regular_sequence(elems, pres.ideal, degree_bound=ctx.degree_bound)
+    got = is_regular_sequence(elems, pres.ideal)
     return True, got
 
 
@@ -350,12 +349,12 @@ def check_ids():
     return [name for name, _ in _CHECKS]
 
 
-def run_checks(field=101, degree_bound=12):
+def run_checks(field=101):
     """Run every named check; returns the versioned report dictionary."""
     field = int(field)
     if field == 2:
         raise ValueError("characteristic 2 is refused: the construction needs an odd prime")
-    ctx = _Context(field, int(degree_bound))
+    ctx = _Context(field)
     entries = []
     for name, fn in _CHECKS:
         try:
@@ -379,7 +378,6 @@ def run_checks(field=101, degree_bound=12):
     return {
         "report_version": REPORT_VERSION,
         "field": field,
-        "degree_bound": int(degree_bound),
         "total": len(entries),
         "passed": sum(1 for e in entries if e["pass"]),
         "all_pass": all(e["pass"] for e in entries),

@@ -145,23 +145,34 @@ def test_ideal_regular_seq(tmp_path, capsys):
     data = out_json(
         ["ideal", "regular-seq", ideal_file, "--elements", "C", "Y", "B-Z"], capsys
     )
-    assert data == {"regular": True, "elements": ["C", "Y", "B - Z"], "degree_bound": 12}
+    assert data == {"regular": True, "elements": ["C", "Y", "B - Z"]}
 
 
-def test_ideal_regular_seq_inconclusive_exits_one(tmp_path, capsys):
+def test_ideal_regular_seq_certifies_past_degree_three(tmp_path, capsys):
     doc = {"field": 101, "variables": ["x", "y"], "generators": []}
     ideal_file = write_json(tmp_path / "zero.json", doc)
-    code, out, _ = run_cli(
-        [
-            "ideal", "regular-seq", ideal_file,
-            "--elements", "x^4 + y^4",
-            "--degree-bound", "3",
-        ],
-        capsys,
-    )
-    assert code == 1
-    error = json.loads(out)["error"]
-    assert error["code"] == "INCONCLUSIVE" and error["bound"] == 3
+    argv = ["ideal", "regular-seq", ideal_file, "--elements", "x^4 + y^4", "y"]
+    assert out_json(argv, capsys) == {"regular": True, "elements": ["x^4 + y^4", "y"]}
+
+
+def test_degree_bound_option_is_a_usage_error(tmp_path, capsys):
+    doc = {"field": 101, "variables": ["x", "y"], "generators": []}
+    ideal_file = write_json(tmp_path / "zero.json", doc)
+    argv = ["ideal", "regular-seq", ideal_file, "--elements", "x^4 + y^4", "--degree-bound", "3"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["code"] == "USAGE"
+    assert "--degree-bound" in error["message"]
+
+
+def test_ideal_quotient_dim_over_budget_exits_one(tmp_path, capsys):
+    doc = {"field": 101, "variables": ["x", "y", "z"], "generators": ["x^1000", "y^1000", "z^1000"]}
+    ideal_file = write_json(tmp_path / "cube.json", doc)
+    data = out_json(["ideal", "quotient-dim", ideal_file], capsys, expect_code=1)
+    assert data["error"]["code"] == "BUDGET_EXCEEDED"
+    assert data["error"]["budget"] == 10**6
+    assert "1000000000 standard monomials" in data["error"]["message"]
 
 
 def test_div_class_group_builtins(capsys):
@@ -278,7 +289,8 @@ def test_ideal_groebner_over_budget_exits_one(tmp_path, monkeypatch, capsys):
 def test_verify_report(tmp_path, capsys):
     report_file = tmp_path / "report.json"
     data = out_json(["verify", "--report", str(report_file), "--json"], capsys)
-    assert data["report_version"] == 1
+    assert data["report_version"] == 2
+    assert "degree_bound" not in data
     assert data["all_pass"] is True
     assert data["total"] >= 15
     assert all(c["pass"] for c in data["checks"])

@@ -11,7 +11,6 @@ from torica import (
     INFINITE,
     BudgetExceeded,
     Ideal,
-    InconclusiveAtBound,
     NotHomogeneous,
     PolyRing,
     groebner_basis,
@@ -201,6 +200,7 @@ def test_staircase_walk_matches_box_scan():
         ideal = ring.ideal(gens)
         expected = _box_standard_monomials(ideal)
         assert standard_monomials(ideal) == expected
+        assert quotient_dimension(ideal) == (INFINITE if expected is None else len(expected))
         finite += expected is not None and len(expected) > 1
     assert finite >= 60
 
@@ -215,6 +215,25 @@ def test_staircase_of_a_thin_ideal_is_fast():
     assert time.perf_counter() - start < 5.0
     assert len(monomials) == quotient_dimension(ideal) == 3 * n - 2
     assert monomials[:4] == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)]
+
+
+def test_standard_monomials_over_budget_are_counted_not_listed(monkeypatch):
+    ring = PolyRing(101, ("x", "y", "z"))
+    ideal = ring.ideal(["x^1000", "y^1000", "z^1000"])
+    start = time.perf_counter()
+    assert quotient_dimension(ideal) == 10**9
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(BudgetExceeded) as info:
+        standard_monomials(ideal)
+    assert info.value.budget == 10**6
+    assert "quotient has 1000000000 standard monomials" in str(info.value)
+    # the budget is inclusive: (x^2, y^3) has 6 standard monomials
+    box = PolyRing(101, ("x", "y")).ideal(["x^2", "y^3"])
+    monkeypatch.setattr(polyring, "_MONOMIAL_BUDGET", 6)
+    assert len(standard_monomials(box)) == 6
+    monkeypatch.setattr(polyring, "_MONOMIAL_BUDGET", 5)
+    with pytest.raises(BudgetExceeded):
+        standard_monomials(box)
 
 
 def test_hilbert_numerator_complete_intersection():
@@ -286,16 +305,23 @@ def test_is_regular_sequence_on_quotient():
     assert is_regular_sequence([ring.parse("x + y")], ideal)
 
 
-def test_is_regular_sequence_degree_bound():
+def test_is_regular_sequence_compares_whole_numerators():
     ring = PolyRing(101, ("x", "y"))
     cut = ring.parse("x^4 + y^4")
-    # the first step numerator already reaches degree 4, beyond a bound of 3
-    with pytest.raises(InconclusiveAtBound) as excinfo:
-        is_regular_sequence([cut, ring.parse("y")], ring.ideal([]), degree_bound=3)
-    assert excinfo.value.bound == 3
-    assert is_regular_sequence([cut, ring.parse("y")], ring.ideal([]), degree_bound=5)
-    # a mismatch inside the bound is a definite no even if support goes past it
-    assert not is_regular_sequence([cut, cut], ring.ideal([]), degree_bound=4)
+    # numerators 1 - t^4 and (1 - t^4)(1 - t) reach past degree 3
+    assert is_regular_sequence([cut, ring.parse("y")], ring.ideal([]))
+    # (1 - t^4)^2 and 1 - t^4 first differ in degree 4
+    assert not is_regular_sequence([cut, cut], ring.ideal([]))
+
+
+def test_zero_ring_has_no_regular_sequence():
+    """A sequence is regular only on a nonzero module (Bruns & Herzog, Def. 1.1.1)."""
+    ring = PolyRing(101, ("x", "y"))
+    unit = ring.ideal(["1"])
+    for elements in ([ring.parse("x")], [ring.zero()], []):
+        assert not is_regular_sequence(elements, unit)
+        assert not module_regular_sequence(unit, [ring.one()], elements)
+        assert not module_regular_sequence(ring.ideal([]), [], elements)
 
 
 def test_module_regular_sequence_free_module():
@@ -608,24 +634,20 @@ def test_known_basis_in_narrower_fields_is_repacked():
 # Each step's basis computed from the raw generators of the step's ideal.
 
 
-def _scratch_is_regular_sequence(elements, i, degree_bound=12):
+def _scratch_is_regular_sequence(elements, i):
     ring = i.ring
     current = list(i.generators)
     n_prev = hilbert_numerator(i)
+    if not n_prev:
+        return False
     for f in elements:
         if f.is_zero():
-            return not n_prev
+            return False
         current.append(f)
         n_next = hilbert_numerator(Ideal(ring, current, order=i.order))
         expected = polyring._poly_mul(n_prev, polyring._poly_sub([1], [0] * f.degree() + [1]))
-        top = max(len(n_next), len(expected))
-        for d in range(min(degree_bound, top - 1) + 1):
-            got = n_next[d] if d < len(n_next) else 0
-            want = expected[d] if d < len(expected) else 0
-            if got != want:
-                return False
-        if max(polyring._support_degree(n_next), polyring._support_degree(expected)) > degree_bound:
-            raise InconclusiveAtBound("numerator support exceeds degree bound", degree_bound)
+        if n_next != expected:
+            return False
         n_prev = n_next
     return True
 
@@ -653,13 +675,6 @@ def _scratch_module_regular_sequence(i, module_gens, elements):
     return True
 
 
-def _outcome(call, *args):
-    try:
-        return call(*args)
-    except InconclusiveAtBound as exc:
-        return ("inconclusive", exc.bound)
-
-
 def test_regular_sequences_on_the_scan_classes_match_from_scratch(monkeypatch):
     """On all 31 classes of the surface's MCM scan, both certificates agree with the scratch route."""
     v = divisor.steinberg_variety()
@@ -676,9 +691,7 @@ def test_regular_sequences_on_the_scan_classes_match_from_scratch(monkeypatch):
         got = module_regular_sequence(i, module, sequence)
         assert got == _scratch_module_regular_sequence(i, module, sequence), k
         top = ideal_sum(i, Ideal(i.ring, module))
-        assert _outcome(is_regular_sequence, sequence, top) == _outcome(
-            _scratch_is_regular_sequence, sequence, top
-        ), k
+        assert is_regular_sequence(sequence, top) == _scratch_is_regular_sequence(sequence, top), k
         if got:
             certified.append(k)
     assert certified == [-1, 0, 1, 2, 3]
@@ -700,8 +713,8 @@ def test_regular_sequences_on_seeded_forms_match_from_scratch():
         ring = PolyRing(rng.choice((5, 101, 32003)), tuple("wxyz"[: rng.randint(2, 4)]))
         i = Ideal(ring, [_random_form(rng, ring, rng.randint(2, 3)) for _ in range(rng.randint(0, 2))])
         elements = [_random_form(rng, ring, rng.randint(1, 2), 2) for _ in range(rng.randint(1, 3))]
-        got = _outcome(is_regular_sequence, elements, i, 6)
-        assert got == _outcome(_scratch_is_regular_sequence, elements, i, 6), (case, i, elements)
+        got = is_regular_sequence(elements, i)
+        assert got == _scratch_is_regular_sequence(elements, i), (case, i, elements)
         module = [_random_form(rng, ring, rng.randint(0, 1), 2) for _ in range(rng.randint(1, 2))]
         got_module = module_regular_sequence(i, module, elements)
         assert got_module == _scratch_module_regular_sequence(i, module, elements), (case, i, module)

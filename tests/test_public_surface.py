@@ -11,7 +11,7 @@ import torica
 
 PUBLIC_NAMES = [
     "BudgetExceeded", "ClassGroup", "Cone", "DivisorClass", "DivisorialModule", "INFINITE",
-    "Ideal", "InconclusiveAtBound", "InfiniteCokernel", "IntMatrix", "LineBundleOnP1Product",
+    "Ideal", "InfiniteCokernel", "IntMatrix", "LineBundleOnP1Product",
     "MonomialMap", "NoSolution", "NonUnique", "NotHomogeneous", "NotPointed",
     "NotStronglyConvex", "PHI_COLUMNS", "PolyRing", "Polynomial", "Semigroup",
     "SmithDecomposition", "ToricPresentation", "ToricVariety", "ToricaError", "TorusDivisor",
