@@ -95,7 +95,8 @@ def _pulling(face, facet_masks, dim):
 def _parallelepiped(gens, heights=None):
     """(N, points) for the lattice points sum(l_i g_i), l in [0, 1)^r, of independent gens.
 
-    With T @ G^T == H (`_echelon`), the point c·G / N, c in [0, N)^r, is in
+    With H the Hermite form `_echelon` gives of G^T, so T @ G^T == H for a
+    unimodular T that is not needed, the point c·G / N, c in [0, N)^r, is in
     Z^d exactly when H @ c == 0 mod N, where N = prod h_ii counts the points.
     H is upper triangular, so c is solved for from its last coordinate to
     its first, each from one congruence h_ii c_i == -sum_{k>i} h_ik c_k

@@ -17,7 +17,12 @@ the parallelepipeds of a triangulation of that cone
 
 Ring presentations build their ideals when first read, so class groups,
 module generators and multiplicities compute no Groebner basis; only the
-Cohen-Macaulay certificates, which work in the presentation ring, do.
+Cohen-Macaulay certificates, which work in the presentation ring, do. The
+MCM scan first refutes what it can without them: on a 3-dimensional cone a
+lattice point whose satisfied rays are not one arc of the facet cycle is a
+degree where local cohomology below the top does not vanish
+(`_local_cohomology_witness`), found in a region of the same form as a
+divisor's. Only the classes without such a witness are certified.
 """
 
 from __future__ import annotations
@@ -34,10 +39,10 @@ from .cone import (
     _minimal,
     _simplicial_points,
 )
-from .errors import NonUnique, NoSolution, VarietyMismatch
+from .errors import BudgetExceeded, NonUnique, NoSolution, VarietyMismatch
 from .polyring import _add, _sub, module_regular_sequence
 from .toric import PHI_COLUMNS, _power_presentation, steinberg_ring_mod_l
-from .zlinalg import IntMatrix, _int_tuple, invert_unimodular, smith_normal_form
+from .zlinalg import IntMatrix, _int_tuple, invert_unimodular, rank, smith_normal_form
 
 
 class ToricVariety:
@@ -623,6 +628,59 @@ def module_is_maximal_cohen_macaulay(v: ToricVariety, gens, sequence=None) -> bo
     return module_regular_sequence(pres.ideal, module_gens, sequence)
 
 
+def _is_arc(subset, facets):
+    """Whether the rays in the bit mask `subset` form one arc of the facet cycle.
+
+    `facets` holds each facet's pair of rays as a bit mask. The facets
+    inside a proper subset form a union of paths, one path exactly when
+    there is one facet fewer than rays; then Γ is acyclic.
+    """
+    return sum(f & subset == f for f in facets) == subset.bit_count() - 1
+
+
+def _local_cohomology_witness(v: ToricVariety, d: TorusDivisor):
+    """A degree m where H^2 of O(D) is nonzero, which refutes that O(D) is MCM, or None.
+
+    By the Ishida complex (Bruns & Herzog, Cohen-Macaulay Rings, 6.2;
+    Stanley, Invent. Math. 68, 1982), local cohomology H^i of O(D) in
+    degree m is the reduced homology H_(d-1-i) of Γ_m, the faces of the
+    cone whose rays all satisfy <m, u> + a >= 0. On a 3-dimensional cone
+    the rays and facets form a cycle, so for a nonempty proper set S of
+    satisfied rays Γ_m is acyclic exactly when S is an arc, and otherwise
+    H_0 != 0. For each other S the region {<m, u_i> + a_i >= 0 for i in S,
+    <= -1 otherwise} is searched for a lattice point, among its integral
+    vertices and the height-1 points of its cone's parallelepipeds, as for
+    module generators. The answer is None when O(D) is MCM, and also off
+    dimension 3 or when a search would exceed the parallelepiped budget.
+    """
+    if v.cone.ambient_dim != 3:
+        return None
+    rays = v.rays
+    facets = [
+        sum(1 << i for i, u in enumerate(rays) if _dot(n, u) == 0) for n in v.dual_cone.rays()
+    ]
+    for subset in range(1, (1 << len(rays)) - 1):
+        if _is_arc(subset, facets):
+            continue
+        inside = [subset >> i & 1 for i in range(len(rays))]
+        signed = [u if keep else tuple(-x for x in u) for u, keep in zip(rays, inside)]
+        coeffs = [a if keep else -a - 1 for a, keep in zip(d.coeffs, inside)]
+        rows, hom = _region_cone(signed, coeffs)
+        heights = [r[-1] for r in hom]
+        if not any(heights):
+            continue
+        vertex = next((r for r in hom if r[-1] == 1), None)
+        if vertex is not None:
+            return vertex[:-1]
+        try:
+            points = _simplicial_points(hom, rows, rank(IntMatrix(hom)), heights)
+        except BudgetExceeded:
+            return None
+        if points:
+            return points[0][:-1]
+    return None
+
+
 def enumerate_mcm_rank_one_candidates(
     v: ToricVariety, gen_bound=4, scan_window=10, band=5, sequence=None
 ):
@@ -630,8 +688,11 @@ def enumerate_mcm_rank_one_candidates(
 
     Returns (class, generator count) for every class whose module has at
     most gen_bound minimal generators AND whose parameter sequence is
-    certified regular on it. The extra band beyond the window guards the
-    claim that nothing new appears just outside the scanned range.
+    certified regular on it. A class with a local-cohomology witness degree
+    (`_local_cohomology_witness`) is refuted by it, and only the classes
+    without one go to the regular-sequence certificate, so every class
+    returned is still certified. The extra band beyond the window guards
+    the claim that nothing new appears just outside the scanned range.
     """
     cg = v.class_group()
     if cg.free_rank != 1 or cg.torsion:
@@ -641,7 +702,7 @@ def enumerate_mcm_rank_one_candidates(
         cls = DivisorClass(v, (k,))
         rep = cg.representative(cls)
         gens = module_generators(v, rep).generators
-        if len(gens) > gen_bound:
+        if len(gens) > gen_bound or _local_cohomology_witness(v, rep) is not None:
             continue
         if module_is_maximal_cohen_macaulay(v, gens, sequence=sequence):
             results.append((cls, len(gens)))

@@ -797,7 +797,13 @@ def ideal_sum(i: Ideal, j: Ideal) -> Ideal:
 
 
 def saturate(i: Ideal, f) -> Ideal:
-    """(i : f^infinity), computed with one extra elimination variable."""
+    """(i : f^infinity), computed with one extra elimination variable.
+
+    The t-free elements of the reduced basis in the ("elim", 1) order are
+    the reduced basis of the saturation in the order that order induces on
+    the remaining variables, which is grevlex. So a grevlex result keeps
+    them as its cached basis, and no second Buchberger runs on them.
+    """
     ring = i.ring
     if isinstance(f, str):
         f = ring.parse(f)
@@ -817,7 +823,15 @@ def saturate(i: Ideal, f) -> Ideal:
     for g in elim.groebner():
         if all(e[0] == 0 for e in g.terms):
             kept.append(Polynomial(ring, {e[1:]: c for e, c in g.terms.items()}))
-    return Ideal(ring, kept, order=i.order)
+    out = Ideal(ring, kept, order=i.order)
+    if i.order == "grevlex":
+
+        def run(packing):
+            records = (_monic(packing.pack_terms(g.terms), ring.char) for g in kept)
+            return packing, tuple(sorted(records))
+
+        out._gb = _cached_basis(ring, *_widening(i.order, ring.nvars, [g.terms for g in kept], run))
+    return out
 
 
 def quotient_dimension(i: Ideal):

@@ -1,14 +1,18 @@
 """Exact linear algebra over the integers.
 
-One Hermite elimination, `_echelon`, tracks its unimodular transform T with
-T @ A == H (Cohen, GTM 138, section 2.4). Hermite forms, rank, kernels,
-determinants, rational solves and unimodular inverses are all read off
-(H, T). `smith_normal_form` has no elimination of its own: it alternates
-`_echelon` on the rows and on the columns. Its U is not canonical, and
-class coordinates are read off it, so a change to how the passes run
-changes the documented coordinates of classes with free rank >= 2 or with
-torsion. Everything runs on Python ints, so nothing ever overflows;
-back-substitution uses fractions.Fraction.
+One Hermite elimination, `_echelon`, brings the leading columns of the rows
+it is given to Hermite form (Cohen, GTM 138, section 2.4) and applies the
+same row operations to the rest of each row; it tracks no transform. A
+caller that needs the transform T with T @ A == H appends the identity
+itself and reads T off the extra columns; `solve_rational` appends only its
+right-hand side. Hermite forms, rank, kernels, determinants, rational
+solves and unimodular inverses are all read off it. `smith_normal_form`
+has no elimination of its own: it alternates `_echelon` on the rows and
+on the columns. Its U is not canonical, and class coordinates are read
+off it, so a change to how the passes run changes the documented
+coordinates of classes with free rank >= 2 or with torsion. Everything
+runs on Python ints, so nothing ever overflows; back-substitution uses
+fractions.Fraction.
 """
 
 from __future__ import annotations
@@ -162,8 +166,8 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     right = [[int(i == j) for j in range(n)] for i in range(n)]
     flipped = False  # True while d holds D^T, left V^T and right U
     while True:
-        d, t, _, _ = _echelon([list(x) + y for x, y in zip(d, left)], n)
-        left = [row[:m] for row in t]
+        h, _, _ = _echelon([list(x) + y for x, y in zip(d, left)], n)
+        d, left = [row[:n] for row in h], [row[n:] for row in h]
         if not any(x for i, row in enumerate(d) for j, x in enumerate(row) if i != j):
             factors = [d[i][i] for i in range(min(m, n))]
             k = next((k for k, f in enumerate(factors[:-1]) if f and factors[k + 1] % f), None)
@@ -182,15 +186,16 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
 
 
 def _echelon(rows, ncols):
-    """Hermite elimination of the rows of A, tracking the transform.
+    """Hermite elimination of the first `ncols` columns of the rows.
 
-    Returns (H, T, rank, sign) with T unimodular and T @ A == H. H is the
-    row-style Hermite form with its zero rows last; sign is det(T), which
-    each row swap and each negation flips.
+    Returns (H, rank, sign). H holds the rows after the elimination, each
+    as long as it was given: its first `ncols` columns are the row-style
+    Hermite form with its zero rows last, and every further column has
+    undergone the same row operations, so T @ [A | B] == [H_A | T @ B] for a
+    unimodular T. sign is det(T), which each row swap and each negation flips.
     """
     m = len(rows)
-    # rows of [A | I]: the operations that bring A to H build T on the right
-    h = [list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(rows)]
+    h = [list(row) for row in rows]
     sign = 1
     r = 0
     for col in range(ncols):
@@ -220,7 +225,13 @@ def _echelon(rows, ncols):
             if q:
                 h[i] = [x - q * y for x, y in zip(h[i], h[r])]
         r += 1
-    return [row[:ncols] for row in h], [row[ncols:] for row in h], r, sign
+    return h, r, sign
+
+
+def _with_identity(rows):
+    """The rows of [A | I], whose extra columns `_echelon` turns into its transform T."""
+    m = len(rows)
+    return [list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(rows)]
 
 
 def hermite_normal_form(a: IntMatrix) -> IntMatrix:
@@ -230,7 +241,7 @@ def hermite_normal_form(a: IntMatrix) -> IntMatrix:
     above a pivot lie in [0, pivot). Zero rows are dropped, so the result
     is the canonical basis of the row lattice.
     """
-    h, _, r, _ = _echelon(a.entries, a.cols)
+    h, r, _ = _echelon(a.entries, a.cols)
     return IntMatrix(h[:r], cols=a.cols)
 
 
@@ -250,18 +261,19 @@ def lattice_member(hnf: IntMatrix, vec) -> bool:
 
 
 def rank(a: IntMatrix) -> int:
-    return _echelon(a.entries, a.cols)[2]
+    return _echelon(a.entries, a.cols)[1]
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:
     """Basis for {x : A x = 0}, as the columns of the returned matrix.
 
-    The rows of T that sit on zero rows of the echelon form T @ A^T span
-    the full (saturated) kernel lattice, since T is unimodular. They are
-    normalized by Hermite reduction, so equal kernels give equal matrices.
+    The rows of T that sit on zero rows of the echelon form T @ A^T, read
+    off the identity appended to A^T, span the full (saturated) kernel
+    lattice, since T is unimodular. They are normalized by Hermite
+    reduction, so equal kernels give equal matrices.
     """
-    _, t, r, _ = _echelon(a.transpose().entries, a.rows)
-    reduced = hermite_normal_form(IntMatrix(t[r:], cols=a.cols))
+    h, r, _ = _echelon(_with_identity(a.transpose().entries), a.rows)
+    reduced = hermite_normal_form(IntMatrix([row[a.rows :] for row in h[r:]], cols=a.cols))
     return IntMatrix.from_columns(reduced.entries, rows=a.cols)
 
 
@@ -278,7 +290,7 @@ def det(a: IntMatrix) -> int:
     """Determinant: det(T) times the diagonal of the Hermite form H = T @ A."""
     if a.rows != a.cols:
         raise ValueError("determinant of a non-square matrix")
-    h, _, _, sign = _echelon(a.entries, a.cols)
+    h, _, sign = _echelon(a.entries, a.cols)
     return sign * prod(row[i] for i, row in enumerate(h))  # a zero row when singular
 
 
@@ -286,17 +298,18 @@ def solve_rational(a: IntMatrix, rhs):
     """Unique rational solution of A x = rhs, or None.
 
     Returns None when the system is singular (no unique solution) or
-    inconsistent. With T @ A == H, a unique solution needs rank == cols and
+    inconsistent. The rows of [A | rhs] go through `_echelon`, which leaves
+    [H | T rhs] with T @ A == H. A unique solution needs rank == cols and
     (T rhs)[cols:] == 0; it is then back-substituted on H.
     """
     rhs = [Fraction(b) for b in rhs]
     if len(rhs) != a.rows:
         raise ValueError("right-hand side length does not match the rows")
     n = a.cols
-    h, t, r, _ = _echelon(a.entries, n)
+    h, r, _ = _echelon([list(row) + [b] for row, b in zip(a.entries, rhs)], n)
     if r < n:
         return None
-    c = [sum(x * b for x, b in zip(row, rhs)) for row in t]
+    c = [row[n] for row in h]
     if any(c[n:]):
         return None
     sol = [Fraction(0)] * n
@@ -306,11 +319,14 @@ def solve_rational(a: IntMatrix, rhs):
 
 
 def invert_unimodular(a: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular integer matrix: T, once T @ A is the identity."""
+    """Exact inverse of a unimodular integer matrix: T, once T @ A is the identity.
+
+    T is read off the identity appended to A.
+    """
     n = a.rows
     if a.cols != n:
         raise ValueError("not square")
-    h, t, _, _ = _echelon(a.entries, n)
-    if h != [[int(i == j) for j in range(n)] for i in range(n)]:
+    h, _, _ = _echelon(_with_identity(a.entries), n)
+    if [row[:n] for row in h] != [[int(i == j) for j in range(n)] for i in range(n)]:
         raise ValueError("matrix is not unimodular")
-    return IntMatrix(t, cols=n)
+    return IntMatrix([row[n:] for row in h], cols=n)

@@ -714,6 +714,126 @@ def test_mcm_certificate_accepts_ring_and_canonical(surface):
         assert module_is_maximal_cohen_macaulay(surface, gens)
 
 
+def _gamma_disconnected(v, d, m):
+    """Whether m's satisfied rays form a nonempty proper set that the facets leave disconnected.
+
+    The facets are read off the cone's dual generators, and connectivity
+    is found by a walk along them, not by counting.
+    """
+    rays = v.rays
+    sat = {i for i, (u, a) in enumerate(zip(rays, d.coeffs)) if _dot(m, u) + a >= 0}
+    if not sat or len(sat) == len(rays):
+        return False
+    edges = [
+        {i for i, u in enumerate(rays) if _dot(n, u) == 0} for n in v.cone.dual_generators()
+    ]
+    seen, todo = set(), [min(sat)]
+    while todo:
+        i = todo.pop()
+        if i not in seen:
+            seen.add(i)
+            todo.extend(j for e in edges if i in e and e <= sat for j in e)
+    return seen != sat
+
+
+def _witness_disagreements(v, certified):
+    """Classes k where witness and certificate disagree, or the witness fails its direct check."""
+    cg = class_group(v)
+    wrong = []
+    for k, is_mcm in certified.items():
+        rep = cg.representative(DivisorClass(v, (k,)))
+        m = torica.divisor._local_cohomology_witness(v, rep)
+        if (m is None) != is_mcm or m is not None and not _gamma_disconnected(v, rep, m):
+            wrong.append(k)
+    return wrong
+
+
+def test_local_cohomology_witness_matches_certificate(surface, monkeypatch):
+    """On every class -15..15, gen_bound aside: a witness exists exactly when the certificate fails.
+
+    Each witness m is checked directly: its satisfied rays are a nonempty
+    proper set that is not one arc of the facet cycle. A criterion that
+    takes every Γ for acyclic finds no witness and must fail the comparison.
+    """
+    cg = class_group(surface)
+    certified = {}
+    for k in range(-15, 16):
+        rep = cg.representative(DivisorClass(surface, (k,)))
+        certified[k] = module_is_maximal_cohen_macaulay(
+            surface, module_generators(surface, rep).generators
+        )
+    assert [k for k, ok in certified.items() if ok] == [-1, 0, 1, 2, 3]
+    assert _witness_disagreements(surface, certified) == []
+    monkeypatch.setattr(torica.divisor, "_is_arc", lambda subset, facets: True)
+    assert _witness_disagreements(surface, certified) == [
+        k for k, ok in certified.items() if not ok
+    ]
+
+
+def test_local_cohomology_witness_against_box_scan(monkeypatch):
+    """On seeded 3-dimensional cones, a box degree whose Γ is disconnected implies a witness.
+
+    A search over the parallelepiped budget gives up with None, and the
+    box scan then asserts nothing.
+    """
+    over_budget = []
+    real = torica.divisor._simplicial_points
+
+    def recorded(*args):
+        try:
+            return real(*args)
+        except BudgetExceeded:
+            over_budget.append(args)
+            raise
+
+    monkeypatch.setattr(torica.divisor, "_simplicial_points", recorded)
+    rng = random.Random(13)
+    tried = found = 0
+    while tried < 40:
+        c = Cone(3, [tuple(rng.randint(-3, 4) for _ in range(3)) for _ in range(rng.randint(3, 5))])
+        if not c.is_strongly_convex() or c.dim() != 3:
+            continue
+        v = ToricVariety(c)
+        d = v.divisor([rng.randint(-3, 3) for _ in v.rays])
+        tried += 1
+        over_budget.clear()
+        m = torica.divisor._local_cohomology_witness(v, d)
+        if m is not None:
+            found += 1
+            assert _gamma_disconnected(v, d, m), (c, d, m)
+        elif not over_budget:
+            assert not any(
+                _gamma_disconnected(v, d, p) for p in iproduct(range(-6, 7), repeat=3)
+            ), (c, d)
+    assert found >= 3
+
+
+def test_local_cohomology_witness_only_in_dimension_3(surface):
+    """Class -2 is not MCM on the surface nor on surface x line; only the surface has a witness."""
+    witness = torica.divisor._local_cohomology_witness
+    assert witness(surface, class_group(surface).representative(DivisorClass(surface, (-2,))))
+    for v in (a1_variety(), steinberg_product_variety(1, 1)):
+        cg = class_group(v)
+        for k in range(-4, 5):
+            rep = cg.representative(DivisorClass(v, (k,) * cg.free_rank, (k,) * len(cg.torsion)))
+            assert witness(v, rep) is None
+
+
+def test_mcm_scan_certifies_only_classes_without_witness(surface, monkeypatch):
+    """Of the 8 classes within gen_bound 4, the witness refutes -6, -4, -2; 5 are certified."""
+    certified = []
+    real = torica.divisor.module_is_maximal_cohen_macaulay
+
+    def counted(v, gens, sequence=None):
+        certified.append(len(gens))
+        return real(v, gens, sequence=sequence)
+
+    monkeypatch.setattr(torica.divisor, "module_is_maximal_cohen_macaulay", counted)
+    results = enumerate_mcm_rank_one_candidates(surface, gen_bound=4)
+    assert len(results) == 5
+    assert certified == [4, 1, 2, 3, 4]  # generator counts of classes -1..3
+
+
 def test_mcm_scan_requires_cyclic_class_group():
     with pytest.raises(ValueError):
         enumerate_mcm_rank_one_candidates(a1_variety())

@@ -1,11 +1,12 @@
 """Monomial maps, toric ideals, lattice point lifting, product rings."""
 
 import random
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 
 import pytest
 
 from torica import (
+    Ideal,
     IntMatrix,
     InfiniteCokernel,
     MonomialMap,
@@ -13,6 +14,7 @@ from torica import (
     PolyRing,
     ideal_equal,
     product_ring,
+    saturate,
     steinberg_minors_ideal,
     steinberg_monomial_map,
     steinberg_ring_mod_l,
@@ -192,3 +194,47 @@ def test_product_ring_validates_arguments():
         product_ring(0, 0, 101)
     with pytest.raises(ValueError):
         product_ring(-1, 1, 101)
+
+
+def _square_maps():
+    """One map per orbit of 6-subsets of {0, 1, 2}^2 under the square's symmetries: 16 maps.
+
+    A symmetry moves the columns (1, a, b) by a unimodular change of
+    coordinates, which keeps the kernel and so the toric ideal; the least
+    member of each orbit stands for it.
+    """
+    moves = [
+        lambda a, b: (a, b), lambda a, b: (2 - a, b), lambda a, b: (a, 2 - b),
+        lambda a, b: (2 - a, 2 - b), lambda a, b: (b, a), lambda a, b: (2 - b, a),
+        lambda a, b: (b, 2 - a), lambda a, b: (2 - b, 2 - a),
+    ]
+    grid = [(a, b) for a in range(3) for b in range(3)]
+    orbits = {
+        min(tuple(sorted(move(a, b) for a, b in subset)) for move in moves)
+        for subset in combinations(grid, 6)
+    }
+    return [
+        MonomialMap(IntMatrix.from_columns([(1, a, b) for a, b in s]), [f"v{i}" for i in range(6)])
+        for s in sorted(orbits)
+    ]
+
+
+def test_saturation_keeps_its_elimination_basis():
+    """The basis `saturate` caches from its elimination equals one computed anew."""
+    maps = _square_maps()
+    assert len(maps) == 16
+    cases = [toric_ideal(m, p) for m in maps for p in (32003, 101, 3)] + [steinberg_ring_mod_l(101)]
+    for pres in cases:
+        ideal = pres.ideal
+        assert ideal._gb is not None  # filled by saturate, not by a later read
+        fresh = Ideal(ideal.ring, ideal.generators)
+        assert ideal.groebner() == fresh.groebner(), pres
+        assert ideal.leading_exponents() == fresh.leading_exponents(), pres
+
+
+def test_saturation_in_lex_computes_its_basis():
+    ring = PolyRing(101, ("A", "B", "C", "X", "Y", "Z"))
+    partial = Ideal(ring, ["A*Z - C*X", "A*X - C*Y", "A*X - B*Z"], order="lex")
+    sat = saturate(partial, ring.parse("A*B*C*X*Y*Z"))
+    assert sat._gb is None
+    assert ideal_equal(sat, steinberg_minors_ideal(ring))
