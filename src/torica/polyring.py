@@ -6,16 +6,19 @@ weight matrix: compare the weights, then the exponents. The Buchberger
 engine packs each monomial into one int (Monagan & Pearce, "Polynomial
 division using dynamic arrays, heaps, and packed exponent vectors", CASC
 2007; see `_Packing`), divides with a heap, prunes S-pairs by the
-Gebauer-Moeller criteria (JSC 6, 1988) and raises BudgetExceeded past its
-pair and basis-size budget. It can start from a known reduced basis, whose
-elements it pairs only with the new generators. Ideals cache their reduced
+Gebauer-Moeller criteria (JSC 6, 1988), which read lcms, divisibility and
+equality off the packed exponent fields without unpacking them (Monagan &
+Pearce, "Sparse polynomial division using a heap", JSC 46, 2011), and
+raises BudgetExceeded past its pair and basis-size budget. It can start
+from a known reduced basis, whose elements it pairs only with the new
+generators. Ideals cache their reduced
 basis as monic packed records (leading monomial, tail terms) sorted by the
 order, next to the same elements as Polynomials; callers only see exponent
 tuples. On top of the basis machinery this module provides elimination,
 saturation, quotient vector-space dimensions, and exact Hilbert-series
 certificates for regular sequences (on quotient rings and on monomial
 modules presented by ideals), each step's basis grown from the previous
-step's.
+step's. Monomial Hilbert numerators recurse on packed exponent fields too.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from math import comb
 
-from .cone import _minimal
 from .errors import BudgetExceeded, NotHomogeneous
 
 INFINITE = float("inf")
@@ -48,32 +50,40 @@ def _is_prime(n):
     return True
 
 
-def _weight_rows(order, nvars):
-    """Nonnegative weight rows; comparing them, then the exponents, is the order.
+def _spans(order, nvars):
+    """The spans of variables, (lo, hi), on each of which the order is grevlex.
 
-    grevlex is the degree, then the partial sums e_1 + .. + e_(n-1), ..,
-    e_1; lex has no rows; ("elim", k) is grevlex on the first k variables
-    followed by grevlex on the rest.
+    grevlex has one span of all variables, ("elim", k) the first k
+    variables and then the rest, and lex has none.
     """
-
-    def grevlex(lo, hi):
-        return [tuple(int(lo <= i < j) for i in range(nvars)) for j in range(hi, lo, -1)]
-
     if order == "grevlex":
-        return grevlex(0, nvars)
+        return ((0, nvars),)
     if order == "lex":
-        return []
+        return ()
     if isinstance(order, tuple) and len(order) == 2 and order[0] == "elim":
         k = order[1]
         if not 0 < k < nvars:
             raise ValueError("elimination block size out of range")
-        return grevlex(0, k) + grevlex(k, nvars)
+        return ((0, k), (k, nvars))
     raise ValueError(f"unknown monomial order: {order!r}")
+
+
+def _weight_rows(spans, nvars):
+    """Nonnegative weight rows; comparing them, then the exponents, is the order.
+
+    Each span [lo, hi) gives its degree, then the partial sums
+    e_lo + .. + e_(hi-2), .., e_lo: grevlex on that span.
+    """
+    return [
+        tuple(int(lo <= i < j) for i in range(nvars))
+        for lo, hi in spans
+        for j in range(hi, lo, -1)
+    ]
 
 
 def order_key(order, nvars):
     """Key function on exponent tuples; larger key = larger monomial."""
-    rows = _weight_rows(order, nvars)
+    rows = _weight_rows(_spans(order, nvars), nvars)
     return lambda e: tuple(sum(w * x for w, x in zip(row, e)) for row in rows) + tuple(e)
 
 
@@ -419,6 +429,13 @@ def _poly(ring, terms):
 # b - a sets no guard bit. A sum of two fitting fields cannot carry past its
 # guard, so every product the engine forms is checked by one `& guard`, and
 # a set guard raises _Overflow, on which the caller repacks with wider fields.
+#
+# The exponent fields alone, m & low, are the monomial's exponent block; as
+# ints, blocks compare in lex order. Divisibility and equality read the same
+# on blocks, and the lcm of two blocks is their fieldwise max, a few integer
+# operations on the guard bits (`_Packing.block_max`). The pair criteria and
+# the Hilbert numerators run on blocks; the weighted lcm is built only for a
+# pair pushed onto the pair heap.
 
 
 def _divides(a, b):
@@ -433,26 +450,29 @@ def _add(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-def _lcm(a, b):
-    return tuple(map(max, a, b))
-
-
 class _Overflow(Exception):
     """A packed product set a guard bit: some field outgrew the packing."""
 
 
 class _Packing:
-    """The packed encoding of one order's monomials in fields of one width."""
+    """The packed encoding of one order's monomials in fields of one width.
 
-    __slots__ = ("rows", "bits", "limit", "guard", "shifts", "variables")
+    `low` masks the exponent fields and `eguard` is their guard bits.
+    """
 
-    def __init__(self, rows, nvars, bits):
+    __slots__ = ("spans", "bits", "limit", "guard", "low", "eguard", "shifts", "variables", "ones")
+
+    def __init__(self, spans, nvars, bits):
+        rows = _weight_rows(spans, nvars)
         fields = len(rows) + nvars
-        self.rows = rows
+        self.spans = spans
         self.bits = bits
         self.limit = (1 << (bits - 1)) - 1
         self.guard = sum(1 << (bits * f + bits - 1) for f in range(fields))
+        self.low = (1 << (bits * nvars)) - 1
+        self.eguard = self.guard & self.low
         self.shifts = tuple(bits * (nvars - 1 - i) for i in range(nvars))
+        self.ones = sum(1 << s for s in self.shifts)
         tops = [bits * (fields - 1 - r) for r in range(len(rows))]
         self.variables = tuple(
             (1 << self.shifts[i]) + sum(row[i] << s for row, s in zip(rows, tops))
@@ -472,25 +492,49 @@ class _Packing:
     def unpack_terms(self, terms):
         return {self.unpack(m): c for m, c in terms.items() if c}
 
-    def lcm(self, a, b):
-        """The packed lcm of two exponent tuples; _Overflow if it does not fit.
+    def block_max(self, a, b):
+        """The fieldwise max of two exponent blocks: the block of their lcm.
 
-        Each field of the lcm is at most the sum of two fitting fields, so an
-        lcm that does not fit sets its guard bit instead of carrying.
+        In (a | eguard) - b each field keeps its guard bit exactly where a's
+        field is at least b's, and no borrow crosses a field, since every
+        field of a fitting block has its guard bit clear. Such a guard bit
+        less itself shifted down to the field's lowest bit masks the field.
         """
-        m = self.pack(_lcm(a, b))
+        d = ((a | self.eguard) - b) & self.eguard
+        d -= d >> (self.bits - 1)
+        return a & d | b & ~d
+
+    def weighted(self, block):
+        """The packed monomial of the lcm block of two fitting monomials; _Overflow if it does not fit.
+
+        Each weight of the lcm is at most the sum of the two monomials'
+        weights, so a weight that does not fit sets its guard bit instead
+        of carrying.
+        """
+        m = self.pack(self.unpack(block))
         if m & self.guard:
             raise _Overflow
         return m
 
+    def degree(self, block):
+        """The degree of an exponent block whose degree fits one field.
 
-def _field_max(rows, exponents):
-    """The largest field, weight or exponent, of any of the exponent tuples."""
-    return max(
-        (max(e + tuple(sum(w * x for w, x in zip(row, e)) for row in rows), default=0)
-         for e in exponents),
-        default=0,
-    )
+        In block * ones the field of e_1 collects e_1 + .. + e_n, and no
+        field carries, since each one's sum is at most the degree.
+        """
+        return (block * self.ones >> self.shifts[0]) & self.limit
+
+
+def _field_max(spans, exponents):
+    """The largest field, weight or exponent, of any of the exponent tuples.
+
+    Every weight row is a 0/1 partial sum inside one span, and the span's
+    first row, its degree, bounds its other rows and its exponents. Every
+    variable lies in a span unless the order is lex, which has no rows.
+    """
+    if not spans:
+        return max((max(e, default=0) for e in exponents), default=0)
+    return max((sum(e[lo:hi]) for e in exponents for lo, hi in spans), default=0)
 
 
 def _field_bits(top):
@@ -504,11 +548,11 @@ def _widening(order, nvars, term_dicts, run, bits=0):
     The fields are at least `bits` wide. run starts again from scratch on
     the wider packing, so an answer is never computed from a carried field.
     """
-    rows = _weight_rows(order, nvars)
-    bits = max(bits, _field_bits(max((_field_max(rows, terms) for terms in term_dicts), default=0)))
+    spans = _spans(order, nvars)
+    bits = max(bits, _field_bits(max((_field_max(spans, terms) for terms in term_dicts), default=0)))
     while True:
         try:
-            return run(_Packing(rows, nvars, bits))
+            return run(_Packing(spans, nvars, bits))
         except _Overflow:
             bits *= 2
 
@@ -586,7 +630,7 @@ def _s_poly(f, g, order):
 
     def run(packing):
         a, b = (_monic(packing.pack_terms(h.terms), p) for h in (f, g))
-        lcm = packing.lcm(packing.unpack(a[0]), packing.unpack(b[0]))
+        lcm = packing.weighted(packing.block_max(a[0] & packing.low, b[0] & packing.low))
         terms = _s_terms(a, b, lcm, p, packing.guard)
         return _poly(ring, packing.unpack_terms(terms))
 
@@ -605,7 +649,11 @@ def _groebner(ring, generators, order, known=None):
     new element h drops each old pair whose lcm LT(h) divides unless h
     shares that lcm with one of its members (criterion B); of h's own pairs
     it keeps one per least lcm (criteria M and F), and then drops those
-    with coprime leaders.
+    with coprime leaders. The criteria read the exponent blocks of the
+    leaders: an lcm is a block max, taken for h with each active element
+    and, in criterion B, only for the pairs whose lcm LT(h) divides. The
+    weighted lcm, the heap key and the shift of the S-polynomial, is
+    built only for a pair pushed onto the heap.
     Pairs are taken least lcm first. The result keeps the records whose
     leaders no other kept leader divides, each reduced by the others.
     Reducing more than _PAIR_BUDGET pairs, or finding more than
@@ -614,9 +662,10 @@ def _groebner(ring, generators, order, known=None):
     p = ring.char
 
     def run(packing):
-        guard = packing.guard
+        guard, low, eguard = packing.guard, packing.low, packing.eguard
+        block_max = packing.block_max
         records = []  # every element found, in order
-        leads = []  # their leading exponent tuples
+        blocks = []  # the exponent blocks of their leaders
         active = []  # indices of the elements whose leaders stay minimal
         reducers = []  # their records
         pairs = []  # heap of (lcm, i, j)
@@ -628,28 +677,30 @@ def _groebner(ring, generators, order, known=None):
                     f"Groebner basis grew past {_BASIS_BUDGET} elements, over its budget",
                     _BASIS_BUDGET,
                 )
-            lead_h = packing.unpack(lt_h)
+            b_h = lt_h & low
             if paired:
-                lcms = [packing.lcm(e, lead_h) for e in leads]
                 pairs[:] = [
                     (m, i, j) for m, i, j in pairs
-                    if (m - lt_h) & guard or m == lcms[i] or m == lcms[j]
+                    if (m - lt_h) & guard
+                    or m & low == block_max(blocks[i], b_h)
+                    or m & low == block_max(blocks[j], b_h)
                 ]
-                new = sorted((lcms[g], g) for g in active)
+                new = sorted((block_max(blocks[g], b_h), g) for g in active)
                 kept = []
                 for n, (m, g) in enumerate(new):
+                    coprime = m == b_h + blocks[g]
                     if (
-                        m == lt_h + records[g][0]
+                        coprime
                         or not (n + 1 < len(new) and new[n + 1][0] == m)
-                        and all((m - k) & guard for k, _ in kept)
+                        and all((m - k) & eguard for k, _, _ in kept)
                     ):
-                        kept.append((m, g))
-                pairs.extend((m, g, h) for m, g in kept if m != lt_h + records[g][0])
+                        kept.append((m, g, coprime))
+                pairs.extend((packing.weighted(m), g, h) for m, g, coprime in kept if not coprime)
                 heapify(pairs)
-                active[:] = [g for g in active if (records[g][0] - lt_h) & guard]
+                active[:] = [g for g in active if (blocks[g] - b_h) & eguard]
             active.append(h)
             records.append(record)
-            leads.append(lead_h)
+            blocks.append(b_h)
             reducers[:] = [records[g] for g in active]
 
         if known:
@@ -709,7 +760,7 @@ class Ideal:
                 gens.append(g)
         self.ring = ring
         self.generators = tuple(gens)
-        _weight_rows(order, ring.nvars)  # validate
+        _spans(order, ring.nvars)  # validate
         self.order = order
         self._gb = None
 
@@ -735,7 +786,7 @@ class Ideal:
         if f.ring != self.ring:
             raise ValueError("polynomial from a different ring")
         packing, records, polys = self._basis()
-        if _field_max(packing.rows, f.terms) <= packing.limit:
+        if _field_max(packing.spans, f.terms) <= packing.limit:
             try:
                 rem = _reduce(packing.pack_terms(f.terms), records, self.ring.char, packing.guard)
                 return _poly(self.ring, packing.unpack_terms(rem))
@@ -847,7 +898,7 @@ def quotient_dimension(i: Ideal):
     lead = i.leading_exponents()
     if not all(any(sum(e) == e[v] for e in lead) for v in range(n)):
         return INFINITE
-    numerator = _monomial_numerator(tuple(lead), {})
+    numerator = _Numerators(n)(lead)
     return (-1) ** n * sum(c * comb(k, n) for k, c in enumerate(numerator))
 
 
@@ -894,11 +945,10 @@ def _poly_trim(coeffs):
 
 
 def _poly_sub(a, b):
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
+    out = list(a) + [0] * (len(b) - len(a))
     for i, c in enumerate(b):
-        out[i] -= c
+        if c:
+            out[i] -= c
     return _poly_trim(out)
 
 
@@ -917,26 +967,62 @@ def _poly_shift(a, k):
     return _poly_trim([0] * k + list(a)) if a else []
 
 
-def _monomial_numerator(gens, memo):
-    """Numerator of the Hilbert series of R/(monomial ideal) over (1-t)^n.
+class _Numerators:
+    """Hilbert numerators of monomial ideals in `nvars` variables, from exponent tuples.
+
+    The generators are packed as exponent blocks of a lex packing whose
+    fields hold the largest degree, and `_monomial_numerator` recurses on
+    sorted tuples of blocks. The memo and the width are kept across calls,
+    as the steps of a certificate share their colon ideals; a generator of
+    larger degree than the width holds widens the blocks and starts a new
+    memo.
+    """
+
+    __slots__ = ("nvars", "packing", "memo")
+
+    def __init__(self, nvars):
+        self.nvars = nvars
+        self.packing = None
+        self.memo = {}
+
+    def __call__(self, exponents):
+        top = max(map(sum, exponents), default=0)
+        if self.packing is None or top > self.packing.limit:
+            self.packing = _Packing((), self.nvars, _field_bits(top))
+            self.memo = {}
+        gens = tuple(sorted(map(self.packing.pack, exponents)))
+        return _monomial_numerator(gens, self.memo, self.packing)
+
+
+def _monomial_numerator(gens, memo, packing):
+    """Numerator of the Hilbert series of R/(gens) over (1-t)^n, gens sorted exponent blocks.
 
     With the generators sorted as g_1 .. g_r, N(g_1 .. g_j) is
     N(g_1 .. g_(j-1)) - t^deg(g_j) N((g_1 .. g_(j-1)) : g_j). The chain of
     prefixes is walked in a loop from the longest one already in the memo,
-    so only the colon ideals, which are smaller, are recursed into.
+    so only the colon ideals, which are smaller, are recursed into. The
+    colon of g by m is max(g, m) - m, fieldwise on the blocks; its minimal
+    generators are sieved in degree order by the guard-bit divisibility
+    test, and each degree is one multiply and shift (`_Packing.degree`).
     """
-    gens = tuple(sorted(gens))
-    if any(sum(g) == 0 for g in gens):
-        return []
+    if gens and not gens[0]:
+        return []  # the unit ideal
     start = len(gens)
     while start and gens[:start] not in memo:
         start -= 1
     result = memo[gens[:start]] if start else [1]
+    eguard, block_max, degree = packing.eguard, packing.block_max, packing.degree
     for j in range(start, len(gens)):
         m = gens[j]
-        colon = [tuple(max(x - y, 0) for x, y in zip(g, m)) for g in gens[:j]]
-        colon = _minimal((c, c) for c in colon)
-        result = _poly_sub(result, _poly_shift(_monomial_numerator(colon, memo), sum(m)))
+        minimal = []
+        for c in sorted((block_max(g, m) - m for g in gens[:j]), key=degree):
+            for k in minimal:
+                if not (c - k) & eguard:
+                    break
+            else:
+                minimal.append(c)
+        minimal.sort()
+        result = _poly_sub(result, _poly_shift(_monomial_numerator(tuple(minimal), memo, packing), degree(m)))
         memo[gens[: j + 1]] = result
     return result
 
@@ -950,7 +1036,7 @@ def hilbert_numerator(i: Ideal):
     [1]; the unit ideal gives [].
     """
     _check_homogeneous(i.generators)
-    return _monomial_numerator(tuple(i.leading_exponents()), {})
+    return _Numerators(i.ring.nvars)(i.leading_exponents())
 
 
 def hilbert_function(numerator, nvars, upto):
@@ -983,16 +1069,17 @@ def module_regular_sequence(i: Ideal, module_gens, elements) -> bool:
     both numerators are exact integer polynomials, so each step compares
     them whole. As in Bruns & Herzog, Def. 1.1.1, a sequence is regular
     only on a nonzero module. One memo of monomial numerators serves every
-    step, since each step's leading-term ideal contains the previous one's.
+    step, at one block width, since each step's leading-term ideal contains
+    the previous one's.
     """
     ring = i.ring
     module_gens = [ring.parse(g) if isinstance(g, str) else g for g in module_gens]
     elements = [ring.parse(f) if isinstance(f, str) else f for f in elements]
     _check_homogeneous(list(i.generators) + module_gens + elements)
-    memo = {}
+    numerators = _Numerators(ring.nvars)
 
     def numerator(ideal):
-        return _monomial_numerator(tuple(ideal.leading_exponents()), memo)
+        return numerators(ideal.leading_exponents())
 
     n_top = numerator(_extended(i, module_gens))
     n_prev = _poly_sub(numerator(i), n_top)

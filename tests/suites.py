@@ -55,24 +55,33 @@ def snf_suite(cases=500, seed=20401):
         check_smith(a, case)
 
 
-def _random_pointed_cone(rng):
-    """A random full-dimensional strongly convex cone in dimension 2 or 3."""
-    dim = rng.choice((2, 3))
+def _random_pointed_cone(rng, dims=(2, 3), bound=4):
+    """A random full-dimensional strongly convex cone, its dimension one of `dims`.
+
+    It has up to two generators more than its dimension, with entries in
+    [-bound, bound].
+    """
+    dim = rng.choice(dims)
     while True:
         count = rng.randint(dim, dim + 2)
         gens = [
-            tuple(rng.randint(-4, 4) for _ in range(dim)) for _ in range(count)
+            tuple(rng.randint(-bound, bound) for _ in range(dim)) for _ in range(count)
         ]
         cone = Cone(dim, gens)
         if cone.dim() == dim and cone.is_strongly_convex():
             return cone
 
 
-def biduality_suite(cases=200, seed=20402):
-    """dual(dual(c)) = c, and the dual generators pair non-negatively."""
+def biduality_suite(cases=200, seed=20402, wide_cases=100):
+    """dual(dual(c)) = c, and the dual generators pair non-negatively.
+
+    `cases` cones of dimension 2 and 3 with entries in [-4, 4] come first,
+    then `wide_cases` of dimension 4 and 5 with entries in [-1, 1].
+    """
     rng = random.Random(seed)
-    for case in range(cases):
-        cone = _random_pointed_cone(rng)
+    cones = [_random_pointed_cone(rng) for _ in range(cases)]
+    cones += [_random_pointed_cone(rng, (4, 5), 1) for _ in range(wide_cases)]
+    for case, cone in enumerate(cones):
         double = cone.dual().dual()
         assert double == cone, f"case {case}: biduality failed for {cone}"
         for m in cone.dual_generators():

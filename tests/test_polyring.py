@@ -3,7 +3,7 @@
 import random
 import time
 from heapq import heapify, heappop, heappush
-from itertools import product as iproduct
+from itertools import product as iproduct, zip_longest
 
 import pytest
 
@@ -28,7 +28,7 @@ from torica import (
 )
 from torica import divisor, polyring
 from torica.cone import _minimal
-from torica.polyring import _add, _divides, _lcm, _normal_form, _sub
+from torica.polyring import _add, _divides, _normal_form, _sub
 
 from suites import _random_polynomial, buchberger_suite, saturation_suite
 
@@ -261,6 +261,51 @@ def test_minimal_monomials_match_divisibility_sieve():
         assert [sum(g) for g in got] == sorted(sum(g) for g in got)
 
 
+# -- the tuple numerator, kept as a reference ------------------------------
+#
+# The Hilbert-numerator recursion on exponent tuples, each colon ideal sieved
+# by `cone._minimal`.
+
+
+def _tuple_monomial_numerator(gens, memo):
+    gens = tuple(sorted(gens))
+    if any(sum(g) == 0 for g in gens):
+        return []
+    start = len(gens)
+    while start and gens[:start] not in memo:
+        start -= 1
+    result = memo[gens[:start]] if start else [1]
+    for j in range(start, len(gens)):
+        m = gens[j]
+        colon = [tuple(max(x - y, 0) for x, y in zip(g, m)) for g in gens[:j]]
+        shifted = [0] * sum(m) + _tuple_monomial_numerator(_minimal((c, c) for c in colon), memo)
+        result = [x - y for x, y in zip_longest(result, shifted, fillvalue=0)]
+        while result and result[-1] == 0:
+            result.pop()
+        memo[gens[: j + 1]] = result
+    return result
+
+
+def test_packed_numerator_matches_tuple_numerator():
+    """The recursion on exponent blocks equals the one on tuples, also with a memo kept across calls."""
+    rng = random.Random(20408)
+    for case in range(300):
+        nvars = rng.randint(1, 4)
+        gens = [tuple(rng.randint(0, 6) for _ in range(nvars)) for _ in range(rng.randint(0, 9))]
+        assert polyring._Numerators(nvars)(gens) == _tuple_monomial_numerator(gens, {}), (case, gens)
+    for n in (1, 2, 3, 10, 60):
+        staircase = [(i, n - 1 - i) for i in range(n)]  # x^i * y^(n-1-i)
+        assert polyring._Numerators(2)(staircase) == _tuple_monomial_numerator(staircase, {}), n
+    # one instance along a growing chain, as in a certificate, widened by a generator of large degree
+    numerators = polyring._Numerators(3)
+    chain = []
+    for step in range(14):
+        chain.append((300, 0, 1) if step == 10 else tuple(rng.randint(0, 5) for _ in range(3)))
+        bits = numerators.packing.bits if numerators.packing else 0
+        assert numerators(chain) == _tuple_monomial_numerator(chain, {}), step
+        assert (numerators.packing.bits > bits) == (step in (0, 10)), step
+
+
 def test_hilbert_function_against_standard_monomial_count():
     rng = random.Random(31)
     for _ in range(40):
@@ -426,11 +471,76 @@ def test_exponents_at_the_field_limit(monkeypatch):
     assert ideal.normal_form(ring.monomial((limit, 0, 0))) == ring.monomial((0, 0, 6 * limit))
 
 
+def _fitting_exponents(rng, spans, nvars, limit):
+    """Random exponents whose packed fields fit, often with a field exactly at `limit`."""
+    if not spans:
+        return tuple(rng.choice((0, limit, rng.randint(0, limit))) for _ in range(nvars))
+    e = []
+    for lo, hi in spans:
+        total = rng.choice((limit, rng.randint(0, limit)))
+        if rng.random() < 0.3:
+            part = [0] * (hi - lo)
+            part[rng.randrange(hi - lo)] = total
+        else:
+            cuts = sorted(rng.randint(0, total) for _ in range(hi - lo - 1))
+            part = [b - a for a, b in zip([0] + cuts, cuts + [total])]
+        e += part
+    return tuple(e)
+
+
+def test_block_max_matches_tuple_max():
+    """The block max of two fitting monomials is their packed lcm's block, in every order.
+
+    The weighted lcm built from it equals the packed lcm, or raises
+    _Overflow when a weight of the lcm outgrows its field.
+    """
+    rng = random.Random(20409)
+    for order in ("grevlex", "lex", ("elim", 2)):
+        for nvars, bits in ((3, 4), (4, 8), (5, 12)):
+            spans = polyring._spans(order, nvars)
+            packing = polyring._Packing(spans, nvars, bits)
+            limit, low = packing.limit, packing.low
+            at_limit = overflows = 0
+            for _ in range(200):
+                a, b = (packing.pack(_fitting_exponents(rng, spans, nvars, limit)) for _ in range(2))
+                assert not (a | b) & packing.guard
+                lcm = _lcm(packing.unpack(a), packing.unpack(b))
+                block = packing.block_max(a & low, b & low)
+                assert block == packing.pack(lcm) & low, (order, lcm)
+                at_limit += limit in lcm
+                if sum(lcm) <= limit:
+                    assert packing.degree(block) == sum(lcm)
+                if polyring._field_max(spans, [lcm]) <= limit:
+                    assert packing.weighted(block) == packing.pack(lcm), (order, lcm)
+                else:
+                    overflows += 1
+                    with pytest.raises(polyring._Overflow):
+                        packing.weighted(block)
+            assert at_limit and (overflows > 0) == bool(spans), (order, nvars)
+
+
+def test_field_max_reads_span_degrees():
+    """The widest field, read off the degrees of the spans, equals the max over every row and exponent."""
+    rng = random.Random(20410)
+    for order in ("grevlex", "lex", ("elim", 1), ("elim", 2)):
+        for nvars in (3, 4):
+            spans = polyring._spans(order, nvars)
+            rows = polyring._weight_rows(spans, nvars)
+            for _ in range(100):
+                exps = [tuple(rng.randint(0, 9) for _ in range(nvars)) for _ in range(rng.randint(0, 4))]
+                every = [max(e + tuple(sum(w * x for w, x in zip(row, e)) for row in rows)) for e in exps]
+                assert polyring._field_max(spans, exps) == max(every, default=0), (order, exps)
+
+
 # -- the earlier engine, kept as a reference --------------------------------
 #
 # Buchberger on exponent tuples: a key function for the order, the least-lcm
 # pair first with only the coprime criterion, and `max(work, key=key)` to
 # pick each term of a reduction.
+
+
+def _lcm(a, b):
+    return tuple(map(max, a, b))
 
 
 def _ref_order_key(order, nvars):

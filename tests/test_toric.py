@@ -20,6 +20,7 @@ from torica import (
     steinberg_ring_mod_l,
     toric_ideal,
 )
+from torica import polyring
 
 EXPECTED_BASIS = {
     "C*Y - B*Z",
@@ -230,6 +231,23 @@ def test_saturation_keeps_its_elimination_basis():
         fresh = Ideal(ideal.ring, ideal.generators)
         assert ideal.groebner() == fresh.groebner(), pres
         assert ideal.leading_exponents() == fresh.leading_exponents(), pres
+
+
+def test_square_maps_reduce_a_pinned_number_of_s_pairs(monkeypatch):
+    """The pair criteria leave 891 S-pairs to reduce over the 16 square-orbit maps at F_32003.
+
+    A change to which pairs the criteria keep moves this count.
+    """
+    formed = []
+    s_terms = polyring._s_terms
+    monkeypatch.setattr(polyring, "_s_terms", lambda *args: formed.append(1) or s_terms(*args))
+    per_map = []
+    for m in _square_maps():
+        before = len(formed)
+        toric_ideal(m, 32003).ideal  # the saturation runs when the ideal is read
+        per_map.append(len(formed) - before)
+    assert per_map == [31, 34, 51, 43, 38, 68, 39, 113, 38, 23, 31, 57, 38, 148, 65, 74]
+    assert sum(per_map) == 891
 
 
 def test_saturation_in_lex_computes_its_basis():
