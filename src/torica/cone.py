@@ -5,7 +5,12 @@ method (`_double_description`) is the one polyhedral enumeration: it gives
 the facets of atomic cones and the vertices of divisor regions, and rays
 follow from facet incidences. Product cones never enumerate: they compose
 their dual and rays from the factors'. The dual of a pointed cone takes its
-own dual generators from that cone's rays.
+own dual generators from that cone's rays. A cone's dimension and
+pointedness are computed once and cached: the double description gives
+the dimension as d minus the dual's lineality, a product adds its
+factors', and the dual of a full-dimensional cone is pointed with its
+generators as rays. Only a cone none of these reached ranks its
+generators.
 
 Lattice points are held in slack coordinates: over a region
 {p : <n, p> + a >= 0}, p has the slack vector (<n, p> + a). p lies in the
@@ -35,12 +40,8 @@ _BOX_BUDGET = 10**6
 
 
 def _primitive(vec):
-    g = 0
-    for x in vec:
-        g = gcd(g, x)
-    if g == 0:
-        return None
-    return tuple(x // g for x in vec)
+    g = gcd(*vec)
+    return tuple(x // g for x in vec) if g else None
 
 
 def _dot(a, b):
@@ -238,7 +239,7 @@ class Semigroup:
 class Cone:
     """Cone(S) = all nonnegative real combinations of the generators."""
 
-    __slots__ = ("ambient_dim", "generators", "_dual_gens", "_rays")
+    __slots__ = ("ambient_dim", "generators", "_dual_gens", "_rays", "_dim", "_pointed")
 
     def __init__(self, ambient_dim, generators):
         self.ambient_dim = int(ambient_dim)
@@ -248,8 +249,14 @@ class Cone:
             if p is not None:
                 prims.add(p)
         self.generators = tuple(sorted(prims))
-        self._dual_gens = None
-        self._rays = None
+        self._dual_gens = self._rays = self._dim = self._pointed = None
+
+    @classmethod
+    def _trusted(cls, ambient_dim, generators):
+        """A cone on generators the library built: sorted distinct primitive int tuples."""
+        cone = cls(ambient_dim, ())
+        cone.generators = generators
+        return cone
 
     # -- construction helpers -------------------------------------------------
 
@@ -278,6 +285,7 @@ class Cone:
         d = self.ambient_dim
         gens = self.generators
         lineality, normals = _double_description(gens, d)
+        self._dim = d - len(lineality)  # the dual's lineality is the orthogonal of the span
         if lineality:
             lin = kernel_basis(IntMatrix(gens, cols=d)).transpose()  # rows in Hermite form
             facets = []
@@ -294,11 +302,19 @@ class Cone:
         """The dual cone; on a strongly convex cone its own dual is composed, not enumerated.
 
         The dual of a pointed cone is full-dimensional, and its facet normals
-        are the primitive rays of the cone.
+        are the primitive rays of the cone. The dual of a full-dimensional
+        cone is pointed, and its generators, the dual's extreme rays, are its
+        rays.
         """
-        dual = Cone(self.ambient_dim, self.dual_generators())
+        d = self.ambient_dim
+        duals = self.dual_generators()
+        if self.dim() == d:
+            dual = Cone._trusted(d, duals)
+            dual._pointed, dual._rays = True, duals
+        else:
+            dual = Cone(d, duals)
         if self.is_strongly_convex():
-            dual._dual_gens = tuple(sorted(self.rays()))
+            dual._dual_gens, dual._dim = tuple(sorted(self.rays())), d
         return dual
 
     def contains(self, vec) -> bool:
@@ -315,14 +331,17 @@ class Cone:
     __hash__ = None
 
     def dim(self) -> int:
-        if not self.generators:
-            return 0
-        return rank(IntMatrix(self.generators))
+        """The rank of the generators, cached; duals, products and double description set it."""
+        if self._dim is None:
+            self._dim = rank(IntMatrix._trusted(self.generators, self.ambient_dim))
+        return self._dim
 
     def is_strongly_convex(self) -> bool:
         """No line lies in the cone: each generator pairs nonzero with some dual generator."""
-        duals = self.dual_generators()
-        return all(any(_dot(n, g) for n in duals) for g in self.generators)
+        if self._pointed is None:
+            duals = self.dual_generators()
+            self._pointed = all(any(_dot(n, g) for n in duals) for g in self.generators)
+        return self._pointed
 
     def rays(self):
         """Primitive generators of the edges, in lexicographic order.
@@ -352,9 +371,11 @@ class Cone:
         def embed(first, second):
             return [tuple(g) + (0,) * d2 for g in first] + [(0,) * d1 + tuple(h) for h in second]
 
-        cone = Cone(d1 + d2, embed(self.generators, other.generators))
+        cone = Cone._trusted(d1 + d2, tuple(sorted(embed(self.generators, other.generators))))
         cone._dual_gens = tuple(sorted(embed(self.dual_generators(), other.dual_generators())))
-        if self.is_strongly_convex() and other.is_strongly_convex():
+        cone._dim = self.dim() + other.dim()
+        cone._pointed = self.is_strongly_convex() and other.is_strongly_convex()
+        if cone._pointed:
             cone._rays = tuple(sorted(embed(self.rays(), other.rays())))
         return cone
 

@@ -10,9 +10,15 @@ solves and unimodular inverses are all read off it. `smith_normal_form`
 has no elimination of its own: it alternates `_echelon` on the rows and
 on the columns. Its U is not canonical, and class coordinates are read
 off it, so a change to how the passes run changes the documented
-coordinates of classes with free rank >= 2 or with torsion. Everything
-runs on Python ints, so nothing ever overflows; back-substitution uses
-fractions.Fraction.
+coordinates of classes with free rank >= 2 or with torsion. `_echelon`
+therefore keeps one order of row operations: per column, Euclid between
+the smallest nonzero entry (ties by row index) and each larger one in
+turn, the order a re-sort after every operation gives. Sorting once per
+column and starting each operation at the column leave H, the transform
+and so U what they were. Everything runs on Python ints, so nothing ever
+overflows; back-substitution uses fractions.Fraction. Matrices built
+from rows that are already int tuples skip the entry check
+(`IntMatrix._trusted`); the public constructors keep it.
 """
 
 from __future__ import annotations
@@ -54,6 +60,13 @@ class IntMatrix:
         self.rows = len(data)
         self.cols = width
         self.entries = data
+
+    @classmethod
+    def _trusted(cls, rows, cols):
+        """A matrix on rows the library built itself, int tuples of length `cols`, unchecked."""
+        mat = cls.__new__(cls)
+        mat.rows, mat.cols, mat.entries = len(rows), cols, rows
+        return mat
 
     @classmethod
     def identity(cls, n):
@@ -180,9 +193,9 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     if flipped:
         d = [[row[j] for row in d] for j in range(n)]
         m, n, left, right = n, m, right, left
-    v = [[row[j] for row in right] for j in range(n)]
-    u = IntMatrix(left, cols=m)
-    return SmithDecomposition(u, IntMatrix(d, cols=n), IntMatrix(v, cols=n), factors)
+    u = IntMatrix._trusted(tuple(map(tuple, left)), m)
+    v = IntMatrix._trusted(tuple(zip(*right)), n)
+    return SmithDecomposition(u, IntMatrix._trusted(tuple(map(tuple, d)), n), v, factors)
 
 
 def _echelon(rows, ncols):
@@ -193,6 +206,17 @@ def _echelon(rows, ncols):
     Hermite form with its zero rows last, and every further column has
     undergone the same row operations, so T @ [A | B] == [H_A | T @ B] for a
     unimodular T. sign is det(T), which each row swap and each negation flips.
+
+    In each column the rows still below the pivots that are nonzero there
+    are sorted once by absolute value, ties by row index. The first is the
+    survivor, and Euclid runs between it and each further row in that order:
+    the row of larger absolute value loses a multiple of the other, and a
+    nonzero remainder, now the strictly smallest entry of the column, takes
+    over as survivor. That is the row operation a re-sort after every step
+    would pick, in the same order, so H, sign and every appended column,
+    and with them the U and V of `smith_normal_form`, are those of that
+    one-step-at-a-time elimination. Rows at or below the pivot row are zero
+    left of `col`, so each operation starts at `col`.
     """
     m = len(rows)
     h = [list(row) for row in rows]
@@ -201,29 +225,33 @@ def _echelon(rows, ncols):
     for col in range(ncols):
         if r >= m:
             break
-        # reduce rows >= r until at most one has a nonzero in col
-        while True:
-            live = [i for i in range(r, m) if h[i][col] != 0]
-            if len(live) <= 1:
-                break
-            live.sort(key=lambda i: abs(h[i][col]))
-            base, other = live[0], live[1]
-            q = h[other][col] // h[base][col]
-            h[other] = [x - q * y for x, y in zip(h[other], h[base])]
+        live = [i for i in range(r, m) if h[i][col]]
         if not live:
             continue
-        i = live[0]
-        if i != r:
-            h[r], h[i] = h[i], h[r]
+        if len(live) > 1:
+            live.sort(key=lambda i: abs(h[i][col]))
+        s = live[0]
+        for t in live[1:]:
+            base, other = h[s], h[t]
+            while True:
+                q = other[col] // base[col]
+                other[col:] = [x - q * y for x, y in zip(other[col:], base[col:])]
+                if not other[col]:
+                    break
+                s, t, base, other = t, s, other, base
+        if s != r:
+            h[r], h[s] = h[s], h[r]
             sign = -sign
-        if h[r][col] < 0:
-            h[r] = [-x for x in h[r]]
+        row = h[r]
+        if row[col] < 0:
+            row[col:] = [-x for x in row[col:]]
             sign = -sign
-        pivot = h[r][col]
+        pivot = row[col]
+        tail = row[col:]
         for i in range(r):
             q = h[i][col] // pivot
             if q:
-                h[i] = [x - q * y for x, y in zip(h[i], h[r])]
+                h[i][col:] = [x - q * y for x, y in zip(h[i][col:], tail)]
         r += 1
     return h, r, sign
 

@@ -185,6 +185,36 @@ def _pair(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
+def test_cached_cone_facts_equal_fresh_ones():
+    """dim, pointedness and a dual's rays, as cached, equal a computation from the generators.
+
+    Seeded cones of every kind, the zero cone and products; `dim()` is
+    compared with the rank of the generators and `is_strongly_convex()`
+    with the generator-by-dual test on a fresh cone. The dual of a
+    full-dimensional cone is pointed, with its generators as rays.
+    """
+    rng = random.Random(89)
+    cones = [Cone(d, []) for d in (1, 2, 3)]
+    for _ in range(300):
+        c1 = _random_small_cone(rng)
+        cones += [c1, c1.product(_random_small_cone(rng)), c1.dual()]
+    seen = set()
+    for cone in cones:
+        d, gens = cone.ambient_dim, cone.generators
+        fresh = Cone(d, gens)
+        duals = fresh.dual_generators()
+        assert cone.dim() == rank(IntMatrix(gens, cols=d)), cone
+        assert cone.is_strongly_convex() == all(any(_pair(n, g) for n in duals) for g in gens)
+        if cone.dim() == d:
+            dual = cone.dual()
+            assert dual.generators == Cone(d, duals).generators, cone
+            assert dual.is_strongly_convex() and dual.rays() == dual.generators, cone
+            assert dual.dim() == rank(IntMatrix(dual.generators, cols=d)), cone
+            seen.add("full-dimensional")
+        seen |= _kinds(cone)
+    assert seen == {"empty", "pointed", "not pointed", "lower-dimensional", "full-dimensional"}
+
+
 def _subset_dual(cone):
     """Reference dual: a facet candidate from the kernel of every (rank - 1)-subset of generators.
 

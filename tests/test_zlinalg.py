@@ -19,6 +19,7 @@ from torica import (
     smith_normal_form,
     solve_rational,
 )
+from torica.zlinalg import _echelon
 
 from suites import check_smith, snf_suite
 
@@ -359,3 +360,102 @@ def test_shape_checks():
         IntMatrix.from_columns([(1, 2), (3,)])
     with pytest.raises(ValueError):
         IntMatrix.from_columns([(1,), (2, 3)])
+
+
+def _one_step_echelon(rows, ncols):
+    """The elimination `_echelon` replaced: one row operation per step, then a fresh sort.
+
+    In each column the nonzero rows below the pivots are sorted by absolute
+    value, ties by row index, and the second loses a multiple of the first,
+    until one nonzero row is left.
+    """
+    m = len(rows)
+    h = [list(row) for row in rows]
+    sign = 1
+    r = 0
+    for col in range(ncols):
+        if r >= m:
+            break
+        while True:
+            live = [i for i in range(r, m) if h[i][col] != 0]
+            if len(live) <= 1:
+                break
+            live.sort(key=lambda i: abs(h[i][col]))
+            base, other = live[0], live[1]
+            q = h[other][col] // h[base][col]
+            h[other] = [x - q * y for x, y in zip(h[other], h[base])]
+        if not live:
+            continue
+        i = live[0]
+        if i != r:
+            h[r], h[i] = h[i], h[r]
+            sign = -sign
+        if h[r][col] < 0:
+            h[r] = [-x for x in h[r]]
+            sign = -sign
+        pivot = h[r][col]
+        for i in range(r):
+            q = h[i][col] // pivot
+            if q:
+                h[i] = [x - q * y for x, y in zip(h[i], h[r])]
+        r += 1
+    return h, r, sign
+
+
+def test_echelon_matches_one_step_elimination():
+    """(H, rank, sign) and the appended identity's transform equal the one-step loop's.
+
+    Seeded matrices with 1-7 rows, 1-7 eliminated columns, 0-7 further
+    columns and entries in [-20, 20]; zeros, repeated absolute values and
+    dependent rows are drawn on purpose, since they decide ties.
+    """
+    rng = random.Random(97)
+    for _ in range(3000):
+        m, n, extra = rng.randint(1, 7), rng.randint(1, 7), rng.randint(0, 7)
+        bound = rng.choice((1, 3, 20))
+        rows = [
+            [rng.randint(-bound, bound) if rng.random() < 0.7 else 0 for _ in range(n + extra)]
+            for _ in range(m)
+        ]
+        if m >= 2 and rng.random() < 0.3:
+            rows[-1] = [rng.choice((-2, 1, 3)) * x for x in rows[0]]
+        rows = [row + [int(i == j) for j in range(m)] for i, row in enumerate(rows)]
+        assert _echelon(rows, n) == _one_step_echelon(rows, n), (rows, n)
+
+
+# Ray-pairing matrices with free rank >= 2 or torsion, and the U, D, V that
+# `smith_normal_form` gives them; class coordinates are read off U.
+PINNED_SMITH = [
+    (
+        [[-1, 0, 1], [0, -1, 1], [0, 1, 1], [1, 0, 1], [1, 1, 1]],
+        [[0, 0, -1, 0, 1], [1, -1, -1, 0, 1], [1, 0, -1, 0, 1], [1, -1, -1, 1, 0],
+         [-2, 1, 3, 0, -2]],
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0], [0, 0, 0]],
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    ),
+    (
+        [[0, 0, 1], [1, 2, 0], [2, 1, 0]],
+        [[0, 1, 0], [1, 0, 0], [3, -2, 1]],
+        [[1, 0, 0], [0, 1, 0], [0, 0, 3]],
+        [[1, -2, 2], [0, 1, -1], [0, 1, 0]],
+    ),
+    (
+        [[-1, -2, 1], [0, 0, -1], [1, 0, 0]],
+        [[0, 0, 1], [-1, -2, -1], [1, 1, 1]],
+        [[1, 0, 0], [0, 1, 0], [0, 0, 2]],
+        [[1, 0, 0], [0, 0, -1], [0, 1, 2]],
+    ),
+    (
+        [[-1, -1, 0, -1], [-1, 0, -1, -1], [1, -1, -1, 0], [1, -1, 0, -1]],
+        [[0, -1, 1, -1], [0, -1, 1, -2], [1, -2, 1, -2], [1, -2, 2, -3]],
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 4]],
+        [[1, 0, 0, -2], [0, 1, 0, -3], [0, 0, 1, -3], [0, 0, 0, 1]],
+    ),
+]
+
+
+@pytest.mark.parametrize("pairing, u, d, v", PINNED_SMITH)
+def test_smith_transforms_are_pinned(pairing, u, d, v):
+    snf = smith_normal_form(IntMatrix(pairing))
+    assert (snf.u, snf.d, snf.v) == (IntMatrix(u), IntMatrix(d), IntMatrix(v))
+    assert snf.u @ IntMatrix(pairing) @ snf.v == snf.d
