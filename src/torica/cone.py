@@ -17,14 +17,14 @@ Lattice points are held in slack coordinates: over a region
 region when its slack is >= 0, its grade is the slack sum, and p - q lies in
 the cone exactly when slack(q) <= slack(p), as in monomial divisibility.
 `_minimal` is the one sieve on such keys. Its candidates come from a pulling
-triangulation (`_pulling`) of a pointed cone and the half-open
-parallelepipeds of its simplices (`_parallelepiped`), as in the primal
+triangulation (`_pulling`) of a pointed cone and each simplex's half-open
+parallelepiped (`_parallelepiped`), as in the primal
 algorithm of Normaliz (Bruns & Ichim, J. Algebra 2010): Hilbert bases use
-the cone itself, divisorial modules the cone over their region. Two budgets
-bound the work before anything is enumerated: the zonotope box around
-conv(V) + [0, 1]·rays (V = {0} for Hilbert bases, the region's vertices for
-modules) and the parallelepipeds' total may each hold at most `_BOX_BUDGET`
-points, or `BudgetExceeded` is raised.
+the cone itself, divisorial modules the cone over their region. The work is
+counted as it is done, against the one budget `_LATTICE_BUDGET`: the
+enumeration charges 1 per simplex and each parallelepiped level's partial
+nodes, the sieve 1 per dominance test, each in its own count. A count that
+would pass the budget raises `BudgetExceeded`, naming its counter.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from operator import le, mul
 from .errors import BudgetExceeded, NotPointed, NotStronglyConvex
 from .zlinalg import IntMatrix, _echelon, _int_tuple, kernel_basis, lattice_member, rank
 
-_BOX_BUDGET = 10**6
+_LATTICE_BUDGET = 10**6
 
 
 def _primitive(vec):
@@ -54,27 +54,8 @@ def _grading(cone):
     return tuple(sum(n[i] for n in duals) for i in range(cone.ambient_dim))
 
 
-def _check_box(vertices, rays):
-    """Raise BudgetExceeded if the box around conv(vertices) + [0, 1]·rays is too large.
-
-    Vertices are given homogenised, v as (q·v, q) with q > 0. The box is the
-    zonotope bound that holds every minimal generator, and its size, worked
-    out from its bounds only, is the budget of `docs/formats.md`: at most
-    `_BOX_BUDGET` points.
-    """
-    size = 1
-    for i in range(len(vertices[0]) - 1):
-        lo = min(v[i] // v[-1] for v in vertices) + sum(min(0, r[i]) for r in rays)
-        hi = max(-(-v[i] // v[-1]) for v in vertices) + sum(max(0, r[i]) for r in rays)
-        size *= hi - lo + 1
-    if size > _BOX_BUDGET:
-        raise BudgetExceeded(
-            f"lattice box of {size} points exceeds the budget of {_BOX_BUDGET}", _BOX_BUDGET
-        )
-
-
 def _pulling(face, facet_masks, dim):
-    """The simplices, as ray bit masks, of the pulling triangulation of a face.
+    """Yield the simplices, as ray bit masks, of the pulling triangulation of a face.
 
     A face is the bit mask of its rays and has dimension `dim`. A face with
     as many rays as its dimension is a simplex. Otherwise its lowest ray is
@@ -82,57 +63,72 @@ def _pulling(face, facet_masks, dim):
     proper intersections face & mask.
     """
     if face.bit_count() == dim:
-        return [face]
+        yield face
+        return
     low = face & -face
     subs = {face & m for m in facet_masks} - {face}
-    return [
-        low | simplex
-        for sub in subs
-        if not sub & low and not any(sub != other and sub & other == sub for other in subs)
-        for simplex in _pulling(sub, facet_masks, dim - 1)
-    ]
+    for sub in subs:
+        if not sub & low and not any(sub != other and sub & other == sub for other in subs):
+            for simplex in _pulling(sub, facet_masks, dim - 1):
+                yield low | simplex
 
 
-def _parallelepiped(gens, heights=None):
-    """(N, points) for the lattice points sum(l_i g_i), l in [0, 1)^r, of independent gens.
+def _charged(spent):
+    """`spent`, the simplices and parallelepiped nodes counted, unless it passes the budget."""
+    if spent > _LATTICE_BUDGET:
+        raise BudgetExceeded(
+            f"triangulation counted {spent} simplices and parallelepiped nodes, "
+            f"over its budget of {_LATTICE_BUDGET}",
+            _LATTICE_BUDGET,
+        )
+    return spent
+
+
+def _parallelepiped(gens, heights=None, spent=0):
+    """(points, spent) for the lattice points sum(l_i g_i), l in [0, 1)^r, of independent gens.
 
     With H the Hermite form `_echelon` gives of G^T, so T @ G^T == H for a
     unimodular T that is not needed, the point c·G / N, c in [0, N)^r, is in
     Z^d exactly when H @ c == 0 mod N, where N = prod h_ii counts the points.
     H is upper triangular, so c is solved for from its last coordinate to
     its first, each from one congruence h_ii c_i == -sum_{k>i} h_ik c_k
-    (mod N). With `heights` q only the points with sum(c_i q_i) = N, those
-    at height 1, are given: a partial sum above N is cut, and so is one
-    below N once no positive height is left. The points are produced
-    lazily, so N is known before any is enumerated.
+    (mod N), whose solutions in [0, N) are a range. With `heights` q only
+    the points with sum(c_i q_i) = N, those at height 1, are given: a
+    partial sum above N is cut, and so is one below N once no positive
+    height is left. Each level adds its partial nodes to `spent`, the
+    caller's count, and a level that would take it past the budget raises
+    BudgetExceeded before its nodes are built.
     """
     r = len(gens)
     columns = list(zip(*gens))
     h = _echelon(columns, r)[0]
     n = prod(h[i][i] for i in range(r))
     q = heights or (0,) * r
-
-    def points():
-        partial = [((), 0)]  # (c_i, .., c_{r-1}), sum of their c_k q_k
-        for i in reversed(range(r)):
-            g = gcd(h[i][i], n)
-            step = n // g
-            inv = pow(h[i][i] // g, -1, step)
-            row, open_height = h[i][i + 1 :], heights is not None and any(q[:i])
-            grown = []
-            for tail, height in partial:
-                b = -_dot(row, tail)
-                if b % g:
+    partial = [((), 0)]  # (c_i, .., c_{r-1}), sum of their c_k q_k
+    for i in reversed(range(r)):
+        g = gcd(h[i][i], n)
+        step = n // g
+        inv = pow(h[i][i] // g, -1, step)
+        row, qi, room = h[i][i + 1 :], q[i], _LATTICE_BUDGET - spent
+        last = heights is not None and not any(q[:i])  # the height is final after this level
+        grown = []
+        for tail, height in partial:
+            b = -_dot(row, tail)
+            if b % g:
+                continue
+            cs = range(b // g * inv % step, n, step)
+            if qi:
+                cs = cs[: len(range(cs.start, (n - height) // qi + 1, step))]
+            if last:
+                cs = cs[-1:] if qi else cs
+                if not cs or height + cs[-1] * qi != n:
                     continue
-                for c in range(b // g * inv % step, n, step):
-                    top = height + c * q[i]
-                    if heights is None or top == n or top < n and open_height:
-                        grown.append(((c,) + tail, top))
-            partial = grown
-        for c, _ in partial:
-            yield tuple(_dot(c, col) // n for col in columns)
-
-    return n, points()
+            if len(grown) + len(cs) > room:
+                _charged(spent + len(grown) + len(cs))
+            grown += [((c,) + tail, height + c * qi) for c in cs]
+        spent += len(grown)
+        partial = grown
+    return [tuple(_dot(c, col) // n for col in columns) for c, _ in partial], spent
 
 
 def _simplicial_points(rays, normals, dim, heights=None):
@@ -140,22 +136,19 @@ def _simplicial_points(rays, normals, dim, heights=None):
 
     The facet masks are the rays tight on each normal; a normal tight on
     every ray (a lineality direction of the dual) is never a proper face.
-    `heights`, one per ray, keeps the points at height 1. Raises
-    BudgetExceeded, before enumerating, if the parallelepipeds hold more
-    than _BOX_BUDGET points in total.
+    `heights`, one per ray, keeps the points at height 1. The work is
+    counted as it is done, 1 per simplex and each parallelepiped level's
+    nodes, and BudgetExceeded is raised once the count would pass
+    `_LATTICE_BUDGET`.
     """
     masks = [sum(1 << i for i, r in enumerate(rays) if _dot(u, r) == 0) for u in normals]
-    parts = []
+    points, spent = [], 0
     for simplex in _pulling((1 << len(rays)) - 1, masks, dim):
         chosen = [i for i in range(len(rays)) if simplex >> i & 1]
         sub_heights = None if heights is None else [heights[i] for i in chosen]
-        parts.append(_parallelepiped([rays[i] for i in chosen], sub_heights))
-    total = sum(n for n, _ in parts)
-    if total > _BOX_BUDGET:
-        raise BudgetExceeded(
-            f"parallelepipeds of {total} points exceed the budget of {_BOX_BUDGET}", _BOX_BUDGET
-        )
-    return [p for _, points in parts for p in points]
+        found, spent = _parallelepiped([rays[i] for i in chosen], sub_heights, _charged(spent + 1))
+        points += found
+    return points
 
 
 def _minimal(items):
@@ -165,9 +158,16 @@ def _minimal(items):
     for exponent keys the monomials no other one divides. A key can only be
     >= keys of smaller sum, and testing the kept ones suffices, since a
     dropped key is >= a kept one. A repeated key keeps its first value.
+    Each candidate is charged one dominance test per kept key, and
+    BudgetExceeded is raised once the tests would pass `_LATTICE_BUDGET`.
     """
-    kept = []
+    kept, tests, budget = [], 0, _LATTICE_BUDGET
     for key, value in sorted(items, key=lambda kv: sum(kv[0])):
+        tests += len(kept)
+        if tests > budget:
+            raise BudgetExceeded(
+                f"minimal sieve ran {tests} dominance tests, over its budget of {budget}", budget
+            )
         if not any(all(map(le, k, key)) for k, _ in kept):
             kept.append((key, value))
     return [value for _, value in kept]
@@ -386,14 +386,13 @@ class Cone:
         a point of its half-open parallelepiped, so the rays and the
         parallelepiped points of a pulling triangulation, keyed by their
         slack over the dual generators, go through the `_minimal` sieve
-        (Bruns & Ichim, J. Algebra 2010). The zonotope box of the rays keeps
-        its budget: the parallelepipeds lie in it, with disjoint interiors.
+        (Bruns & Ichim, J. Algebra 2010). Both count their work against
+        `_LATTICE_BUDGET` and raise BudgetExceeded past it.
         """
         if not self.is_strongly_convex():
             raise NotPointed("Hilbert basis requires a cone with no line")
         d = self.ambient_dim
         rays = self.rays()
-        _check_box([(0,) * d + (1,)], rays)
         if not rays:
             return Semigroup(d, [])
         duals = self.dual_generators()

@@ -11,8 +11,8 @@ Divisorial modules O(D) are handled through their lattice regions
 vertices, and the cone {(m, t) : <m, u_rho> + a_rho t >= 0, t >= 0} over
 them, whose rays double description finds (`cone._double_description`).
 Their minimal generators are the `cone._minimal` points, keyed by the slack
-(<m, u_rho> + a_rho), among the integral vertices and the height-1 points of
-the parallelepipeds of a triangulation of that cone
+(<m, u_rho> + a_rho), among the integral vertices and the height-1 points in
+the parallelepipeds over a triangulation of that cone
 (`cone._simplicial_points`), the routine behind Hilbert bases too.
 
 Ring presentations build their ideals when first read, so class groups,
@@ -33,7 +33,6 @@ from itertools import product as iproduct
 from .cone import (
     Cone,
     Semigroup,
-    _check_box,
     _dot,
     _double_description,
     _minimal,
@@ -510,11 +509,10 @@ def _atomic_module_generators(v: ToricVariety, d: TorusDivisor):
     height 1, or one g_i is (v, 1) for an integral vertex v and the rest lies
     in the semigroup. So the integral vertices and the height-1
     parallelepiped points, keyed by their slack <m, u> + a, go through
-    `_minimal`. The zonotope box around the vertices and the dual rays keeps
-    its budget.
+    `_minimal`. The triangulation and the sieve each count their work
+    against the lattice budget and raise BudgetExceeded past it.
     """
     rows, hom = _region_cone(v.rays, d.coeffs)
-    _check_box([r for r in hom if r[-1]], v.dual_cone.rays())
     heights = [r[-1] for r in hom]
     points = [r for r in hom if r[-1] == 1] + _simplicial_points(hom, rows, len(rows[0]), heights)
     return sorted(_minimal((tuple(_dot(u, p) for u in rows[:-1]), p[:-1]) for p in points))
@@ -651,7 +649,7 @@ def _local_cohomology_witness(v: ToricVariety, d: TorusDivisor):
     <= -1 otherwise} is searched for a lattice point, among its integral
     vertices and the height-1 points of its cone's parallelepipeds, as for
     module generators. The answer is None when O(D) is MCM, and also off
-    dimension 3 or when a search would exceed the parallelepiped budget.
+    dimension 3 or when a search would exceed the lattice budget.
     """
     if v.cone.ambient_dim != 3:
         return None

@@ -60,10 +60,11 @@ class NonUnique(ToricaError):
 class BudgetExceeded(ToricaError):
     """An enumeration or a computation would go past its documented budget.
 
-    Raised before a lattice-point box of more than 10^6 points is scanned,
-    before more than 10^6 standard monomials are listed, and when a
-    Groebner basis computation reduces more than 5,000 S-pairs or finds
-    more than 1,000 elements. `budget` is the limit that tripped.
+    Raised when a lattice computation would count more than 10^6
+    simplices and parallelepiped nodes, or more than 10^6 dominance tests
+    in its sieve, before more than 10^6 standard monomials are listed, and
+    when a Groebner basis computation reduces more than 5,000 S-pairs or
+    finds more than 1,000 elements. `budget` is the limit that tripped.
     """
 
     code = "BUDGET_EXCEEDED"

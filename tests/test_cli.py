@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -261,9 +262,14 @@ def test_div_mcm_scan(capsys):
 
 
 def test_div_mcm_scan_over_budget_exits_one(capsys):
+    """The first class, -100005, gives about 10^5 candidates; the sieve's count stops it in 10 s."""
+    start = time.perf_counter()
     data = out_json(["div", "mcm-scan", "@S", "--window", "100000"], capsys, expect_code=1)
+    assert time.perf_counter() - start < 10
     assert data["error"]["code"] == "BUDGET_EXCEEDED"
     assert data["error"]["budget"] == 10**6
+    assert data["error"]["message"].startswith("minimal sieve ran ")
+    assert data["error"]["message"].endswith(" dominance tests, over its budget of 1000000")
 
 
 def test_ideal_groebner_over_budget_exits_one(tmp_path, monkeypatch, capsys):

@@ -371,11 +371,22 @@ def test_hilbert_basis_brute_force_oracle():
 
 
 def test_hilbert_basis_over_budget_raises_before_scanning():
-    cone = Cone(2, [(1, 0), (1, 10**6)])
-    with pytest.raises(BudgetExceeded) as info:
-        cone.hilbert_basis()
-    assert info.value.code == "BUDGET_EXCEEDED"
-    assert info.value.budget == 10**6
+    """One parallelepiped level of 10^6 or 10^12 nodes is refused before any node is built.
+
+    The simplex on (1, 0) and (1, t) holds t parallelepiped points, all on
+    its first level, and the count adds 1 for the simplex.
+    """
+    for t in (10**6, 10**12):
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded) as info:
+            Cone(2, [(1, 0), (1, t)]).hilbert_basis()
+        assert time.perf_counter() - start < 5
+        assert info.value.code == "BUDGET_EXCEEDED"
+        assert info.value.budget == 10**6
+        assert str(info.value) == (
+            f"triangulation counted {t + 1} simplices and parallelepiped nodes, "
+            "over its budget of 1000000"
+        )
 
 
 def test_semigroup_json():
