@@ -228,7 +228,8 @@ def _ideal_from_json(doc, args) -> Ideal:
     if field is None:
         field = _resolve_field(args)
     ring = PolyRing(int(field), variables)
-    return Ideal(ring, generators, order=doc.get("order", "grevlex"))
+    order = doc.get("order", "grevlex")
+    return Ideal(ring, generators, order=tuple(order) if isinstance(order, list) else order)
 
 
 def _ideal_to_json(ideal, reduced=True):

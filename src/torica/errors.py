@@ -64,7 +64,9 @@ class BudgetExceeded(ToricaError):
     simplices and parallelepiped nodes, or more than 10^6 dominance tests
     in its sieve, before more than 10^6 standard monomials are listed, and
     when a Groebner basis computation reduces more than 5,000 S-pairs or
-    finds more than 1,000 elements. `budget` is the limit that tripped.
+    finds more than 1,000 elements. Parsing one polynomial stops before
+    its products (those of powers included) multiply more than 10^6 pairs
+    of terms. `budget` is the limit that tripped.
     """
 
     code = "BUDGET_EXCEEDED"

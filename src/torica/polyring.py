@@ -11,9 +11,10 @@ equality off the packed exponent fields without unpacking them (Monagan &
 Pearce, "Sparse polynomial division using a heap", JSC 46, 2011), and
 raises BudgetExceeded past its pair and basis-size budget. It can start
 from a known reduced basis, whose elements it pairs only with the new
-generators. Ideals cache their reduced
-basis as monic packed records (leading monomial, tail terms) sorted by the
-order, next to the same elements as Polynomials; callers only see exponent
+generators. An ideal caches its reduced basis as the engine returns it:
+the packing and the monic packed records (leading monomial, tail terms)
+sorted by the order. Normal forms reduce by those records, which become
+Polynomials only when the basis is read; callers only see exponent
 tuples. On top of the basis machinery this module provides elimination,
 saturation, quotient vector-space dimensions, and exact Hilbert-series
 certificates for regular sequences (on quotient rings and on monomial
@@ -30,8 +31,9 @@ from .errors import BudgetExceeded, NotHomogeneous
 
 INFINITE = float("inf")
 
-# Limits on one Groebner basis computation and on the standard monomials
-# listed for one ideal (docs/formats.md, "Error object").
+# Limits on one Groebner basis computation, on the standard monomials
+# listed for one ideal and on the term products of one parse
+# (docs/formats.md, "Error object").
 _PAIR_BUDGET = 5000
 _BASIS_BUDGET = 1000
 _MONOMIAL_BUDGET = 10**6
@@ -195,11 +197,23 @@ _MAX_NESTING = 100
 
 
 class _Parser:
+    """Recursive descent; every product it forms, in powers too, counts len(a.terms) * len(b.terms)."""
+
     def __init__(self, ring, tokens):
         self.ring = ring
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
+        self.work = 0
+
+    def product(self, a, b):
+        self.work += len(a.terms) * len(b.terms)
+        if self.work > _MONOMIAL_BUDGET:
+            raise BudgetExceeded(
+                f"parsing multiplied {self.work} pairs of terms, over its budget of {_MONOMIAL_BUDGET}",
+                _MONOMIAL_BUDGET,
+            )
+        return a * b
 
     def peek(self):
         return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
@@ -228,7 +242,7 @@ class _Parser:
         result = self.factor()
         while self.peek() == "*":
             self.next()
-            result = result * self.factor()
+            result = self.product(result, self.factor())
         return result
 
     def factor(self):
@@ -238,7 +252,7 @@ class _Parser:
             kind, value = self.next()
             if kind != "num":
                 raise ValueError("exponent must be a number")
-            return base ** value
+            return _power(base, value, self.product)
         return base
 
     def base(self):
@@ -332,14 +346,7 @@ class Polynomial:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, Polynomial.__mul__)
 
     def __eq__(self, other):
         return (
@@ -368,11 +375,6 @@ class Polynomial:
     def leading_term(self, key):
         e = max(self.terms, key=key)
         return e, self.terms[e]
-
-    def monic(self, key):
-        if not self.terms:
-            return self
-        return self * pow(self.leading_term(key)[1], -1, self.ring.char)
 
     # -- display --------------------------------------------------------------------
 
@@ -409,6 +411,18 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self})"
+
+
+def _power(f, n, multiply):
+    """f^n by repeated squaring, each product formed by multiply."""
+    result = f.ring.one()
+    while n:
+        if n & 1:
+            result = multiply(result, f)
+        n >>= 1
+        if n:
+            f = multiply(f, f)
+    return result
 
 
 def _poly(ring, terms):
@@ -488,9 +502,6 @@ class _Packing:
 
     def pack_terms(self, terms):
         return {self.pack(e): c for e, c in terms.items()}
-
-    def unpack_terms(self, terms):
-        return {self.unpack(m): c for m, c in terms.items() if c}
 
     def block_max(self, a, b):
         """The fieldwise max of two exponent blocks: the block of their lcm.
@@ -613,36 +624,21 @@ def _s_terms(a, b, lcm, p, guard):
     return out
 
 
-def _normal_form(f, polys, order):
-    """Full remainder of f modulo polys, tried in order, largest term first."""
-    ring, p = f.ring, f.ring.char
-
-    def run(packing):
-        records = [_monic(packing.pack_terms(g.terms), p) for g in polys if g.terms]
-        rem = _reduce(packing.pack_terms(f.terms), records, p, packing.guard)
-        return _poly(ring, packing.unpack_terms(rem))
-
-    return _widening(order, ring.nvars, [f.terms] + [g.terms for g in polys], run)
-
-
-def _s_poly(f, g, order):
-    ring, p = f.ring, f.ring.char
-
-    def run(packing):
-        a, b = (_monic(packing.pack_terms(h.terms), p) for h in (f, g))
-        lcm = packing.weighted(packing.block_max(a[0] & packing.low, b[0] & packing.low))
-        terms = _s_terms(a, b, lcm, p, packing.guard)
-        return _poly(ring, packing.unpack_terms(terms))
-
-    return _widening(order, ring.nvars, [f.terms, g.terms], run)
+def _repacked(records, old, new):
+    """Records packed by `old`, packed by `new`, whose fields are at least as wide."""
+    return tuple(
+        (new.pack(old.unpack(lt)), tuple((new.pack(old.unpack(m)), c) for m, c in tail))
+        for lt, tail in records
+    )
 
 
 def _groebner(ring, generators, order, known=None):
     """The reduced Groebner basis of known + generators: (packing, sorted monic records).
 
-    `known` is the `Ideal._gb` triple of a reduced Groebner basis in the
+    `known` is the `Ideal._gb` pair of a reduced Groebner basis in the
     same order. Its elements join the basis first, in fields at least as
-    wide as its own packing, so that its records are reused as they stand.
+    wide as its own packing: its records are reused as they stand, or
+    repacked if the new generators need wider fields.
     Their S-pairs all reduce to zero among themselves, so none is formed.
     Then each generator joins through the Gebauer-Moeller update, which
     pairs it with every element found before it, known ones included: a
@@ -704,9 +700,9 @@ def _groebner(ring, generators, order, known=None):
             reducers[:] = [records[g] for g in active]
 
         if known:
-            known_packing, known_records, known_polys = known
+            known_packing, known_records = known
             if known_packing.bits != packing.bits:
-                known_records = [_monic(packing.pack_terms(g.terms), p) for g in known_polys]
+                known_records = _repacked(known_records, known_packing, packing)
             for record in known_records:
                 insert(record, paired=False)
         for record in sorted(_monic(packing.pack_terms(g.terms), p) for g in generators if g.terms):
@@ -741,10 +737,10 @@ class Ideal:
     """Ideal presented by generators, with a monomial order and GB cache.
 
     The cache `_gb` holds the reduced Groebner basis once computed, as
-    (packing, records, polynomials): the packed encoding it was computed in,
-    its monic records (packed leading monomial, packed tail terms) sorted by
-    the order, and the same elements as Polynomials. Callers only ever see
-    exponent tuples and Polynomials.
+    (packing, records): the packed encoding it was computed in and its
+    monic records (packed leading monomial, packed tail terms) sorted by
+    the order. Callers only ever see exponent tuples and Polynomials, which
+    are unpacked when they are read.
     """
 
     __slots__ = ("ring", "generators", "order", "_gb")
@@ -773,52 +769,47 @@ class Ideal:
 
     def _basis(self):
         if self._gb is None:
-            self._gb = _cached_basis(self.ring, *_groebner(self.ring, self.generators, self.order))
+            self._gb = _groebner(self.ring, self.generators, self.order)
         return self._gb
 
     def groebner(self):
         """The reduced Groebner basis, as a list of monic polynomials."""
-        return list(self._basis()[2])
+        packing, records = self._basis()
+        return [
+            _poly(self.ring, {packing.unpack(m): c for m, c in ((lt, 1),) + tail})
+            for lt, tail in records
+        ]
 
     def normal_form(self, f):
+        """The full remainder of f modulo the basis; wider fields than the cache's take repacked records."""
         if isinstance(f, str):
             f = self.ring.parse(f)
         if f.ring != self.ring:
             raise ValueError("polynomial from a different ring")
-        packing, records, polys = self._basis()
-        if _field_max(packing.spans, f.terms) <= packing.limit:
-            try:
-                rem = _reduce(packing.pack_terms(f.terms), records, self.ring.char, packing.guard)
-                return _poly(self.ring, packing.unpack_terms(rem))
-            except _Overflow:
-                pass
-        return _normal_form(f, polys, self.order)
+        packing, records = self._basis()
+
+        def run(wide):
+            reducers = records if wide.bits == packing.bits else _repacked(records, packing, wide)
+            rem = _reduce(wide.pack_terms(f.terms), reducers, self.ring.char, wide.guard)
+            return _poly(self.ring, {wide.unpack(m): c for m, c in rem.items()})
+
+        return _widening(self.order, self.ring.nvars, [f.terms], run, packing.bits)
 
     def contains(self, f):
         return self.normal_form(f).is_zero()
 
     def leading_exponents(self):
-        packing, records, _ = self._basis()
+        packing, records = self._basis()
         return [packing.unpack(lt) for lt, _ in records]
 
     def with_order(self, order):
         return Ideal(self.ring, self.generators, order=order)
 
 
-def _cached_basis(ring, packing, records):
-    """The `Ideal._gb` triple of a reduced basis: (packing, records, polynomials)."""
-    polys = []
-    for lt, tail in records:
-        terms = {packing.unpack(lt): 1}
-        terms.update(packing.unpack_terms(dict(tail)))
-        polys.append(_poly(ring, terms))
-    return packing, records, tuple(polys)
-
-
 def _extended(i: Ideal, generators) -> Ideal:
     """i + (generators), its basis grown from the cached basis of i."""
     out = Ideal(i.ring, i.generators + tuple(generators), order=i.order)
-    out._gb = _cached_basis(i.ring, *_groebner(i.ring, generators, i.order, i._basis()))
+    out._gb = _groebner(i.ring, generators, i.order, i._basis())
     return out
 
 
@@ -881,7 +872,7 @@ def saturate(i: Ideal, f) -> Ideal:
             records = (_monic(packing.pack_terms(g.terms), ring.char) for g in kept)
             return packing, tuple(sorted(records))
 
-        out._gb = _cached_basis(ring, *_widening(i.order, ring.nvars, [g.terms for g in kept], run))
+        out._gb = _widening(i.order, ring.nvars, [g.terms for g in kept], run)
     return out
 
 

@@ -117,6 +117,16 @@ def test_ideal_quotient_dim(tmp_path, capsys):
     assert sorted(data["standard_monomials"]) == ["1", "A", "B", "X"]
 
 
+def test_ideal_elimination_order_round_trips(tmp_path, capsys):
+    """The documented ["elim", k] order is accepted, and the output document reads back as itself."""
+    doc = {"field": 101, "variables": ["x", "y", "z"], "generators": ["x - y^2", "y - z^3"]}
+    doc["order"] = ["elim", 1]
+    code, out, _err = run_cli(["ideal", "groebner", write_json(tmp_path / "elim.json", doc)], capsys)
+    assert code == 0 and json.loads(out)["order"] == ["elim", 1]
+    (tmp_path / "again.json").write_text(out)
+    assert run_cli(["ideal", "groebner", str(tmp_path / "again.json")], capsys) == (0, out, "")
+
+
 def test_ideal_short_key_aliases(tmp_path, capsys):
     doc = {"char": 7, "vars": ["x", "y"], "gens": ["x^2 - y^2"]}
     ideal_file = write_json(tmp_path / "short.json", doc)
@@ -390,6 +400,21 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     doc = write_json(tmp_path / "noshape.json", {"something": 1})
     code, _out, err = run_cli(["cone", "dual", doc], capsys)
     assert code == 2
+
+
+def test_hostile_power_stops_on_the_parse_budget(tmp_path, capsys):
+    """A power whose expansion would take millions of term products stops while it is parsed."""
+    doc = {"field": 101, "variables": ["x", "y", "z"], "generators": ["(x+y+z)^200"]}
+    power_file = write_json(tmp_path / "power.json", doc)
+    start = time.perf_counter()
+    data = out_json(["ideal", "quotient-dim", power_file], capsys, expect_code=1)
+    assert time.perf_counter() - start < 5
+    assert data["error"]["code"] == "BUDGET_EXCEEDED"
+    assert data["error"]["budget"] == 10**6
+    assert data["error"]["message"].startswith("parsing multiplied ")
+    doc["generators"] = ["(x+y+z)^60"]
+    data = out_json(["ideal", "quotient-dim", write_json(tmp_path / "power.json", doc)], capsys)
+    assert data["dimension"] == "INFINITE"
 
 
 def test_ideal_non_string_generator_is_bad_input(monkeypatch, capsys):

@@ -28,7 +28,7 @@ from torica import (
 )
 from torica import divisor, polyring
 from torica.cone import _minimal
-from torica.polyring import _add, _divides, _normal_form, _sub
+from torica.polyring import _add, _divides, _sub
 
 from suites import _random_polynomial, buchberger_suite, saturation_suite
 
@@ -59,6 +59,15 @@ def test_parser_refuses_nesting_beyond_one_hundred_levels():
     assert ring.parse("(" * 100 + "x" + ")" * 100) == ring.parse("x")
     with pytest.raises(ValueError, match="nested deeper than 100 levels"):
         ring.parse("(" * 101 + "x" + ")" * 101)
+
+
+def test_parser_powers_match_polynomial_powers_and_stop_on_the_budget():
+    ring = PolyRing(101, ("x", "y", "z"))
+    f = ring.parse("x + 2*y - z")
+    for n in (0, 1, 2, 5, 12):
+        assert ring.parse(f"(x + 2*y - z)^{n}") == f**n, n
+    with pytest.raises(BudgetExceeded, match="parsing multiplied"):
+        ring.parse("(x + y + z)^1000000")
 
 
 def test_arithmetic_mod_p():
@@ -468,7 +477,9 @@ def test_exponents_at_the_field_limit(monkeypatch):
     # at the default width, a lex remainder that outgrows the fields is widened too
     ideal = Ideal(ring, ["x - y^2", "y - z^3"], order="lex")
     limit = ideal._basis()[0].limit
+    gb = ideal._gb
     assert ideal.normal_form(ring.monomial((limit, 0, 0))) == ring.monomial((0, 0, 6 * limit))
+    assert ideal._gb is gb  # the widened records are not cached
 
 
 def _fitting_exponents(rng, spans, nvars, limit):
@@ -693,14 +704,14 @@ def test_groebner_records_match_reference_engine():
         for _ in range(3):
             f = _random_polynomial(rng, ring, 5, 4)
             assert ideal.normal_form(f) == _ref_normal_form(f, basis, key), (case, f)
-            got = _normal_form(f, ideal.generators, order)
-            assert got == _ref_normal_form(f, ideal.generators, key), (case, f)
     assert seen == {"grevlex", "lex", ("elim", 1)}
 
 
-def _basis_terms(ring, packing, records):
-    """Each reduced basis element as its (exponents, coefficient) items, in stored order."""
-    return [list(g.terms.items()) for g in polyring._cached_basis(ring, packing, records)[2]]
+def _basis_terms(ring, order, gb):
+    """Each element of a `_groebner` basis as its (exponents, coefficient) items, in stored order."""
+    ideal = Ideal(ring, [], order=order)
+    ideal._gb = gb
+    return [list(g.terms.items()) for g in ideal.groebner()]
 
 
 def test_groebner_grown_from_a_known_basis_matches_from_scratch():
@@ -715,7 +726,7 @@ def test_groebner_grown_from_a_known_basis_matches_from_scratch():
         known = Ideal(ring, gens[:split], order=order)._basis()
         grown = polyring._groebner(ring, gens[split:], order, known)
         fresh = polyring._groebner(ring, gens, order)
-        assert _basis_terms(ring, *grown) == _basis_terms(ring, *fresh), (case, split, order)
+        assert _basis_terms(ring, order, grown) == _basis_terms(ring, order, fresh), (case, split, order)
     assert seen == {"grevlex", "lex", ("elim", 1)}
 
 
@@ -731,12 +742,13 @@ def test_known_basis_counts_toward_the_basis_budget(monkeypatch):
 def test_known_basis_in_narrower_fields_is_repacked():
     """A new generator that outgrows the known basis's fields gets the known elements repacked."""
     ring = PolyRing(101, ("x", "y", "z"))
-    known = Ideal(ring, ["x^2 - y*z", "y^3 - z^3"])._basis()
+    ideal = Ideal(ring, ["x^2 - y*z", "y^3 - z^3"])
+    known = ideal._basis()
     big = ring.parse("x^200*z - y^201")
     grown = polyring._groebner(ring, [big], "grevlex", known)
     assert grown[0].bits > known[0].bits
-    fresh = polyring._groebner(ring, list(known[2]) + [big], "grevlex")
-    assert _basis_terms(ring, *grown) == _basis_terms(ring, *fresh)
+    fresh = polyring._groebner(ring, list(ideal.generators) + [big], "grevlex")
+    assert _basis_terms(ring, "grevlex", grown) == _basis_terms(ring, "grevlex", fresh)
 
 
 # -- regular sequences from scratch, kept as a reference ----------------------
