@@ -360,24 +360,8 @@ class Cone:
         return self._rays
 
     def product(self, other: "Cone") -> "Cone":
-        """The cone self x other, with its dual and rays taken from the factors.
-
-        The dual of a product is the product of the duals, and the rays of a
-        product of pointed cones are the embedded factor rays, so neither is
-        enumerated again on the product.
-        """
-        d1, d2 = self.ambient_dim, other.ambient_dim
-
-        def embed(first, second):
-            return [tuple(g) + (0,) * d2 for g in first] + [(0,) * d1 + tuple(h) for h in second]
-
-        cone = Cone._trusted(d1 + d2, tuple(sorted(embed(self.generators, other.generators))))
-        cone._dual_gens = tuple(sorted(embed(self.dual_generators(), other.dual_generators())))
-        cone._dim = self.dim() + other.dim()
-        cone._pointed = self.is_strongly_convex() and other.is_strongly_convex()
-        if cone._pointed:
-            cone._rays = tuple(sorted(embed(self.rays(), other.rays())))
-        return cone
+        """The cone self x other, `_product` of the two: its dual and rays are theirs, embedded."""
+        return _product((self, other))
 
     def hilbert_basis(self) -> Semigroup:
         """Minimal generating set of cone ∩ Z^d as a semigroup.
@@ -399,6 +383,33 @@ class Cone:
         points = list(rays) + _simplicial_points(rays, duals, self.dim())
         keyed = ((tuple(_dot(u, p) for u in duals), p) for p in points if any(p))
         return Semigroup(d, sorted(_minimal(keyed)))
+
+
+def _embedded(dims, blocks):
+    """The vectors of every block, padded with zeros into its place in Z^sum(dims), sorted."""
+    d, at, out = sum(dims), 0, []
+    for dim, block in zip(dims, blocks):
+        out += [(0,) * at + v + (0,) * (d - at - dim) for v in block]
+        at += dim
+    return tuple(sorted(out))
+
+
+def _product(cones):
+    """The product of `cones`, composed from the factors in one pass.
+
+    The dual of a product is the product of the duals, and the rays of a
+    product of pointed cones are the embedded factor rays, so neither is
+    enumerated again. The generators, dual generators and rays are each
+    embedded and sorted once, O(k^2) entries over k factors.
+    """
+    dims = [c.ambient_dim for c in cones]
+    cone = Cone._trusted(sum(dims), _embedded(dims, [c.generators for c in cones]))
+    cone._dual_gens = _embedded(dims, [c.dual_generators() for c in cones])
+    cone._dim = sum(c.dim() for c in cones)
+    cone._pointed = all(c.is_strongly_convex() for c in cones)
+    if cone._pointed:
+        cone._rays = _embedded(dims, [c.rays() for c in cones])
+    return cone
 
 
 # -- functional aliases ----------------------------------------------------

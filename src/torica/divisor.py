@@ -5,6 +5,8 @@ semigroup, and (optionally) a ring presentation. Divisors are integer
 coefficient vectors over the lex-ordered rays. Class groups come from the
 Smith normal form of the ray-pairing matrix; product varieties use
 concatenated per-factor coordinates so that factor classes stay visible.
+A product composes its cone, rays, dual cone and semigroup from its
+factors' when one is first read; its multiplicity reads only the factors.
 
 Divisorial modules O(D) are handled through their lattice regions
 {m : <m, u_rho> + a_rho >= 0} = conv(V) + sigma^dual, V the region's
@@ -15,37 +17,44 @@ Their minimal generators are the `cone._minimal` points, keyed by the slack
 the parallelepipeds over a triangulation of that cone
 (`cone._simplicial_points`), the routine behind Hilbert bases too.
 
-Ring presentations build their ideals when first read, so class groups,
-module generators and multiplicities compute no Groebner basis; only the
-Cohen-Macaulay certificates, which work in the presentation ring, do. The
-MCM scan first refutes what it can without them: on a 3-dimensional cone a
-lattice point whose satisfied rays are not one arc of the facet cycle is a
-degree where local cohomology below the top does not vanish
-(`_local_cohomology_witness`), found in a region of the same form as a
-divisor's. Only the classes without such a witness are certified.
+Ring presentations are built when first read, and their ideals when those
+are, so class groups, module generators and multiplicities compute no
+Groebner basis; only the Cohen-Macaulay certificates, which work in the
+presentation ring, do. The MCM scan first refutes what it can without
+them: on a 3-dimensional cone a lattice point whose satisfied rays are not
+one arc of the facet cycle is a degree where local cohomology below the
+top does not vanish (`_local_cohomology_witness`), found in a region of
+the same form as a divisor's. Only the classes without such a witness are
+certified.
 """
 
 from __future__ import annotations
 
-from functools import reduce
-from itertools import product as iproduct
+from itertools import accumulate, product as iproduct
 
 from .cone import (
     Cone,
     Semigroup,
     _dot,
     _double_description,
+    _embedded,
     _minimal,
+    _product,
     _simplicial_points,
 )
 from .errors import BudgetExceeded, NonUnique, NoSolution, VarietyMismatch
-from .polyring import _add, _sub, module_regular_sequence
+from .polyring import PolyRing, _add, _sub, module_regular_sequence
 from .toric import PHI_COLUMNS, _power_presentation, steinberg_ring_mod_l
 from .zlinalg import IntMatrix, _int_tuple, invert_unimodular, rank, smith_normal_form
 
 
 class ToricVariety:
-    """Normal affine toric variety: a pointed full-dimensional cone plus caches."""
+    """Normal affine toric variety: a pointed full-dimensional cone plus caches.
+
+    A product's cone, rays, dual cone and semigroup are composed from its
+    factors' on the first read of one (`_compose`); an atomic variety sets
+    them when built. A callable `presentation` is called on its first read.
+    """
 
     __slots__ = (
         "cone",
@@ -58,58 +67,63 @@ class ToricVariety:
         "_ray_split",
         "_offsets",
         "_class_group",
+        "_build",
     )
 
-    def __init__(self, cone: Cone, presentation=None, factors=None, name=None):
-        if not cone.is_strongly_convex():
-            raise ValueError("a normal affine toric variety needs a strongly convex cone")
-        if cone.dim() != cone.ambient_dim:
-            raise ValueError("cone must be full-dimensional")
-        self.cone = cone
-        self.rays = cone.rays()
-        self.presentation = presentation
-        self.name = name or f"X({cone.ambient_dim}d)"
+    def __init__(self, cone: Cone | None = None, presentation=None, factors=None, name=None):
         self.factors = tuple(factors) if factors else (self,)
+        if cone is None and not self.is_product():
+            raise ValueError("only a product of two or more factors may omit its cone")
+        if cone is not None and not cone.is_strongly_convex():
+            raise ValueError("a normal affine toric variety needs a strongly convex cone")
+        if cone is not None and cone.dim() != cone.ambient_dim:
+            raise ValueError("cone must be full-dimensional")
+        dims = [f.cone.ambient_dim for f in factors] if factors else [cone.ambient_dim]
+        self._offsets = tuple(accumulate(dims[:-1], initial=0))
+        self.name = name or f"X({sum(dims)}d)"
         self._class_group = None
-
-        if len(self.factors) > 1:
-            offsets = []
-            at = 0
-            for f in self.factors:
-                offsets.append(at)
-                at += f.cone.ambient_dim
-            if at != cone.ambient_dim:
-                raise ValueError("factor dimensions do not sum to the ambient dimension")
-            self._offsets = tuple(offsets)
-            split = []
-            for u in self.rays:
-                hit = None
-                for pos, f in enumerate(self.factors):
-                    lo = offsets[pos]
-                    hi = lo + f.cone.ambient_dim
-                    block = u[lo:hi]
-                    if any(block):
-                        if hit is not None or any(u[:lo]) or any(u[hi:]):
-                            raise ValueError("ray is not embedded from a single factor")
-                        hit = (pos, f.rays.index(block))
-                split.append(hit)
-            if len(split) != sum(len(f.rays) for f in self.factors):
-                raise ValueError("rays do not match the factor rays")
-            self._ray_split = tuple(split)
-            self.dual_cone = reduce(Cone.product, (f.dual_cone for f in self.factors))
-            gens = []
-            for pos, f in enumerate(self.factors):
-                lo = self._offsets[pos]
-                for h in f.semigroup.hilbert_generators:
-                    v = [0] * cone.ambient_dim
-                    v[lo : lo + f.cone.ambient_dim] = list(h)
-                    gens.append(tuple(v))
-            self.semigroup = Semigroup(cone.ambient_dim, sorted(gens))
+        if callable(presentation):
+            self._build = presentation
         else:
-            self._offsets = (0,)
+            self.presentation = presentation
+
+        if not self.is_product():
+            self.cone = cone
+            self.rays = cone.rays()
             self._ray_split = tuple((0, i) for i in range(len(self.rays)))
             self.dual_cone = cone.dual()
             self.semigroup = self.dual_cone.hilbert_basis()
+        elif cone is not None:
+            if cone.rays() != self.rays:
+                raise ValueError("the cone's rays are not the embedded factor rays")
+            self.cone = cone
+
+    def __getattr__(self, name):
+        """Build the presentation, or compose a product's parts, on the first read."""
+        if name == "presentation":
+            self.presentation = self._build()
+        elif name in ("cone", "rays", "semigroup", "dual_cone", "_ray_split") and self.is_product():
+            self._compose()
+        else:
+            raise AttributeError(name)
+        return object.__getattribute__(self, name)
+
+    def _compose(self):
+        """Set the cone, rays, ray split, dual cone and semigroup of a product from its factors."""
+        factors = self.factors
+        dims = [f.cone.ambient_dim for f in factors]
+        d = sum(dims)
+        self.cone = _product([f.cone for f in factors])
+        self.rays = self.cone.rays()
+        self.dual_cone = _product([f.dual_cone for f in factors])
+        hilbert = [f.semigroup.hilbert_generators for f in factors]
+        self.semigroup = Semigroup(d, _embedded(dims, hilbert))
+        where = {  # embedded factor ray -> (factor position, index among the factor's rays)
+            (0,) * lo + u + (0,) * (d - lo - dim): (pos, i)
+            for pos, (f, lo, dim) in enumerate(zip(factors, self._offsets, dims))
+            for i, u in enumerate(f.rays)
+        }
+        self._ray_split = tuple(where[u] for u in self.rays)
 
     def __repr__(self):
         return f"ToricVariety({self.name}, rays={len(self.rays)})"
@@ -147,20 +161,23 @@ class ToricVariety:
 
 
 def product(v1: ToricVariety, v2: ToricVariety, presentation=None, name=None) -> ToricVariety:
-    cone = v1.cone.product(v2.cone)
+    """The product of two varieties over their factors, composed from them when first read."""
     name = name or f"{v1.name} x {v2.name}"
-    return ToricVariety(
-        cone,
-        presentation=presentation,
-        factors=v1.factors + v2.factors,
-        name=name,
-    )
+    return ToricVariety(presentation=presentation, factors=v1.factors + v2.factors, name=name)
+
+
+def _refuse_field(field, surface):
+    """Refuse now the field that building the presentation on its first read would refuse."""
+    if surface and field == 2:
+        raise ValueError("the surface ring is only considered at odd primes")
+    PolyRing(field, ())
 
 
 def steinberg_variety(field=101) -> ToricVariety:
-    """The base surface cone with its six-variable presentation."""
+    """The base surface cone with its six-variable presentation, built when first read."""
+    _refuse_field(field, surface=True)
     cone = Cone(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 2, -1)])
-    return ToricVariety(cone, presentation=steinberg_ring_mod_l(field), name="S")
+    return ToricVariety(cone, presentation=lambda: steinberg_ring_mod_l(field), name="S")
 
 
 def a1_variety() -> ToricVariety:
@@ -184,9 +201,11 @@ def steinberg_product_variety(k, s, field=101) -> ToricVariety:
     """S^k x A^s with the matching product ring presentation.
 
     The k surface factors are one shared `ToricVariety` object, and so are
-    the s line factors. The product's cone, dual cone and ring presentation
-    are assembled from theirs, so nothing is enumerated again, and nothing
-    is saturated until the presentation's ideal is read.
+    the s line factors. The product's cone, rays, dual cone and semigroup
+    are composed from theirs when one of them is first read, and its ring
+    presentation is built from the surface's when first read, so nothing
+    is enumerated again, and a caller such as `multiplicity`, which reads
+    only the factors, composes nothing.
     """
     k, s = int(k), int(s)
     if k < 0 or s < 0 or k + s < 1:
@@ -196,9 +215,9 @@ def steinberg_product_variety(k, s, field=101) -> ToricVariety:
     factors = [surface] * k + [line] * s
     if len(factors) == 1:
         return factors[0]
+    _refuse_field(field, surface=False)
     return ToricVariety(
-        reduce(Cone.product, (f.cone for f in factors)),
-        presentation=_power_presentation(surface.presentation if k else None, k, s, field),
+        presentation=lambda: _power_presentation(surface.presentation if k else None, k, s, field),
         factors=factors,
         name=f"S^{k} x A^{s}",
     )
@@ -527,7 +546,7 @@ def module_generators(v: ToricVariety, d: TorusDivisor) -> DivisorialModule:
         factor_gens = [
             module_generators(f, df).generators for f, df in zip(v.factors, parts)
         ]
-        dim = v.cone.ambient_dim
+        dim = v._offsets[-1] + v.factors[-1].cone.ambient_dim
         combined = []
         for combo in iproduct(*factor_gens):
             vec = [0] * dim

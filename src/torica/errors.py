@@ -66,7 +66,8 @@ class BudgetExceeded(ToricaError):
     when a Groebner basis computation reduces more than 5,000 S-pairs or
     finds more than 1,000 elements. Parsing one polynomial stops before
     its products (those of powers included) multiply more than 10^6 pairs
-    of terms. `budget` is the limit that tripped.
+    of terms. A Hilbert numerator stops before it is built when a
+    generator has degree over 10^6. `budget` is the limit that tripped.
     """
 
     code = "BUDGET_EXCEEDED"

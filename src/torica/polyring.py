@@ -64,8 +64,10 @@ def _spans(order, nvars):
         return ()
     if isinstance(order, tuple) and len(order) == 2 and order[0] == "elim":
         k = order[1]
-        if not 0 < k < nvars:
-            raise ValueError("elimination block size out of range")
+        if type(k) is not int or not 0 < k < nvars:
+            raise ValueError(
+                f"elimination block size must be an integer in 1..{nvars - 1}, got {k!r}"
+            )
         return ((0, k), (k, nvars))
     raise ValueError(f"unknown monomial order: {order!r}")
 
@@ -966,7 +968,8 @@ class _Numerators:
     sorted tuples of blocks. The memo and the width are kept across calls,
     as the steps of a certificate share their colon ideals; a generator of
     larger degree than the width holds widens the blocks and starts a new
-    memo.
+    memo. A generator of degree over _MONOMIAL_BUDGET raises
+    BudgetExceeded before any coefficient list is built.
     """
 
     __slots__ = ("nvars", "packing", "memo")
@@ -978,6 +981,11 @@ class _Numerators:
 
     def __call__(self, exponents):
         top = max(map(sum, exponents), default=0)
+        if top > _MONOMIAL_BUDGET:
+            raise BudgetExceeded(
+                f"a generator has degree over {_MONOMIAL_BUDGET}, the Hilbert numerator budget",
+                _MONOMIAL_BUDGET,
+            )
         if self.packing is None or top > self.packing.limit:
             self.packing = _Packing((), self.nvars, _field_bits(top))
             self.memo = {}

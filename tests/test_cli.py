@@ -186,6 +186,26 @@ def test_ideal_quotient_dim_over_budget_exits_one(tmp_path, capsys):
     assert "1000000000 standard monomials" in data["error"]["message"]
 
 
+def test_elimination_block_size_must_be_an_integer_in_range(tmp_path, capsys):
+    for size in ("1", 1.5, True):
+        doc = {"field": 101, "variables": ["x", "y", "z"], "order": ["elim", size], "generators": ["x - y"]}
+        code, out, err = run_cli(["ideal", "groebner", write_json(tmp_path / "elim.json", doc)], capsys)
+        assert (code, out) == (2, ""), size
+        error = json.loads(err)["error"]
+        assert error["code"] == "BAD_INPUT"
+        assert error["message"] == f"elimination block size must be an integer in 1..2, got {size!r}"
+
+
+def test_quotient_dim_of_a_huge_degree_stops_on_the_budget(tmp_path, capsys):
+    """A generator of degree 10^400 stops before its Hilbert numerator lists any coefficient."""
+    doc = {"field": 101, "variables": ["x", "y"], "generators": [f"x^{10**400} - y", "y^2"]}
+    start = time.perf_counter()
+    data = out_json(["ideal", "quotient-dim", write_json(tmp_path / "huge.json", doc)], capsys, 1)
+    assert time.perf_counter() - start < 5
+    assert data["error"]["code"] == "BUDGET_EXCEEDED"
+    assert data["error"]["budget"] == 10**6
+
+
 def test_div_class_group_builtins(capsys):
     assert out_json(["div", "class-group", "@S"], capsys) == {"free": 1, "torsion": []}
     assert out_json(["div", "class-group", "@A1"], capsys) == {"free": 0, "torsion": [2]}

@@ -3,6 +3,7 @@
 import random
 import time
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, product as iproduct
 from math import ceil, floor
 from operator import mul
@@ -699,6 +700,96 @@ def test_product_constructor_rejects_missing_factor_rays():
     cone = Cone(4, rays)
     with pytest.raises(ValueError):
         ToricVariety(cone, factors=(surface, line))
+
+
+def _pairwise_product(c1, c2):
+    """The product of two cones by the pairwise route: both factors embedded and sorted."""
+    d1, d2 = c1.ambient_dim, c2.ambient_dim
+
+    def embed(first, second):
+        return [g + (0,) * d2 for g in first] + [(0,) * d1 + h for h in second]
+
+    cone = Cone._trusted(d1 + d2, tuple(sorted(embed(c1.generators, c2.generators))))
+    cone._dual_gens = tuple(sorted(embed(c1.dual_generators(), c2.dual_generators())))
+    cone._dim = c1.dim() + c2.dim()
+    cone._pointed = True
+    cone._rays = tuple(sorted(embed(c1.rays(), c2.rays())))
+    return cone
+
+
+@pytest.mark.parametrize("s", [0, 1])
+@pytest.mark.parametrize("k", range(1, 7))
+def test_composed_product_matches_the_pairwise_folds(k, s):
+    """Every part composed in one pass equals the pairwise fold over the factors."""
+    v = steinberg_product_variety(k, s)
+    factors = v.factors
+    for fold in (_pairwise_product, Cone.product):
+        cone = reduce(fold, (f.cone for f in factors))
+        dual = reduce(fold, (f.dual_cone for f in factors))
+        assert v.rays == cone.rays()
+        assert v.cone.generators == cone.generators
+        assert v.cone.dual_generators() == cone.dual_generators()
+        assert v.dual_cone.generators == dual.generators
+        assert v.dual_cone.rays() == dual.rays()
+        assert v.dual_cone.dual_generators() == dual.dual_generators()
+    dim, gens = 0, []
+    for f in factors:
+        pad = v.cone.ambient_dim - dim - f.cone.ambient_dim
+        gens += [(0,) * dim + h + (0,) * pad for h in f.semigroup.hilbert_generators]
+        dim += f.cone.ambient_dim
+    assert v.semigroup.hilbert_generators == tuple(sorted(gens))
+    d = v.divisor(range(len(v.rays)))
+    parts = v.split_divisor(d)
+    dim = 0
+    for f, part in zip(factors, parts):
+        for u, c in zip(f.rays, part.coeffs):
+            embedded = (0,) * dim + u + (0,) * (v.cone.ambient_dim - dim - len(u))
+            assert d.coeffs[v.rays.index(embedded)] == c
+        dim += f.cone.ambient_dim
+    assert v.join_coeffs([p.coeffs for p in parts]) == d.coeffs
+
+
+def test_multiplicity_composes_no_product(monkeypatch):
+    """The multiplicity reads the factors only: no product cone and no presentation is built."""
+
+    def refuse(*args):
+        raise AssertionError("built a part that the multiplicity does not read")
+
+    monkeypatch.setattr(Cone, "product", refuse)
+    monkeypatch.setattr(torica.divisor, "_product", refuse)
+    monkeypatch.setattr(torica.divisor, "steinberg_ring_mod_l", refuse)
+    monkeypatch.setattr(torica.divisor, "_power_presentation", refuse)
+    assert steinberg_multiplicity(6, 1) == 64
+    v = steinberg_product_variety(6, 1)
+    for read in (lambda: v.cone, lambda: v.presentation, lambda: v.factors[0].presentation):
+        with pytest.raises(AssertionError):
+            read()
+
+
+def test_product_law_of_two_hundred_surfaces_in_under_a_second():
+    start = time.perf_counter()
+    assert steinberg_multiplicity(200, 0) == 2**200
+    assert time.perf_counter() - start < 1
+
+
+def test_product_constructor_accepts_a_matching_cone():
+    surface, line = steinberg_variety(), affine_line_variety()
+    composed = variety_product(surface, line)
+    for gens in (composed.rays, composed.rays + (tuple(map(sum, zip(*composed.rays))),)):
+        cone = Cone(4, gens)
+        v = ToricVariety(cone, factors=(surface, line))
+        assert v.cone is cone
+        assert v.rays == composed.rays
+        assert v._ray_split == composed._ray_split
+
+
+def test_surface_constructors_refuse_a_bad_field_when_built():
+    """The presentations are built on first read, but their field is refused at once."""
+    with pytest.raises(ValueError, match="odd primes"):
+        steinberg_variety(2)
+    for k, s in ((1, 1), (0, 2)):
+        with pytest.raises(ValueError, match="must be prime"):
+            steinberg_product_variety(k, s, field=4)
 
 
 def test_multiplicity_matches_variety_route():
