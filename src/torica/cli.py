@@ -312,6 +312,9 @@ def cmd_ideal(args):
 def cmd_div(args):
     if args.sub == "multiplicity":
         value = steinberg_multiplicity(args.k, args.s, _resolve_field(args))
+        digits = getattr(sys, "get_int_max_str_digits", int)()  # json.dumps refuses longer ints; 0: none
+        if digits and value >= 10**digits:
+            raise BudgetExceeded(f"the multiplicity has over {digits} digits, the output budget", digits)
         _emit({"k": args.k, "s": args.s, "multiplicity": value}, args)
         return 0
     variety = _resolve_variety(args.variety, args)
@@ -358,6 +361,7 @@ def cmd_verify(args):
     field = _resolve_field(args)
     if field == 2:
         raise UsageError("field 2 refused: the construction needs an odd prime")
+    PolyRing(field, ())  # refuses a non-prime field before any check runs
     report = run_checks(field=field)
     _emit(report, args)
     if args.report:

@@ -1,12 +1,12 @@
 """Torus-invariant divisors and divisor class groups on affine toric varieties.
 
-A variety is a full-dimensional strongly convex cone with its rays, dual
-semigroup, and (optionally) a ring presentation. Divisors are integer
-coefficient vectors over the lex-ordered rays. Class groups come from the
-Smith normal form of the ray-pairing matrix; product varieties use
-concatenated per-factor coordinates so that factor classes stay visible.
-A product composes its cone, rays, dual cone and semigroup from its
-factors' when one is first read; its multiplicity reads only the factors.
+A variety is a full-dimensional strongly convex cone with its parts: rays,
+dual cone and semigroup, class group and (optionally) a ring presentation.
+Each part is built on its first read, an atomic variety's from its cone
+and a product's only from the same part of its factors. Divisors are
+integer coefficient vectors over the lex-ordered rays. Class groups come
+from the Smith normal form of the ray-pairing matrix; product varieties
+use concatenated per-factor coordinates so that factor classes stay visible.
 
 Divisorial modules O(D) are handled through their lattice regions
 {m : <m, u_rho> + a_rho >= 0} = conv(V) + sigma^dual, V the region's
@@ -49,11 +49,13 @@ from .zlinalg import IntMatrix, _int_tuple, invert_unimodular, rank, smith_norma
 
 
 class ToricVariety:
-    """Normal affine toric variety: a pointed full-dimensional cone plus caches.
+    """Normal affine toric variety: a pointed full-dimensional cone and its parts.
 
-    A product's cone, rays, dual cone and semigroup are composed from its
-    factors' on the first read of one (`_compose`); an atomic variety sets
-    them when built. A callable `presentation` is called on its first read.
+    Each part (`cone`, `rays`, `_ray_split`, `dual_cone`, `semigroup`,
+    `presentation`, the class group) is built on its first read by its
+    builder in `_PARTS` and kept: an atomic variety's from its cone, a
+    product's only from the same part of its factors. A callable
+    `presentation` is called on its first read.
     """
 
     __slots__ = (
@@ -67,63 +69,34 @@ class ToricVariety:
         "_ray_split",
         "_offsets",
         "_class_group",
-        "_build",
+        "_build_presentation",
     )
 
     def __init__(self, cone: Cone | None = None, presentation=None, factors=None, name=None):
-        self.factors = tuple(factors) if factors else (self,)
+        self.factors = tuple(g for f in factors for g in f.factors) if factors else (self,)
         if cone is None and not self.is_product():
             raise ValueError("only a product of two or more factors may omit its cone")
         if cone is not None and not cone.is_strongly_convex():
             raise ValueError("a normal affine toric variety needs a strongly convex cone")
         if cone is not None and cone.dim() != cone.ambient_dim:
             raise ValueError("cone must be full-dimensional")
-        dims = [f.cone.ambient_dim for f in factors] if factors else [cone.ambient_dim]
-        self._offsets = tuple(accumulate(dims[:-1], initial=0))
+        dims = [f.cone.ambient_dim for f in self.factors] if factors else [cone.ambient_dim]
+        self._offsets = tuple(accumulate(dims, initial=0))  # each factor's block, then the total
         self.name = name or f"X({sum(dims)}d)"
-        self._class_group = None
-        if callable(presentation):
-            self._build = presentation
-        else:
-            self.presentation = presentation
-
-        if not self.is_product():
-            self.cone = cone
-            self.rays = cone.rays()
-            self._ray_split = tuple((0, i) for i in range(len(self.rays)))
-            self.dual_cone = cone.dual()
-            self.semigroup = self.dual_cone.hilbert_basis()
-        elif cone is not None:
-            if cone.rays() != self.rays:
+        self._build_presentation = presentation if callable(presentation) else lambda: presentation
+        if cone is not None:
+            if self.is_product() and cone.rays() != self.rays:
                 raise ValueError("the cone's rays are not the embedded factor rays")
             self.cone = cone
 
     def __getattr__(self, name):
-        """Build the presentation, or compose a product's parts, on the first read."""
-        if name == "presentation":
-            self.presentation = self._build()
-        elif name in ("cone", "rays", "semigroup", "dual_cone", "_ray_split") and self.is_product():
-            self._compose()
-        else:
+        """Build a part on its first read, by its builder in `_PARTS`, and keep it."""
+        builders = _PARTS.get(name)
+        if builders is None:
             raise AttributeError(name)
-        return object.__getattribute__(self, name)
-
-    def _compose(self):
-        """Set the cone, rays, ray split, dual cone and semigroup of a product from its factors."""
-        factors = self.factors
-        dims = [f.cone.ambient_dim for f in factors]
-        d = sum(dims)
-        self.cone = _product([f.cone for f in factors])
-        self.rays = self.cone.rays()
-        self.dual_cone = _product([f.dual_cone for f in factors])
-        hilbert = [f.semigroup.hilbert_generators for f in factors]
-        self.semigroup = Semigroup(d, _embedded(dims, hilbert))
-        where = {  # embedded factor ray -> (factor position, index among the factor's rays)
-            (0,) * lo + u + (0,) * (d - lo - dim): (pos, i)
-            for pos, (f, lo, dim) in enumerate(zip(factors, self._offsets, dims))
-            for i, u in enumerate(f.rays)
-        }
-        self._ray_split = tuple(where[u] for u in self.rays)
+        value = builders[self.is_product()](self)
+        setattr(self, name, value)
+        return value
 
     def __repr__(self):
         return f"ToricVariety({self.name}, rays={len(self.rays)})"
@@ -138,8 +111,6 @@ class ToricVariety:
         return TorusDivisor(self, (0,) * len(self.rays))
 
     def class_group(self) -> "ClassGroup":
-        if self._class_group is None:
-            self._class_group = ClassGroup(self)
         return self._class_group
 
     def split_divisor(self, d: "TorusDivisor"):
@@ -160,10 +131,42 @@ class ToricVariety:
         return self.dual_cone.contains(v)
 
 
+def _factor_parts(v: ToricVariety, part):
+    """`part` of each factor of the product v, embedded in the factor's block, sorted."""
+    return _embedded([f.cone.ambient_dim for f in v.factors], [part(f) for f in v.factors])
+
+
+def _product_ray_split(v: ToricVariety):
+    """(factor position, index among the factor's rays) of each ray of the product v."""
+    d = v._offsets[-1]
+    where = {
+        (0,) * lo + u + (0,) * (d - lo - len(u)): (pos, i)
+        for pos, (f, lo) in enumerate(zip(v.factors, v._offsets))
+        for i, u in enumerate(f.rays)
+    }
+    return tuple(where[u] for u in v.rays)
+
+
+# Each part's builders: (for an atomic variety, from its cone; for a product,
+# from the same part of its factors). An atomic variety's cone is given.
+_PARTS = {
+    "cone": (None, lambda v: _product([f.cone for f in v.factors])),
+    "rays": (lambda v: v.cone.rays(), lambda v: _factor_parts(v, lambda f: f.rays)),
+    "_ray_split": (lambda v: tuple((0, i) for i in range(len(v.rays))), _product_ray_split),
+    "dual_cone": (lambda v: v.cone.dual(), lambda v: _product([f.dual_cone for f in v.factors])),
+    "semigroup": (
+        lambda v: v.dual_cone.hilbert_basis(),
+        lambda v: Semigroup(v._offsets[-1], _factor_parts(v, lambda f: f.semigroup.hilbert_generators)),
+    ),
+    "presentation": (lambda v: v._build_presentation(),) * 2,
+    "_class_group": (lambda v: ClassGroup(v),) * 2,
+}
+
+
 def product(v1: ToricVariety, v2: ToricVariety, presentation=None, name=None) -> ToricVariety:
-    """The product of two varieties over their factors, composed from them when first read."""
+    """The product of two varieties over their factors, whose parts are built from theirs."""
     name = name or f"{v1.name} x {v2.name}"
-    return ToricVariety(presentation=presentation, factors=v1.factors + v2.factors, name=name)
+    return ToricVariety(presentation=presentation, factors=(v1, v2), name=name)
 
 
 def _refuse_field(field, surface):
@@ -201,11 +204,10 @@ def steinberg_product_variety(k, s, field=101) -> ToricVariety:
     """S^k x A^s with the matching product ring presentation.
 
     The k surface factors are one shared `ToricVariety` object, and so are
-    the s line factors. The product's cone, rays, dual cone and semigroup
-    are composed from theirs when one of them is first read, and its ring
-    presentation is built from the surface's when first read, so nothing
-    is enumerated again, and a caller such as `multiplicity`, which reads
-    only the factors, composes nothing.
+    the s line factors. Each part of the product, its ring presentation
+    included, is built from the same part of theirs when first read, so
+    nothing is enumerated again, and a caller such as `multiplicity`, which
+    reads only the factors, builds no part of the product.
     """
     k, s = int(k), int(s)
     if k < 0 or s < 0 or k + s < 1:
@@ -388,7 +390,10 @@ class ClassGroup:
 
     def __init__(self, variety: ToricVariety):
         self.variety = variety
-        self.blocks = tuple(_AtomicClassData(f) for f in variety.factors)
+        if variety.is_product():
+            self.blocks = tuple(b for f in variety.factors for b in f.class_group().blocks)
+        else:
+            self.blocks = (_AtomicClassData(variety),)
         self.free_rank = sum(len(b.free_positions) for b in self.blocks)
         self.torsion = tuple(m for b in self.blocks for m in b.moduli)
 
@@ -546,10 +551,9 @@ def module_generators(v: ToricVariety, d: TorusDivisor) -> DivisorialModule:
         factor_gens = [
             module_generators(f, df).generators for f, df in zip(v.factors, parts)
         ]
-        dim = v._offsets[-1] + v.factors[-1].cone.ambient_dim
         combined = []
         for combo in iproduct(*factor_gens):
-            vec = [0] * dim
+            vec = [0] * v._offsets[-1]
             for pos, g in enumerate(combo):
                 lo = v._offsets[pos]
                 vec[lo : lo + len(g)] = list(g)

@@ -67,7 +67,9 @@ class BudgetExceeded(ToricaError):
     finds more than 1,000 elements. Parsing one polynomial stops before
     its products (those of powers included) multiply more than 10^6 pairs
     of terms. A Hilbert numerator stops before it is built when a
-    generator has degree over 10^6. `budget` is the limit that tripped.
+    generator has degree over 10^6. The CLI's `div multiplicity` stops
+    before printing an answer of more digits than Python converts an int
+    to a string (4,300 by default). `budget` is the limit that tripped.
     """
 
     code = "BUDGET_EXCEEDED"

@@ -4,9 +4,10 @@ Builds toric ideals as saturated lattice ideals from an integer matrix
 whose columns record the monomial substitution, and packages the specific
 rings used across the library: the base surface ring on six variables
 (A,B,C,X,Y,Z with A=xz, B=xz^2, C=x, X=yz, Y=yz^2, Z=y) and tensor-power
-products of it with polynomial variables. A presentation builds its ideal
-(the saturation, or the shifted copies of a factor's ideal) on the first
-read of `ideal`, so constructing one computes no Groebner basis.
+products of it with polynomial variables. A presentation follows the rule
+of a variety's parts: its ideal (the saturation, or the shifted copies of
+a factor's ideal) and its lattice-point lifting data are each built on
+their first read and kept, so constructing one computes no Groebner basis.
 """
 
 from __future__ import annotations
@@ -47,58 +48,35 @@ class MonomialMap:
 class ToricPresentation:
     """A semigroup ring presented as F[variables]/lattice ideal.
 
-    The presentations built here saturate, or copy their factors' ideals,
-    only when `ideal` is first read, so a caller that only needs the map,
-    the ring or lattice-point lifts computes no Groebner basis.
+    `ideal` is the ideal in `ring` or a zero-argument builder of it. As with
+    a variety's parts, the ideal and the lifting data (`_lifts`) are built on
+    their first read by their builders in `_PRESENTATION_PARTS` and kept, so
+    a caller that only needs the map, the ring or lattice-point lifts
+    computes no Groebner basis.
     """
 
-    __slots__ = (
-        "map", "semigroup", "_ring", "_ideal", "_build", "_lift_cone", "_lift_weight", "_lift_memo"
-    )
+    __slots__ = ("map", "ring", "semigroup", "ideal", "_lifts", "_build_ideal")
 
-    def __init__(self, map: MonomialMap, ideal: Ideal, semigroup: Semigroup):
+    def __init__(self, map: MonomialMap, ring: PolyRing, ideal, semigroup: Semigroup):
         self.map = map
+        self.ring = ring
         self.semigroup = semigroup
-        self._ring = ideal.ring
-        self._ideal = ideal
-        self._build = None
-        self._lift_cone = None
-        self._lift_weight = None
-        self._lift_memo = None
+        self._build_ideal = ideal if callable(ideal) else lambda: ideal
 
-    @classmethod
-    def _deferred(cls, map: MonomialMap, ring: PolyRing, build, semigroup: Semigroup):
-        """The presentation whose ideal in `ring` is `build()`, called on its first read."""
-        pres = cls(map, Ideal(ring, []), semigroup)
-        pres._ideal, pres._build = None, build
-        return pres
-
-    @property
-    def ideal(self) -> Ideal:
-        if self._ideal is None:
-            self._ideal = self._build()
-        return self._ideal
-
-    @property
-    def ring(self) -> PolyRing:
-        return self._ring
+    def __getattr__(self, name):
+        """Build a part on its first read, by its builder in `_PRESENTATION_PARTS`, and keep it."""
+        build = _PRESENTATION_PARTS.get(name)
+        if build is None:
+            raise AttributeError(name)
+        value = build(self)
+        setattr(self, name, value)
+        return value
 
     def __repr__(self):
         return (
             f"ToricPresentation(vars={list(self.map.variable_names)}, "
             f"dim={self.semigroup.ambient_dim})"
         )
-
-    def _lift_setup(self):
-        if self._lift_cone is None:
-            d = self.map.phi.rows
-            cone = Cone(d, self.map.phi.columns())
-            if not cone.is_strongly_convex():
-                raise ValueError("lattice-point lifting needs a pointed column cone")
-            self._lift_cone = cone
-            self._lift_weight = _grading(cone)
-            self._lift_memo = {}
-        return self._lift_cone, self._lift_weight
 
     def lift_lattice_point(self, m):
         """Exponent tuple e with phi @ e == m, or None if m is not in the semigroup.
@@ -110,9 +88,8 @@ class ToricPresentation:
         lift, or to None when the point has no lift.
         """
         m = _int_tuple(m, self.map.phi.rows)
-        cone, weight = self._lift_setup()
+        cone, weight, memo = self._lifts
         cols = self.map.phi.columns()
-        memo = self._lift_memo
 
         def grade(v):
             return sum(w * x for w, x in zip(weight, v))
@@ -167,6 +144,17 @@ class ToricPresentation:
         return self.ring.monomial(exps)
 
 
+def _lifts(pres: ToricPresentation):
+    """(column cone, its grading, shared memo) for `lift_lattice_point`."""
+    cone = Cone(pres.map.phi.rows, pres.map.phi.columns())
+    if not cone.is_strongly_convex():
+        raise ValueError("lattice-point lifting needs a pointed column cone")
+    return cone, _grading(cone), {}
+
+
+_PRESENTATION_PARTS = {"ideal": lambda pres: pres._build_ideal(), "_lifts": _lifts}
+
+
 def toric_ideal(map: MonomialMap, char) -> ToricPresentation:
     """Presentation of the semigroup ring of the columns of `map`.
 
@@ -190,7 +178,7 @@ def toric_ideal(map: MonomialMap, char) -> ToricPresentation:
     for col in phi.columns():
         if col not in seen:
             seen.append(col)
-    return ToricPresentation._deferred(map, ring, build, Semigroup(phi.rows, seen))
+    return ToricPresentation(map, ring, build, Semigroup(phi.rows, seen))
 
 
 def steinberg_monomial_map() -> MonomialMap:
@@ -275,4 +263,4 @@ def _power_presentation(base, k, s, char) -> ToricPresentation:
                 gens.append(ring.polynomial(shifted))
         return Ideal(ring, gens)
 
-    return ToricPresentation._deferred(map, ring, build, Semigroup(dim, columns))
+    return ToricPresentation(map, ring, build, Semigroup(dim, columns))

@@ -271,6 +271,16 @@ def test_div_multiplicity(capsys):
         assert data["multiplicity"] == expected
 
 
+def test_div_multiplicity_past_the_digit_limit_is_over_budget(capsys):
+    """2^14000 has 4,215 digits and prints; 2^14500 has 4,365, past the 4,300-digit limit."""
+    data = out_json(["div", "multiplicity", "--k", "14000", "--s", "0", "--json"], capsys)
+    assert data["multiplicity"] == 2**14000
+    code, out, err = run_cli(["div", "multiplicity", "--k", "14500", "--s", "0"], capsys)
+    assert (code, err) == (1, "")
+    error = json.loads(out)["error"]
+    assert (error["code"], error["budget"]) == ("BUDGET_EXCEEDED", 4300)
+
+
 def test_div_trace_witness(tmp_path, capsys):
     divisor_file = write_json(tmp_path / "d.json", {"coeffs": [-1, 0, -1, 0]})
     target_file = write_json(tmp_path / "t.json", {"coeffs": [0, 0, -1, 0]})
@@ -355,6 +365,17 @@ def test_verify_refuses_field_two(capsys):
     code, _out, err = run_cli(["verify", "--field", "2"], capsys)
     assert code == 2
     assert "odd prime" in json.loads(err)["error"]["message"]
+
+
+def test_verify_refuses_a_non_prime_field(capsys):
+    """A non-prime field is refused before any check runs, as `div class-group` refuses it."""
+    for argv in (["verify", "--field", "4"], ["div", "class-group", "@S", "--field", "4"]):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == {
+            "code": "BAD_INPUT",
+            "message": "characteristic must be prime, got 4",
+        }
 
 
 def test_paper_verify_alias(capsys):

@@ -1,5 +1,9 @@
 """Closed-form line bundle cohomology on P^1 products, with a Cech oracle."""
 
+import random
+import time
+from itertools import product as iproduct
+
 import pytest
 
 from torica import (
@@ -70,6 +74,35 @@ def test_h_dim_product_three_factors():
     assert h_dim_product(3, (-2, -2, -2)) == 1
     assert h_dim_product(2, (-2, -2, 4)) == 5
     assert h_dim_product(1, (-3, 2, 0)) == 2 * 3 * 1
+
+
+def _h_dim_product_by_splits(d, degrees):
+    """Kunneth by every split of d into per-factor degrees 0 and 1: 2^n terms."""
+    total = 0
+    for split in iproduct((0, 1), repeat=len(degrees)):
+        if sum(split) == d:
+            term = 1
+            for e, deg in zip(split, degrees):
+                term *= h_dim_p1(e, deg)
+            total += term
+    return total
+
+
+def test_h_dim_product_against_the_split_sum():
+    rng = random.Random(21)
+    for n in range(13):
+        for _ in range(6):
+            degrees = tuple(rng.randint(-5, 4) for _ in range(n))
+            for d in range(n + 2):
+                assert h_dim_product(d, degrees) == _h_dim_product_by_splits(d, degrees), degrees
+
+
+def test_h_dim_product_of_forty_factors_in_under_a_second():
+    degrees = (-3, 2) * 20
+    start = time.perf_counter()
+    assert h_dim_product(20, degrees) == 2**20 * 3**20
+    assert h_dim_product(21, degrees) == 0
+    assert time.perf_counter() - start < 1
 
 
 def test_check_danilov_hypothesis_positive():

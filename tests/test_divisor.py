@@ -720,7 +720,7 @@ def _pairwise_product(c1, c2):
 @pytest.mark.parametrize("s", [0, 1])
 @pytest.mark.parametrize("k", range(1, 7))
 def test_composed_product_matches_the_pairwise_folds(k, s):
-    """Every part composed in one pass equals the pairwise fold over the factors."""
+    """Every part built from the factors equals the pairwise fold over them."""
     v = steinberg_product_variety(k, s)
     factors = v.factors
     for fold in (_pairwise_product, Cone.product):
@@ -750,20 +750,46 @@ def test_composed_product_matches_the_pairwise_folds(k, s):
 
 
 def test_multiplicity_composes_no_product(monkeypatch):
-    """The multiplicity reads the factors only: no product cone and no presentation is built."""
+    """What reads only rays and classes builds no semigroup, product cone or presentation."""
 
     def refuse(*args):
-        raise AssertionError("built a part that the multiplicity does not read")
+        raise AssertionError("built a part that was not read")
 
     monkeypatch.setattr(Cone, "product", refuse)
+    monkeypatch.setattr(Cone, "hilbert_basis", refuse)
     monkeypatch.setattr(torica.divisor, "_product", refuse)
     monkeypatch.setattr(torica.divisor, "steinberg_ring_mod_l", refuse)
     monkeypatch.setattr(torica.divisor, "_power_presentation", refuse)
     assert steinberg_multiplicity(6, 1) == 64
     v = steinberg_product_variety(6, 1)
-    for read in (lambda: v.cone, lambda: v.presentation, lambda: v.factors[0].presentation):
+    assert multiplicity(v) == 64
+    cg = v.class_group()
+    assert (cg.free_rank, cg.torsion) == (6, ())
+    rep = cg.representative(half_canonical(v))
+    assert len(module_generators(v, rep).generators) == 64
+    assert half_canonical(steinberg_product_variety(200, 0)).free == (1,) * 200
+    flat = ToricVariety(Cone(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 2, -1)]))
+    assert class_group(flat).presentation() == (1, ())
+    reads = (
+        lambda: v.cone,
+        lambda: v.dual_cone,
+        lambda: v.semigroup,
+        lambda: v.presentation,
+        lambda: v.factors[0].semigroup,
+        lambda: v.factors[0].presentation,
+        lambda: flat.semigroup,
+    )
+    for read in reads:
         with pytest.raises(AssertionError):
             read()
+
+
+def test_flat_s8_class_group_without_its_semigroup():
+    """Flat S^8 answers its class group; only reading its semigroup runs the sieve over budget."""
+    flat = ToricVariety(Cone(24, steinberg_product_variety(8, 0).cone.generators))
+    assert class_group(flat).presentation() == (8, ())
+    with pytest.raises(BudgetExceeded):
+        flat.semigroup
 
 
 def test_product_law_of_two_hundred_surfaces_in_under_a_second():
