@@ -23,8 +23,8 @@ algorithm of Normaliz (Bruns & Ichim, J. Algebra 2010): Hilbert bases use
 the cone itself, divisorial modules the cone over their region. The work is
 counted as it is done, against the one budget `_LATTICE_BUDGET`: the
 enumeration charges 1 per simplex and each parallelepiped level's partial
-nodes, the sieve 1 per dominance test, each in its own count. A count that
-would pass the budget raises `BudgetExceeded`, naming its counter.
+nodes, the sieve 1 per dominance test, each in its own count. `charge`
+raises `BudgetExceeded`, naming the counter, on a count that would pass it.
 """
 
 from __future__ import annotations
@@ -33,10 +33,14 @@ from itertools import product as iproduct
 from math import gcd, prod
 from operator import le, mul
 
-from .errors import BudgetExceeded, NotPointed, NotStronglyConvex
+from .errors import NotPointed, NotStronglyConvex, charge
 from .zlinalg import IntMatrix, _echelon, _int_tuple, kernel_basis, lattice_member, rank
 
 _LATTICE_BUDGET = 10**6
+_TRIANGULATION = (
+    "triangulation counted {count} simplices and parallelepiped nodes, over its budget of {budget}"
+)
+_SIEVE = "minimal sieve ran {count} dominance tests, over its budget of {budget}"
 
 
 def _primitive(vec):
@@ -71,17 +75,6 @@ def _pulling(face, facet_masks, dim):
         if not sub & low and not any(sub != other and sub & other == sub for other in subs):
             for simplex in _pulling(sub, facet_masks, dim - 1):
                 yield low | simplex
-
-
-def _charged(spent):
-    """`spent`, the simplices and parallelepiped nodes counted, unless it passes the budget."""
-    if spent > _LATTICE_BUDGET:
-        raise BudgetExceeded(
-            f"triangulation counted {spent} simplices and parallelepiped nodes, "
-            f"over its budget of {_LATTICE_BUDGET}",
-            _LATTICE_BUDGET,
-        )
-    return spent
 
 
 def _parallelepiped(gens, heights=None, spent=0):
@@ -124,7 +117,7 @@ def _parallelepiped(gens, heights=None, spent=0):
                 if not cs or height + cs[-1] * qi != n:
                     continue
             if len(grown) + len(cs) > room:
-                _charged(spent + len(grown) + len(cs))
+                charge(spent + len(grown) + len(cs), _LATTICE_BUDGET, _TRIANGULATION)
             grown += [((c,) + tail, height + c * qi) for c in cs]
         spent += len(grown)
         partial = grown
@@ -146,7 +139,8 @@ def _simplicial_points(rays, normals, dim, heights=None):
     for simplex in _pulling((1 << len(rays)) - 1, masks, dim):
         chosen = [i for i in range(len(rays)) if simplex >> i & 1]
         sub_heights = None if heights is None else [heights[i] for i in chosen]
-        found, spent = _parallelepiped([rays[i] for i in chosen], sub_heights, _charged(spent + 1))
+        spent = charge(spent + 1, _LATTICE_BUDGET, _TRIANGULATION)
+        found, spent = _parallelepiped([rays[i] for i in chosen], sub_heights, spent)
         points += found
     return points
 
@@ -161,13 +155,9 @@ def _minimal(items):
     Each candidate is charged one dominance test per kept key, and
     BudgetExceeded is raised once the tests would pass `_LATTICE_BUDGET`.
     """
-    kept, tests, budget = [], 0, _LATTICE_BUDGET
+    kept, tests = [], 0
     for key, value in sorted(items, key=lambda kv: sum(kv[0])):
-        tests += len(kept)
-        if tests > budget:
-            raise BudgetExceeded(
-                f"minimal sieve ran {tests} dominance tests, over its budget of {budget}", budget
-            )
+        tests = charge(tests + len(kept), _LATTICE_BUDGET, _SIEVE)
         if not any(all(map(le, k, key)) for k, _ in kept):
             kept.append((key, value))
     return [value for _, value in kept]

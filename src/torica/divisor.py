@@ -548,18 +548,9 @@ def module_generators(v: ToricVariety, d: TorusDivisor) -> DivisorialModule:
         raise VarietyMismatch("divisor lives on a different variety")
     if v.is_product():
         parts = v.split_divisor(d)
-        factor_gens = [
-            module_generators(f, df).generators for f, df in zip(v.factors, parts)
-        ]
-        combined = []
-        for combo in iproduct(*factor_gens):
-            vec = [0] * v._offsets[-1]
-            for pos, g in enumerate(combo):
-                lo = v._offsets[pos]
-                vec[lo : lo + len(g)] = list(g)
-            combined.append(tuple(vec))
-        combined.sort()
-        return DivisorialModule(d, combined)
+        factor_gens = [module_generators(f, df).generators for f, df in zip(v.factors, parts)]
+        # the factor blocks are contiguous and in factor order, so a generator concatenates
+        return DivisorialModule(d, sorted(sum(combo, ()) for combo in iproduct(*factor_gens)))
     return DivisorialModule(d, _atomic_module_generators(v, d))
 
 

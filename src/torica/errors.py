@@ -1,7 +1,8 @@
 """Shared exception types.
 
 Every domain error the library raises deliberately lives here, so callers
-(and the CLI) can map them to stable error codes.
+(and the CLI) can map them to stable error codes, and so does `charge`, the
+one check of a count against its budget.
 """
 
 
@@ -60,16 +61,10 @@ class NonUnique(ToricaError):
 class BudgetExceeded(ToricaError):
     """An enumeration or a computation would go past its documented budget.
 
-    Raised when a lattice computation would count more than 10^6
-    simplices and parallelepiped nodes, or more than 10^6 dominance tests
-    in its sieve, before more than 10^6 standard monomials are listed, and
-    when a Groebner basis computation reduces more than 5,000 S-pairs or
-    finds more than 1,000 elements. Parsing one polynomial stops before
-    its products (those of powers included) multiply more than 10^6 pairs
-    of terms. A Hilbert numerator stops before it is built when a
-    generator has degree over 10^6. The CLI's `div multiplicity` stops
-    before printing an answer of more digits than Python converts an int
-    to a string (4,300 by default). `budget` is the limit that tripped.
+    Raised by `charge` for every count the library keeps, and by the CLI
+    for an answer with too many digits to print; docs/formats.md, "Error
+    object", lists every budget and its message. `budget` is the limit that
+    tripped.
     """
 
     code = "BUDGET_EXCEEDED"
@@ -77,3 +72,13 @@ class BudgetExceeded(ToricaError):
     def __init__(self, message, budget):
         super().__init__(message)
         self.budget = budget
+
+
+def charge(count, budget, message, **fields):
+    """`count` while it is at most `budget`; past it, BudgetExceeded.
+
+    `message` is a template filled with `count`, `budget` and `fields`.
+    """
+    if count > budget:
+        raise BudgetExceeded(message.format(count=count, budget=budget, **fields), budget)
+    return count

@@ -27,7 +27,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from math import comb
 
-from .errors import BudgetExceeded, NotHomogeneous
+from .errors import NotHomogeneous, charge
 
 INFINITE = float("inf")
 
@@ -209,12 +209,11 @@ class _Parser:
         self.work = 0
 
     def product(self, a, b):
-        self.work += len(a.terms) * len(b.terms)
-        if self.work > _MONOMIAL_BUDGET:
-            raise BudgetExceeded(
-                f"parsing multiplied {self.work} pairs of terms, over its budget of {_MONOMIAL_BUDGET}",
-                _MONOMIAL_BUDGET,
-            )
+        self.work = charge(
+            self.work + len(a.terms) * len(b.terms),
+            _MONOMIAL_BUDGET,
+            "parsing multiplied {count} pairs of terms, over its budget of {budget}",
+        )
         return a * b
 
     def peek(self):
@@ -670,11 +669,7 @@ def _groebner(ring, generators, order, known=None):
 
         def insert(record, paired=True):
             h, lt_h = len(records), record[0]
-            if h >= _BASIS_BUDGET:
-                raise BudgetExceeded(
-                    f"Groebner basis grew past {_BASIS_BUDGET} elements, over its budget",
-                    _BASIS_BUDGET,
-                )
+            charge(h + 1, _BASIS_BUDGET, "Groebner basis grew past {budget} elements, over its budget")
             b_h = lt_h & low
             if paired:
                 pairs[:] = [
@@ -711,13 +706,12 @@ def _groebner(ring, generators, order, known=None):
             insert(record)
         reduced = 0
         while pairs:
-            if reduced == _PAIR_BUDGET:
-                raise BudgetExceeded(
-                    f"Groebner basis reduced {_PAIR_BUDGET} S-pairs with {len(pairs)} left, "
-                    f"over its budget",
-                    _PAIR_BUDGET,
-                )
-            reduced += 1
+            reduced = charge(
+                reduced + 1,
+                _PAIR_BUDGET,
+                "Groebner basis reduced {budget} S-pairs with {left} left, over its budget",
+                left=len(pairs),
+            )
             m, i, j = heappop(pairs)
             r = _reduce(_s_terms(records[i], records[j], m, p, guard), reducers, p, guard)
             if r:
@@ -908,11 +902,7 @@ def standard_monomials(i: Ideal):
     count = quotient_dimension(i)
     if count == INFINITE:
         return None
-    if count > _MONOMIAL_BUDGET:
-        raise BudgetExceeded(
-            f"quotient has {count} standard monomials, over its budget of {_MONOMIAL_BUDGET}",
-            _MONOMIAL_BUDGET,
-        )
+    charge(count, _MONOMIAL_BUDGET, "quotient has {count} standard monomials, over its budget of {budget}")
     n = i.ring.nvars
     lead = i.leading_exponents()
     out = [(0,) * n]
@@ -980,12 +970,11 @@ class _Numerators:
         self.memo = {}
 
     def __call__(self, exponents):
-        top = max(map(sum, exponents), default=0)
-        if top > _MONOMIAL_BUDGET:
-            raise BudgetExceeded(
-                f"a generator has degree over {_MONOMIAL_BUDGET}, the Hilbert numerator budget",
-                _MONOMIAL_BUDGET,
-            )
+        top = charge(
+            max(map(sum, exponents), default=0),
+            _MONOMIAL_BUDGET,
+            "a generator has degree over {budget}, the Hilbert numerator budget",
+        )
         if self.packing is None or top > self.packing.limit:
             self.packing = _Packing((), self.nvars, _field_bits(top))
             self.memo = {}

@@ -70,29 +70,16 @@ def _jsonable(value):
 
 
 class _Context:
-    """Shared lazily-built objects so checks do not rebuild the same rings."""
+    """The field and the surface every check shares; the surface builds its parts when first read."""
 
     def __init__(self, field):
         self.field = field
-        self._surface = None
-        self._presentation = None
-
-    @property
-    def surface(self):
-        if self._surface is None:
-            self._surface = steinberg_variety(self.field)
-        return self._surface
-
-    @property
-    def presentation(self):
-        if self._presentation is None:
-            self._presentation = self.surface.presentation
-        return self._presentation
+        self.surface = steinberg_variety(field)  # refuses field 2 and a non-prime field
 
 
 @_check
 def check_toric_ideal_is_minors(ctx):
-    pres = ctx.presentation
+    pres = ctx.surface.presentation
     minors = steinberg_minors_ideal(pres.ring)
     got = {
         "equal": ideal_equal(pres.ideal, minors),
@@ -279,7 +266,7 @@ def check_quotient_dimension_across_fields(ctx):
 
 @_check
 def check_parameter_sequence_regular(ctx):
-    pres = ctx.presentation
+    pres = ctx.surface.presentation
     ring = pres.ring
     elems = [ring.parse("C"), ring.parse("Y"), ring.parse("B-Z")]
     got = is_regular_sequence(elems, pres.ideal)
@@ -288,7 +275,7 @@ def check_parameter_sequence_regular(ctx):
 
 @_check
 def check_hilbert_series_matches_cohomology(ctx):
-    numerator = hilbert_numerator(ctx.presentation.ideal)
+    numerator = hilbert_numerator(ctx.surface.presentation.ideal)
     values = hilbert_function(numerator, 6, upto=8)
     sections = [h_dim_product(0, (2 * i, i)) for i in range(9)]
     # degree: divide the numerator by (1 - t)^3, then evaluate at t = 1.
@@ -350,10 +337,11 @@ def check_ids():
 
 
 def run_checks(field=101):
-    """Run every named check; returns the versioned report dictionary."""
+    """Run every named check; returns the versioned report dictionary.
+
+    A field the surface refuses (2, or not prime) raises ValueError before any check runs.
+    """
     field = int(field)
-    if field == 2:
-        raise ValueError("characteristic 2 is refused: the construction needs an odd prime")
     ctx = _Context(field)
     entries = []
     for name, fn in _CHECKS:

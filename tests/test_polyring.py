@@ -26,7 +26,7 @@ from torica import (
     standard_monomials,
     steinberg_multiplicity,
 )
-from torica import divisor, polyring
+from torica import cone, divisor, polyring
 from torica.cone import _minimal
 from torica.polyring import _add, _divides, _sub
 
@@ -451,6 +451,58 @@ def test_groebner_budget_quotes_the_counter_that_tripped(monkeypatch):
     with pytest.raises(BudgetExceeded) as info:
         Ideal(ring, HOSTILE, order="grevlex").groebner()
     assert info.value.budget == 5 and "5 elements" in str(info.value)
+
+
+def test_budget_messages_are_pinned_byte_for_byte(monkeypatch):
+    """Each budget's message and `budget`, byte for byte: docs/formats.md quotes them."""
+    ring = PolyRing(101, ("x", "y", "z"))
+    huge = PolyRing(101, ("x", "y")).ideal(["x^" + str(10**400) + " - y", "y^2"])
+    cases = [
+        (
+            None,
+            lambda: ring.parse("(x+y+z)^200"),
+            "parsing multiplied 5038020 pairs of terms, over its budget of 1000000",
+            10**6,
+        ),
+        (
+            None,
+            lambda: quotient_dimension(huge),
+            "a generator has degree over 1000000, the Hilbert numerator budget",
+            10**6,
+        ),
+        (
+            None,
+            lambda: standard_monomials(ring.ideal(["x^1000", "y^1000", "z^1000"])),
+            "quotient has 1000000000 standard monomials, over its budget of 1000000",
+            10**6,
+        ),
+        (
+            (polyring, "_PAIR_BUDGET", 100),
+            lambda: Ideal(ring, HOSTILE, order="lex").groebner(),
+            "Groebner basis reduced 100 S-pairs with 15 left, over its budget",
+            100,
+        ),
+        (
+            (polyring, "_BASIS_BUDGET", 5),
+            lambda: Ideal(ring, HOSTILE).groebner(),
+            "Groebner basis grew past 5 elements, over its budget",
+            5,
+        ),
+        (
+            # keys of sums 2, 2, 2, 6 are charged 0, 1, 2 and 3 dominance tests
+            (cone, "_LATTICE_BUDGET", 3),
+            lambda: _minimal([((0, 2), 1), ((1, 1), 2), ((2, 0), 3), ((3, 3), 4)]),
+            "minimal sieve ran 6 dominance tests, over its budget of 3",
+            3,
+        ),
+    ]
+    for patch, run, message, budget in cases:
+        if patch:
+            monkeypatch.setattr(*patch)
+        with pytest.raises(BudgetExceeded) as info:
+            run()
+        assert (str(info.value), info.value.budget) == (message, budget)
+        monkeypatch.undo()
 
 
 def test_exponents_at_the_field_limit(monkeypatch):
