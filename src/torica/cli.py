@@ -227,19 +227,18 @@ def _ideal_from_json(doc, args) -> Ideal:
         field = doc.get("field", doc.get("char"))
     if field is None:
         field = _resolve_field(args)
-    ring = PolyRing(int(field), variables)
+    ring = PolyRing(field, variables)
     order = doc.get("order", "grevlex")
     return Ideal(ring, generators, order=tuple(order) if isinstance(order, list) else order)
 
 
-def _ideal_to_json(ideal, reduced=True):
-    gens = ideal.groebner() if reduced else list(ideal.generators)
+def _ideal_to_json(ideal):
     return {
         "type": "ideal",
         "field": ideal.ring.char,
         "variables": list(ideal.ring.variables),
         "order": ideal.order if isinstance(ideal.order, str) else list(ideal.order),
-        "generators": [str(g) for g in gens],
+        "generators": [str(g) for g in ideal.groebner()],
     }
 
 

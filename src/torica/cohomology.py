@@ -7,6 +7,8 @@ degrees. The descent hypothesis checker asks for vanishing of H^1 and H^2
 of all non-negative twists of each listed bundle.
 """
 
+from .zlinalg import _int_tuple
+
 
 class LineBundleOnP1Product:
     """External tensor product O(d_1) x ... x O(d_n) on (P^1)^n."""
@@ -14,7 +16,7 @@ class LineBundleOnP1Product:
     __slots__ = ("factor_degrees",)
 
     def __init__(self, factor_degrees):
-        self.factor_degrees = tuple(int(d) for d in factor_degrees)
+        self.factor_degrees = _int_tuple(factor_degrees)
 
     def twist(self, i):
         return LineBundleOnP1Product(tuple(i * d for d in self.factor_degrees))
@@ -38,15 +40,14 @@ class LineBundleOnP1Product:
 def _degrees(bundle):
     if isinstance(bundle, LineBundleOnP1Product):
         return bundle.factor_degrees
-    return tuple(int(d) for d in bundle)
+    return _int_tuple(bundle)
 
 
 def h_dim_p1(d, deg) -> int:
     """dim H^d(P^1, O(deg))."""
-    d = int(d)
+    d, deg = _int_tuple((d, deg))
     if d < 0:
         raise ValueError("cohomological degree must be non-negative")
-    deg = int(deg)
     if d == 0:
         return max(0, deg + 1)
     if d == 1:
@@ -61,7 +62,7 @@ def h_dim_product(d, bundle) -> int:
     the coefficient of t^d in the product of (h^0_i + h^1_i t) over the
     factors: O(n^2) work.
     """
-    d = int(d)
+    (d,) = _int_tuple((d,))
     if d < 0:
         raise ValueError("cohomological degree must be non-negative")
     coeffs = [1]
@@ -73,10 +74,11 @@ def h_dim_product(d, bundle) -> int:
 
 def danilov_violations(factors, i_max=50):
     """All (factor_index, d, i) with H^d of the i-th twist non-zero, d in {1,2}."""
+    (i_max,) = _int_tuple((i_max,))
     out = []
     for idx, bundle in enumerate(factors):
         degrees = _degrees(bundle)
-        for i in range(0, int(i_max) + 1):
+        for i in range(0, i_max + 1):
             twisted = tuple(i * deg for deg in degrees)
             for d in (1, 2):
                 if h_dim_product(d, twisted) != 0:

@@ -209,7 +209,7 @@ class Semigroup:
     __slots__ = ("ambient_dim", "hilbert_generators")
 
     def __init__(self, ambient_dim, hilbert_generators):
-        self.ambient_dim = int(ambient_dim)
+        (self.ambient_dim,) = _int_tuple((ambient_dim,))
         self.hilbert_generators = tuple(_int_tuple(g, self.ambient_dim) for g in hilbert_generators)
 
     def __eq__(self, other):
@@ -232,7 +232,7 @@ class Cone:
     __slots__ = ("ambient_dim", "generators", "_dual_gens", "_rays", "_dim", "_pointed")
 
     def __init__(self, ambient_dim, generators):
-        self.ambient_dim = int(ambient_dim)
+        (self.ambient_dim,) = _int_tuple((ambient_dim,))
         prims = set()
         for g in generators:
             p = _primitive(_int_tuple(g, self.ambient_dim))

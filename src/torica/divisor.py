@@ -193,7 +193,7 @@ def affine_line_variety() -> ToricVariety:
 
 
 def affine_space_variety(n) -> ToricVariety:
-    n = int(n)
+    (n,) = _int_tuple((n,))
     if n < 1:
         raise ValueError("need dimension >= 1")
     gens = [tuple(int(i == j) for j in range(n)) for i in range(n)]
@@ -209,7 +209,7 @@ def steinberg_product_variety(k, s, field=101) -> ToricVariety:
     nothing is enumerated again, and a caller such as `multiplicity`, which
     reads only the factors, builds no part of the product.
     """
-    k, s = int(k), int(s)
+    k, s = _int_tuple((k, s))
     if k < 0 or s < 0 or k + s < 1:
         raise ValueError("need k >= 0, s >= 0, k + s >= 1")
     surface = steinberg_variety(field) if k else None
@@ -569,7 +569,7 @@ def multiplicity(v: ToricVariety) -> int:
 
 def steinberg_multiplicity(k, s, field=101) -> int:
     """Multiplicity of the (k, s) product; the empty product is the field."""
-    k, s = int(k), int(s)
+    k, s = _int_tuple((k, s))
     if k < 0 or s < 0:
         raise ValueError("need k >= 0 and s >= 0")
     if k + s == 0:

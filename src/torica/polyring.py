@@ -28,6 +28,7 @@ from heapq import heapify, heappop, heappush
 from math import comb
 
 from .errors import NotHomogeneous, charge
+from .zlinalg import _int_tuple
 
 INFINITE = float("inf")
 
@@ -97,7 +98,7 @@ class PolyRing:
     __slots__ = ("char", "variables", "_index")
 
     def __init__(self, char, variables):
-        char = int(char)
+        (char,) = _int_tuple((char,))
         if not _is_prime(char):
             raise ValueError(f"characteristic must be prime, got {char}")
         names = tuple(str(v) for v in variables)
@@ -144,7 +145,7 @@ class PolyRing:
         return Polynomial(self, {tuple(e): 1})
 
     def monomial(self, exponents, coeff=1):
-        return Polynomial(self, {tuple(int(x) for x in exponents): coeff})
+        return Polynomial(self, {_int_tuple(exponents): coeff})
 
     def binomial_from_vector(self, vec):
         """z^(positive part) - z^(negative part) for an integer vector."""
@@ -285,9 +286,10 @@ class Polynomial:
         p = ring.char
         clean = {}
         for exps, coeff in terms.items():
-            c = int(coeff) % p
+            (c,) = _int_tuple((coeff,))
+            c %= p
             if c:
-                e = tuple(int(x) for x in exps)
+                e = _int_tuple(exps)
                 if len(e) != ring.nvars or any(x < 0 for x in e):
                     raise ValueError(f"bad exponent vector {e!r}")
                 clean[e] = c
@@ -935,17 +937,6 @@ def _poly_sub(a, b):
     return _poly_trim(out)
 
 
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _poly_trim(out)
-
-
 def _poly_shift(a, k):
     return _poly_trim([0] * k + list(a)) if a else []
 
@@ -1079,7 +1070,7 @@ def module_regular_sequence(i: Ideal, module_gens, elements) -> bool:
             return False
         cut = _extended(cut, [f * g for g in module_gens])
         n_mod = _poly_sub(numerator(cut), n_top)
-        if n_mod != _poly_mul(n_prev, _poly_sub([1], _poly_shift([1], f.degree()))):
+        if n_mod != _poly_sub(n_prev, _poly_shift(n_prev, f.degree())):
             return False
         n_prev = n_mod
     return True

@@ -4,10 +4,10 @@ Builds toric ideals as saturated lattice ideals from an integer matrix
 whose columns record the monomial substitution, and packages the specific
 rings used across the library: the base surface ring on six variables
 (A,B,C,X,Y,Z with A=xz, B=xz^2, C=x, X=yz, Y=yz^2, Z=y) and tensor-power
-products of it with polynomial variables. A presentation follows the rule
-of a variety's parts: its ideal (the saturation, or the shifted copies of
-a factor's ideal) and its lattice-point lifting data are each built on
-their first read and kept, so constructing one computes no Groebner basis.
+products of it with polynomial variables. A presentation holds its ideal
+(the saturation, or the shifted copies of a factor's ideal) from
+construction; its lattice-point lifting data is built by the first lift and
+kept. A variety defers building its presentation until a caller reads it.
 """
 
 from __future__ import annotations
@@ -48,29 +48,19 @@ class MonomialMap:
 class ToricPresentation:
     """A semigroup ring presented as F[variables]/lattice ideal.
 
-    `ideal` is the ideal in `ring` or a zero-argument builder of it. As with
-    a variety's parts, the ideal and the lifting data (`_lifts`) are built on
-    their first read by their builders in `_PRESENTATION_PARTS` and kept, so
-    a caller that only needs the map, the ring or lattice-point lifts
-    computes no Groebner basis.
+    `ideal` is the lattice ideal in `ring`. The lifting data, a double
+    description of the column cone, is built by the first
+    `lift_lattice_point` and kept.
     """
 
-    __slots__ = ("map", "ring", "semigroup", "ideal", "_lifts", "_build_ideal")
+    __slots__ = ("map", "ring", "ideal", "semigroup", "_lifts")
 
-    def __init__(self, map: MonomialMap, ring: PolyRing, ideal, semigroup: Semigroup):
+    def __init__(self, map: MonomialMap, ring: PolyRing, ideal: Ideal, semigroup: Semigroup):
         self.map = map
         self.ring = ring
+        self.ideal = ideal
         self.semigroup = semigroup
-        self._build_ideal = ideal if callable(ideal) else lambda: ideal
-
-    def __getattr__(self, name):
-        """Build a part on its first read, by its builder in `_PRESENTATION_PARTS`, and keep it."""
-        build = _PRESENTATION_PARTS.get(name)
-        if build is None:
-            raise AttributeError(name)
-        value = build(self)
-        setattr(self, name, value)
-        return value
+        self._lifts = None
 
     def __repr__(self):
         return (
@@ -88,6 +78,11 @@ class ToricPresentation:
         lift, or to None when the point has no lift.
         """
         m = _int_tuple(m, self.map.phi.rows)
+        if self._lifts is None:
+            cone = Cone(self.map.phi.rows, self.map.phi.columns())
+            if not cone.is_strongly_convex():
+                raise ValueError("lattice-point lifting needs a pointed column cone")
+            self._lifts = (cone, _grading(cone), {})
         cone, weight, memo = self._lifts
         cols = self.map.phi.columns()
 
@@ -144,41 +139,26 @@ class ToricPresentation:
         return self.ring.monomial(exps)
 
 
-def _lifts(pres: ToricPresentation):
-    """(column cone, its grading, shared memo) for `lift_lattice_point`."""
-    cone = Cone(pres.map.phi.rows, pres.map.phi.columns())
-    if not cone.is_strongly_convex():
-        raise ValueError("lattice-point lifting needs a pointed column cone")
-    return cone, _grading(cone), {}
-
-
-_PRESENTATION_PARTS = {"ideal": lambda pres: pres._build_ideal(), "_lifts": _lifts}
-
-
 def toric_ideal(map: MonomialMap, char) -> ToricPresentation:
     """Presentation of the semigroup ring of the columns of `map`.
 
     The lattice ideal of an HNF kernel basis is saturated at the product
     of all variables, which removes the dependence on the choice of
-    kernel basis. The saturation runs when the presentation's ideal is
-    first read.
+    kernel basis.
     """
     phi = map.phi
     if rank(phi) < phi.rows:
         raise InfiniteCokernel("the column lattice has infinite cokernel")
     ring = PolyRing(char, map.variable_names)
-
-    def build():
-        gens = [ring.binomial_from_vector(col) for col in kernel_basis(phi).columns()]
-        if not gens:
-            return Ideal(ring, [])
-        return saturate(Ideal(ring, gens), ring.monomial((1,) * ring.nvars))
-
+    gens = [ring.binomial_from_vector(col) for col in kernel_basis(phi).columns()]
+    ideal = Ideal(ring, gens)
+    if gens:
+        ideal = saturate(ideal, ring.monomial((1,) * ring.nvars))
     seen = []
     for col in phi.columns():
         if col not in seen:
             seen.append(col)
-    return ToricPresentation(map, ring, build, Semigroup(phi.rows, seen))
+    return ToricPresentation(map, ring, ideal, Semigroup(phi.rows, seen))
 
 
 def steinberg_monomial_map() -> MonomialMap:
@@ -212,7 +192,7 @@ def product_ring(k, s, char) -> ToricPresentation:
     x1..xs for the polynomial part; the ideal is the disjoint sum of the
     factor ideals, which presents the tensor product over the ground field.
     """
-    k, s = int(k), int(s)
+    k, s = _int_tuple((k, s))
     if k < 0 or s < 0 or k + s < 1:
         raise ValueError("need k >= 0, s >= 0, k + s >= 1")
     if k == 1 and s == 0:
@@ -225,8 +205,7 @@ def _power_presentation(base, k, s, char) -> ToricPresentation:
 
     Each copy gets its own block of lattice coordinates and of variables, so
     the base ideal is reused as it stands and never saturated again. `base`
-    is only read when k >= 1, and its ideal only when the product's ideal
-    is first read.
+    is only read when k >= 1.
     """
     base_dim = base.map.phi.rows if k else 0
     base_nvars = base.ring.nvars if k else 0
@@ -249,18 +228,14 @@ def _power_presentation(base, k, s, char) -> ToricPresentation:
     map = MonomialMap(IntMatrix.from_columns(columns, rows=dim), names)
 
     ring = PolyRing(char, names)
-
-    def build():
-        gens = []
-        for f in range(k):
-            offset = base_nvars * f
-            for g in base.ideal.generators:
-                shifted = {}
-                for exps, coeff in g.terms.items():
-                    e = [0] * ring.nvars
-                    e[offset : offset + base_nvars] = list(exps)
-                    shifted[tuple(e)] = coeff
-                gens.append(ring.polynomial(shifted))
-        return Ideal(ring, gens)
-
-    return ToricPresentation(map, ring, build, Semigroup(dim, columns))
+    gens = []
+    for f in range(k):
+        offset = base_nvars * f
+        for g in base.ideal.generators:
+            shifted = {}
+            for exps, coeff in g.terms.items():
+                e = [0] * ring.nvars
+                e[offset : offset + base_nvars] = list(exps)
+                shifted[tuple(e)] = coeff
+            gens.append(ring.polynomial(shifted))
+    return ToricPresentation(map, ring, Ideal(ring, gens), Semigroup(dim, columns))

@@ -7,8 +7,6 @@ JSON-ready report; the command line `verify` subcommand and the acceptance
 test suite both consume it.
 """
 
-from fractions import Fraction
-
 from .cohomology import LineBundleOnP1Product, check_danilov_hypothesis, danilov_violations, h_dim_product
 from .cone import Cone
 from .divisor import (
@@ -45,7 +43,7 @@ from .toric import (
     steinberg_monomial_map,
     steinberg_ring_mod_l,
 )
-from .zlinalg import IntMatrix, kernel_basis
+from .zlinalg import IntMatrix, _int_tuple, kernel_basis
 
 REPORT_VERSION = 2
 
@@ -281,10 +279,10 @@ def check_hilbert_series_matches_cohomology(ctx):
     # degree: divide the numerator by (1 - t)^3, then evaluate at t = 1.
     # dividing by (1 - t) turns coefficients into prefix sums, and the last
     # prefix sum (the value at t = 1) must vanish for the division to be exact.
-    coeffs = [Fraction(c) for c in numerator]
+    coeffs = numerator
     for _ in range(3):
         prefix = []
-        acc = Fraction(0)
+        acc = 0
         for c in coeffs:
             acc += c
             prefix.append(acc)
@@ -295,7 +293,7 @@ def check_hilbert_series_matches_cohomology(ctx):
     got = {
         "numerator": list(numerator),
         "values": values,
-        "degree": int(degree),
+        "degree": degree,
     }
     return {"numerator": [1, 0, -6, 8, -3], "values": sections, "degree": 4}, got
 
@@ -341,7 +339,7 @@ def run_checks(field=101):
 
     A field the surface refuses (2, or not prime) raises ValueError before any check runs.
     """
-    field = int(field)
+    (field,) = _int_tuple((field,))
     ctx = _Context(field)
     entries = []
     for name, fn in _CHECKS:

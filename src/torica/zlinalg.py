@@ -56,7 +56,7 @@ class IntMatrix:
             if cols is not None and cols != width:
                 raise ValueError("cols does not match entries")
         else:
-            width = 0 if cols is None else int(cols)
+            (width,) = _int_tuple((0 if cols is None else cols,))
         self.rows = len(data)
         self.cols = width
         self.entries = data

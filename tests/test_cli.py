@@ -215,6 +215,18 @@ def test_div_class_group_builtins(capsys):
     }
 
 
+def test_div_varieties_from_a_cone_file_and_the_power_builtins(tmp_path, capsys):
+    """A JSON cone, @S^k and @A^n name the varieties their builtin spellings do."""
+    surface = {"dim": 3, "generators": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [2, 2, -1]]}
+    surface_file = write_json(tmp_path / "s.json", surface)
+    for sub in ("class-group", "half-canonical"):
+        assert out_json(["div", sub, surface_file], capsys) == out_json(["div", sub, "@S"], capsys)
+        assert out_json(["div", sub, "@S^2"], capsys) == out_json(["div", sub, "@S^2*A^0"], capsys)
+    assert out_json(["div", "class-group", "@S^2"], capsys) == {"free": 2, "torsion": []}
+    assert out_json(["div", "half-canonical", "@S^2"], capsys) == {"free": [1, 1], "torsion": []}
+    assert out_json(["div", "class-group", "@A^3"], capsys) == {"free": 0, "torsion": []}
+
+
 def test_div_canonical(capsys):
     data = out_json(["div", "canonical", "@S"], capsys)
     assert data["class"] == {"free": [2], "torsion": []}
@@ -256,6 +268,8 @@ def test_non_integral_numbers_are_bad_input(tmp_path, capsys):
         (["cone", "dual"], {"dim": 2, "generators": [[1.9, 0], [0.5, 1]]}),
         (["div", "module-gens", "@S"], {"coeffs": [-1.5, 0, -1, 0]}),
         (["div", "module-gens", "@S"], {"ray_coeffs": [[[1.5, 0, 0], -1]]}),
+        (["cone", "dual"], {"dim": 3.5, "generators": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}),
+        (["ideal", "groebner"], {"field": 3.5, "variables": ["x"], "generators": ["x^2"]}),
     )
     for argv, doc in cases:
         code, out, err = run_cli(argv + [write_json(tmp_path / "in.json", doc)], capsys)

@@ -125,6 +125,21 @@ def test_danilov_accepts_plain_degree_tuples():
     assert not check_danilov_hypothesis([(2, 1), (-2,)], 10)
 
 
+def test_non_integral_degrees_are_refused():
+    for call in (
+        lambda: LineBundleOnP1Product((1, 1.5)),
+        lambda: h_dim_p1(0, 1.5),
+        lambda: h_dim_p1(0.5, 1),
+        lambda: h_dim_product(0, (2, 1.5)),
+        lambda: h_dim_product(1.5, (2, 1)),
+        lambda: danilov_violations([(1, 1)], i_max=2.5),
+    ):
+        with pytest.raises(ValueError):
+            call()
+    assert LineBundleOnP1Product((2.0, -1)).factor_degrees == (2, -1)
+    assert h_dim_product(0.0, (2.0, 1)) == h_dim_product(0, (2, 1)) == 6
+
+
 def test_bundle_json():
     assert LineBundleOnP1Product((2, 1)).to_json() == {"factor_degrees": [2, 1]}
 

@@ -50,6 +50,15 @@ def test_semigroup_refuses_non_integral_generators():
     assert Semigroup(2, [(1.0, 1)]).hilbert_generators == ((1, 1),)
 
 
+def test_non_integral_dimensions_are_refused():
+    for build in (Cone, Semigroup):
+        for dim in (3.5, "3"):
+            with pytest.raises(ValueError):
+                build(dim, [(1, 0, 0)])
+    assert Cone(2.0, [(1, 0), (0, 1)]).ambient_dim == 2
+    assert Semigroup(2.0, [(1, 0)]).to_json() == {"dim": 2, "hilbert_basis": [[1, 0]]}
+
+
 def test_dual_of_semigroup_cone_is_surface_cone():
     cone = Cone(3, DUAL_GENS)
     assert cone.dual().rays() == ((0, 0, 1), (0, 1, 0), (1, 0, 0), (2, 2, -1))

@@ -33,6 +33,7 @@ from torica import (
     module_generators,
     module_is_maximal_cohen_macaulay,
     multiplicity,
+    run_checks,
     steinberg_multiplicity,
     steinberg_product_variety,
     steinberg_variety,
@@ -622,6 +623,33 @@ def test_half_canonical_odd_torsion():
     assert (half + half) == canonical_class(v)
 
 
+def test_canonical_class_is_non_negative_on_seeded_cones():
+    """Each free generator is oriented so that the canonical class has a coordinate >= 0 on it."""
+    rng = random.Random(23)
+    checked = 0
+    while checked < 500:
+        d = rng.choice((2, 3, 4))
+        gens = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(rng.randint(d, d + 2))]
+        try:
+            v = ToricVariety(Cone(d, gens))
+        except ValueError:
+            continue  # not pointed or not full-dimensional
+        checked += 1
+        assert all(x >= 0 for x in canonical_class(v).free), gens
+
+
+def test_class_orientation_tie_break_is_pinned():
+    """The canonical class is 0 on this cone's free generator, so its leading sign orients it."""
+    v = ToricVariety(Cone(3, [(-1, -3, -1), (-1, -3, 2), (1, 0, -1), (1, 0, 0)]))
+    assert v.rays == ((-1, -3, -1), (-1, -3, 2), (1, 0, -1), (1, 0, 0))
+    assert (class_group(v).free_rank, class_group(v).torsion) == (1, (3,))
+    assert canonical_class(v) == DivisorClass(v, (0,), (1,))
+    classes = [divisor_from_ray_coeffs(v, {u: 1}).divisor_class() for u in v.rays]
+    assert [(c.free, c.torsion) for c in classes] == [
+        ((1,), (1,)), ((-1,), (0,)), ((-3,), (2,)), ((3,), (2,))
+    ]
+
+
 def test_smooth_varieties_have_trivial_class_group():
     for v in (affine_line_variety(), affine_space_variety(3)):
         cg = class_group(v)
@@ -816,6 +844,21 @@ def test_surface_constructors_refuse_a_bad_field_when_built():
     for k, s in ((1, 1), (0, 2)):
         with pytest.raises(ValueError, match="must be prime"):
             steinberg_product_variety(k, s, field=4)
+
+
+def test_non_integral_sizes_and_fields_are_refused():
+    for call in (
+        lambda: steinberg_product_variety(1.5, 0),
+        lambda: steinberg_product_variety(1, 0.5),
+        lambda: steinberg_multiplicity(1.5, 0),
+        lambda: affine_space_variety(2.5),
+        lambda: steinberg_variety(3.5),
+        lambda: run_checks(3.5),
+    ):
+        with pytest.raises(ValueError, match="not an integer"):
+            call()
+    assert steinberg_multiplicity(2.0, 1.0) == 4
+    assert affine_space_variety(3.0).rays == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
 
 
 def test_multiplicity_matches_variety_route():

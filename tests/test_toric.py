@@ -1,11 +1,13 @@
 """Monomial maps, toric ideals, lattice point lifting, product rings."""
 
+import json
 import random
 from itertools import combinations, product as iproduct
 
 import pytest
 
 from torica import (
+    BudgetExceeded,
     Ideal,
     IntMatrix,
     InfiniteCokernel,
@@ -18,9 +20,11 @@ from torica import (
     steinberg_minors_ideal,
     steinberg_monomial_map,
     steinberg_ring_mod_l,
+    steinberg_variety,
     toric_ideal,
 )
 from torica import polyring
+from torica.cli import main
 
 EXPECTED_BASIS = {
     "C*Y - B*Z",
@@ -244,10 +248,44 @@ def test_square_maps_reduce_a_pinned_number_of_s_pairs(monkeypatch):
     per_map = []
     for m in _square_maps():
         before = len(formed)
-        toric_ideal(m, 32003).ideal  # the saturation runs when the ideal is read
+        toric_ideal(m, 32003).ideal  # the saturation runs when toric_ideal is called
         per_map.append(len(formed) - before)
     assert per_map == [31, 34, 51, 43, 38, 68, 39, 113, 38, 23, 31, 57, 38, 148, 65, 74]
     assert sum(per_map) == 891
+
+
+def test_an_over_budget_saturation_raises_from_the_constructor(monkeypatch, capsys):
+    """A presentation saturates when it is built, so the constructors themselves refuse.
+
+    The surface's saturation reduces 31 S-pairs; its variety still defers the
+    presentation, so building the variety refuses nothing until it is read.
+    """
+    monkeypatch.setattr(polyring, "_PAIR_BUDGET", 5)
+    for build in (
+        lambda: toric_ideal(steinberg_monomial_map(), 101),
+        lambda: steinberg_ring_mod_l(101),
+        lambda: product_ring(2, 1, 101),
+    ):
+        with pytest.raises(BudgetExceeded) as err:
+            build()
+        assert err.value.budget == 5
+    surface = steinberg_variety(101)
+    with pytest.raises(BudgetExceeded):
+        surface.presentation
+    assert main(["ideal", "toric", "@phi"]) == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert (error["code"], error["budget"]) == ("BUDGET_EXCEEDED", 5)
+
+
+def test_non_integral_sizes_are_refused():
+    for call in (
+        lambda: product_ring(1.5, 0, 101),
+        lambda: product_ring(1, 0.5, 101),
+        lambda: toric_ideal(steinberg_monomial_map(), 3.5),
+    ):
+        with pytest.raises(ValueError, match="not an integer"):
+            call()
+    assert product_ring(1.0, 1.0, 101).ring.variables == ("A", "B", "C", "X", "Y", "Z", "x1")
 
 
 def test_saturation_in_lex_computes_its_basis():

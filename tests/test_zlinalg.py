@@ -343,6 +343,12 @@ def test_non_integral_entries_are_refused():
         IntMatrix.from_json({"entries": [[0.5]]})
 
 
+def test_non_integral_column_count_is_refused():
+    with pytest.raises(ValueError):
+        IntMatrix([], cols=2.5)
+    assert IntMatrix([], cols=2.0).cols == 2
+
+
 def test_lattice_member_refuses_non_integral_vectors():
     hnf = hermite_normal_form(IntMatrix([[2, 0], [0, 2]]))
     with pytest.raises(ValueError):
