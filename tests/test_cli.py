@@ -518,3 +518,63 @@ def test_workspace_write_failing_partway_keeps_previous_file(tmp_path, monkeypat
     assert json.loads(err)["error"]["code"] == "BAD_INPUT"
     assert ws.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cone.json", "ws.json"]
+
+
+TWISTED_CUBIC_QUADRICS = ["z2^2 - z1*z3", "z1*z2 - z0*z3", "z1^2 - z0*z2"]
+
+
+def test_ideal_toric_matrix_object_and_default_variables(monkeypatch, capsys):
+    """`phi` as a matrix object, or as a plain list without `variables`, names the columns z0..z3."""
+    matrix = {"rows": 2, "cols": 4, "entries": [[3, 2, 1, 0], [0, 1, 2, 3]]}
+    for phi in (matrix, matrix["entries"]):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"phi": phi})))
+        data = out_json(["ideal", "toric", "-"], capsys)
+        assert data["variables"] == ["z0", "z1", "z2", "z3"]
+        assert data["generators"] == TWISTED_CUBIC_QUADRICS
+
+
+def test_ideal_without_field_reads_the_environment(monkeypatch, capsys):
+    monkeypatch.setenv("TORICA_FIELD", "7")
+    doc = {"variables": ["x", "y"], "generators": ["x^2 + 7*y"]}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    data = out_json(["ideal", "groebner", "-"], capsys)
+    assert (data["field"], data["generators"]) == (7, ["x^2"])
+
+
+def test_non_integer_field_environment_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("TORICA_FIELD", "abc")
+    code, out, err = run_cli(["div", "class-group", "@S"], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {"code": "USAGE", "message": "field must be an integer, got 'abc'"}
+
+
+def test_workspace_get_and_delete_of_a_missing_name_are_usage_errors(tmp_path, capsys):
+    ws = tmp_path / "ws.json"
+    for sub in ("get", "delete"):
+        code, out, err = run_cli(["workspace", sub, "nosuch", "--workspace", str(ws)], capsys)
+        assert (code, out) == (2, ""), sub
+        assert json.loads(err)["error"] == {"code": "USAGE", "message": f"no object named nosuch in {ws}"}
+    assert not ws.exists()
+
+
+def test_divisor_document_without_coefficients_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"something": 1})))
+    code, out, err = run_cli(["div", "module-gens", "@S", "-"], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {
+        "code": "USAGE",
+        "message": "divisor document needs 'coeffs' or 'ray_coeffs'",
+    }
+
+
+def test_mcm_scan_runs_only_in_the_surface_presentation(tmp_path, capsys):
+    """The certificates need the surface's ring presentation: a product builtin and a cone file are refused."""
+    surface = {"dim": 3, "generators": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [2, 2, -1]]}
+    cases = (
+        ("@S^1*A^1", "no default parameter sequence for this presentation"),
+        (write_json(tmp_path / "s.json", surface), "variety has no ring presentation"),
+    )
+    for variety, message in cases:
+        code, out, err = run_cli(["div", "mcm-scan", variety], capsys)
+        assert (code, out) == (2, ""), variety
+        assert json.loads(err)["error"] == {"code": "BAD_INPUT", "message": message}
