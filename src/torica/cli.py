@@ -1,6 +1,7 @@
 """Command line front end with JSON input and output.
 
 Commands delegate to the library modules; every output is a JSON document.
+Each subcommand, its arguments and its handler are declared once, in `COMMANDS`.
 Object arguments accept a file path, `-` for stdin, a built-in name
 (`@S`, `@A1`, `@phi`, `@S^k*A^s`, `@A^s`, `@S^k`), or `@name` for an entry
 stored in the workspace file. Exit codes: 0 success, 1 domain failure
@@ -48,9 +49,8 @@ DEFAULT_WORKSPACE = "torica_workspace.json"
 FIELD_ENV_VAR = "TORICA_FIELD"
 WORKSPACE_ENV_VAR = "TORICA_WORKSPACE"
 
-_PRODUCT_BUILTIN = re.compile(r"^@S\^(\d+)\*A\^(\d+)$")
-_POWER_BUILTIN = re.compile(r"^@S\^(\d+)$")
-_AFFINE_BUILTIN = re.compile(r"^@A\^(\d+)$")
+# @S^k*A^s, @S^k or @A^s, matched whole
+_PRODUCT_BUILTIN = re.compile(r"@(?:S\^(\d+)(?:\*A\^(\d+))?|A\^(\d+))")
 
 
 class UsageError(Exception):
@@ -67,19 +67,8 @@ class _Parser(argparse.ArgumentParser):
 # -- IO helpers --------------------------------------------------------------
 
 
-def _emit(data, args):
-    if getattr(args, "json", False):
-        print(json.dumps(data, sort_keys=True, separators=(",", ":")))
-    else:
-        print(json.dumps(data, indent=2, sort_keys=True))
-
-
 def _workspace_path(args):
-    return (
-        getattr(args, "workspace", None)
-        or os.environ.get(WORKSPACE_ENV_VAR)
-        or DEFAULT_WORKSPACE
-    )
+    return args.workspace or os.environ.get(WORKSPACE_ENV_VAR) or DEFAULT_WORKSPACE
 
 
 def _load_workspace(path):
@@ -130,11 +119,7 @@ def _load_json_arg(token, args):
 
 
 def _resolve_field(args):
-    value = getattr(args, "field", None)
-    if value is None:
-        value = os.environ.get(FIELD_ENV_VAR)
-    if value is None:
-        return DEFAULT_FIELD
+    value = os.environ.get(FIELD_ENV_VAR, DEFAULT_FIELD) if args.field is None else args.field
     try:
         return int(value)
     except (TypeError, ValueError):
@@ -149,24 +134,18 @@ def _builtin_variety(token, field):
         return steinberg_variety(field)
     if token == "@A1":
         return a1_variety()
-    m = _PRODUCT_BUILTIN.match(token)
+    m = _PRODUCT_BUILTIN.fullmatch(token)
     if m:
-        return steinberg_product_variety(int(m.group(1)), int(m.group(2)), field)
-    m = _POWER_BUILTIN.match(token)
-    if m:
-        return steinberg_product_variety(int(m.group(1)), 0, field)
-    m = _AFFINE_BUILTIN.match(token)
-    if m:
-        return steinberg_product_variety(0, int(m.group(1)), field)
+        k, s, n = (int(g or 0) for g in m.groups())
+        return steinberg_product_variety(k, s + n, field)
     return None
 
 
-def _resolve_variety(token, args) -> ToricVariety:
-    builtin = _builtin_variety(token, _resolve_field(args))
+def _resolve_variety(args) -> ToricVariety:
+    builtin = _builtin_variety(args.variety, _resolve_field(args))
     if builtin is not None:
         return builtin
-    doc = _load_json_arg(token, args)
-    return ToricVariety(_cone_from_json(doc))
+    return ToricVariety(_cone_from_json(_load_json_arg(args.variety, args)))
 
 
 def _cone_from_json(doc) -> Cone:
@@ -199,17 +178,15 @@ def _resolve_divisor(variety, token, args) -> TorusDivisor:
     raise UsageError("divisor document needs 'coeffs' or 'ray_coeffs'")
 
 
-def _monomial_map_from_json(doc) -> MonomialMap:
+def _resolve_map(args) -> MonomialMap:
+    if args.input == "@phi":
+        return steinberg_monomial_map()
+    doc = _load_json_arg(args.input, args)
     if not isinstance(doc, dict) or "phi" not in doc:
         raise UsageError("monomial map document needs 'phi'")
     phi = doc["phi"]
-    if isinstance(phi, dict):
-        matrix = IntMatrix.from_json(phi)
-    else:
-        matrix = IntMatrix(phi)
-    names = doc.get("variables") or doc.get("vars")
-    if names is None:
-        names = tuple(f"z{j}" for j in range(matrix.cols))
+    matrix = IntMatrix.from_json(phi) if isinstance(phi, dict) else IntMatrix(phi)
+    names = doc.get("variables") or doc.get("vars") or tuple(f"z{j}" for j in range(matrix.cols))
     return MonomialMap(matrix, names)
 
 
@@ -222,10 +199,8 @@ def _ideal_from_json(doc, args) -> Ideal:
         raise UsageError("ideal document needs 'variables' and 'generators'")
     if any(not isinstance(g, str) for g in generators):
         raise ValueError("ideal generators must be polynomial strings")
-    field = getattr(args, "field", None)
-    if field is None:
-        field = doc.get("field", doc.get("char"))
-    if field is None:
+    field = doc.get("field", doc.get("char"))
+    if args.field is not None or field is None:
         field = _resolve_field(args)
     ring = PolyRing(field, variables)
     order = doc.get("order", "grevlex")
@@ -242,151 +217,195 @@ def _ideal_to_json(ideal):
     }
 
 
-def _cone_to_json(cone):
-    data = cone.to_json()
-    data["type"] = "cone"
-    return data
+def _typed(obj, kind):
+    return dict(obj.to_json(), type=kind)
 
 
-# -- command handlers --------------------------------------------------------
+def _ideal_arg(args):
+    return _ideal_from_json(_load_json_arg(args.input, args), args)
 
 
-def cmd_cone(args):
-    if args.sub == "dual":
-        _emit(_cone_to_json(_resolve_cone(args.input, args).dual()), args)
-    elif args.sub == "rays":
-        cone = _resolve_cone(args.input, args)
-        _emit(
-            {"rays": [{"index": i, "generator": list(u)} for i, u in enumerate(cone.rays())]},
-            args,
-        )
-    elif args.sub == "hilbert-basis":
-        semigroup = _resolve_cone(args.input, args).hilbert_basis()
-        data = semigroup.to_json()
-        data["type"] = "semigroup"
-        _emit(data, args)
-    elif args.sub == "product":
-        c1 = _resolve_cone(args.inputs[0], args)
-        c2 = _resolve_cone(args.inputs[1], args)
-        _emit(_cone_to_json(c1.product(c2)), args)
-    return 0
+# -- commands ----------------------------------------------------------------
+# A handler returns the document to print; `verify` returns its exit code too.
+# Handlers of one expression are written in the command table.
 
 
-def cmd_ideal(args):
-    if args.sub == "toric":
-        if args.input == "@phi":
-            monomial_map = steinberg_monomial_map()
-        else:
-            monomial_map = _monomial_map_from_json(_load_json_arg(args.input, args))
-        pres = toric_ideal(monomial_map, _resolve_field(args))
-        data = _ideal_to_json(pres.ideal)
-        data["semigroup"] = pres.semigroup.to_json()
-        _emit(data, args)
-    elif args.sub == "groebner":
-        ideal = _ideal_from_json(_load_json_arg(args.input, args), args)
-        _emit(_ideal_to_json(ideal), args)
-    elif args.sub == "saturate":
-        ideal = _ideal_from_json(_load_json_arg(args.input, args), args)
-        _emit(_ideal_to_json(saturate(ideal, ideal.ring.parse(args.at))), args)
-    elif args.sub == "quotient-dim":
-        ideal = _ideal_from_json(_load_json_arg(args.input, args), args)
-        basis = standard_monomials(ideal)
-        _emit(
-            {
-                "dimension": "INFINITE" if basis is None else len(basis),
-                "standard_monomials": None
-                if basis is None
-                else [str(ideal.ring.monomial(e)) for e in basis],
-            },
-            args,
-        )
-    elif args.sub == "regular-seq":
-        ideal = _ideal_from_json(_load_json_arg(args.input, args), args)
-        elements = [ideal.ring.parse(e) for e in args.elements]
-        regular = is_regular_sequence(elements, ideal)
-        _emit({"regular": regular, "elements": [str(e) for e in elements]}, args)
-    return 0
+def cone_rays(args):
+    rays = _resolve_cone(args.input, args).rays()
+    return {"rays": [{"index": i, "generator": list(u)} for i, u in enumerate(rays)]}
 
 
-def cmd_div(args):
-    if args.sub == "multiplicity":
-        value = steinberg_multiplicity(args.k, args.s, _resolve_field(args))
-        digits = getattr(sys, "get_int_max_str_digits", int)()  # json.dumps refuses longer ints; 0: none
-        if digits and value >= 10**digits:
-            raise BudgetExceeded(f"the multiplicity has over {digits} digits, the output budget", digits)
-        _emit({"k": args.k, "s": args.s, "multiplicity": value}, args)
-        return 0
-    variety = _resolve_variety(args.variety, args)
-    if args.sub == "class-group":
-        cg = variety.class_group()
-        _emit({"free": cg.free_rank, "torsion": list(cg.torsion)}, args)
-    elif args.sub == "canonical":
-        _emit(
-            {
-                "divisor": canonical_divisor(variety).to_json(),
-                "class": canonical_class(variety).to_json(),
-            },
-            args,
-        )
-    elif args.sub == "half-canonical":
-        _emit(half_canonical(variety).to_json(), args)
-    elif args.sub == "module-gens":
-        divisor = _resolve_divisor(variety, args.divisor, args)
-        _emit(module_generators(variety, divisor).to_json(), args)
-    elif args.sub == "trace-witness":
-        divisor = _resolve_divisor(variety, args.divisor, args)
-        other = _resolve_divisor(variety, args.other, args) if args.other else None
-        target = _resolve_divisor(variety, args.target, args) if args.target else None
-        ok, witness = trace_surjectivity_witness(variety, divisor, other=other, target=target)
-        _emit({"surjective": ok, "witness": list(witness) if witness else None}, args)
-    elif args.sub == "mcm-scan":
-        results = enumerate_mcm_rank_one_candidates(
-            variety, gen_bound=args.gen_bound, scan_window=args.window
-        )
-        _emit(
-            {
-                "gen_bound": args.gen_bound,
-                "window": args.window,
-                "candidates": [
-                    {"class": cls.free[0], "generators": count} for cls, count in results
-                ],
-            },
-            args,
-        )
-    return 0
+def cone_product(args):
+    c1, c2 = (_resolve_cone(token, args) for token in args.inputs)
+    return _typed(c1.product(c2), "cone")
 
 
-def cmd_verify(args):
+def ideal_toric(args):
+    pres = toric_ideal(_resolve_map(args), _resolve_field(args))
+    return dict(_ideal_to_json(pres.ideal), semigroup=pres.semigroup.to_json())
+
+
+def ideal_saturate(args):
+    ideal = _ideal_arg(args)
+    return _ideal_to_json(saturate(ideal, ideal.ring.parse(args.at)))
+
+
+def ideal_quotient_dim(args):
+    ideal = _ideal_arg(args)
+    basis = standard_monomials(ideal)
+    if basis is None:
+        return {"dimension": "INFINITE", "standard_monomials": None}
+    monomials = [str(ideal.ring.monomial(e)) for e in basis]
+    return {"dimension": len(monomials), "standard_monomials": monomials}
+
+
+def ideal_regular_seq(args):
+    ideal = _ideal_arg(args)
+    elements = [ideal.ring.parse(e) for e in args.elements]
+    return {"regular": is_regular_sequence(elements, ideal), "elements": [str(e) for e in elements]}
+
+
+def div_class_group(args):
+    cg = _resolve_variety(args).class_group()
+    return {"free": cg.free_rank, "torsion": list(cg.torsion)}
+
+
+def div_canonical(args):
+    variety = _resolve_variety(args)
+    divisor, cls = canonical_divisor(variety), canonical_class(variety)
+    return {"divisor": divisor.to_json(), "class": cls.to_json()}
+
+
+def div_module_gens(args):
+    variety = _resolve_variety(args)
+    return module_generators(variety, _resolve_divisor(variety, args.divisor, args)).to_json()
+
+
+def div_trace_witness(args):
+    variety = _resolve_variety(args)
+    divisor = _resolve_divisor(variety, args.divisor, args)
+    other = _resolve_divisor(variety, args.other, args) if args.other else None
+    target = _resolve_divisor(variety, args.target, args) if args.target else None
+    ok, witness = trace_surjectivity_witness(variety, divisor, other=other, target=target)
+    return {"surjective": ok, "witness": list(witness) if witness else None}
+
+
+def div_mcm_scan(args):
+    results = enumerate_mcm_rank_one_candidates(
+        _resolve_variety(args), gen_bound=args.gen_bound, scan_window=args.window
+    )
+    candidates = [{"class": cls.free[0], "generators": count} for cls, count in results]
+    return {"gen_bound": args.gen_bound, "window": args.window, "candidates": candidates}
+
+
+def div_multiplicity(args):
+    value = steinberg_multiplicity(args.k, args.s, _resolve_field(args))
+    digits = getattr(sys, "get_int_max_str_digits", int)()  # json.dumps refuses longer; 0: none
+    if digits and value >= 10**digits:
+        message = f"the multiplicity has over {digits} digits, the output budget"
+        raise BudgetExceeded(message, digits)
+    return {"k": args.k, "s": args.s, "multiplicity": value}
+
+
+def verify(args):
     report = run_checks(field=_resolve_field(args))
-    _emit(report, args)
-    if args.report:
-        _write_json(args.report, report)
-    return 0 if report["all_pass"] else 1
+    return report, 0 if report["all_pass"] else 1
 
 
-def cmd_workspace(args):
+def _workspace(args, stored=False):
+    """The workspace path and document; with `stored`, `args.name` must be in it."""
     path = _workspace_path(args)
     doc = _load_workspace(path)
-    if args.sub == "set":
-        doc["objects"][args.name] = _load_json_arg(args.input, args)
-        _write_json(path, doc)
-        _emit({"stored": args.name, "workspace": path}, args)
-    elif args.sub == "get":
-        if args.name not in doc["objects"]:
-            raise UsageError(f"no object named {args.name} in {path}")
-        _emit(doc["objects"][args.name], args)
-    elif args.sub == "list":
-        _emit({"workspace": path, "objects": sorted(doc["objects"])}, args)
-    elif args.sub == "delete":
-        if args.name not in doc["objects"]:
-            raise UsageError(f"no object named {args.name} in {path}")
-        del doc["objects"][args.name]
-        _write_json(path, doc)
-        _emit({"deleted": args.name, "workspace": path}, args)
-    return 0
+    if stored and args.name not in doc["objects"]:
+        raise UsageError(f"no object named {args.name} in {path}")
+    return path, doc
 
 
-# -- parser ------------------------------------------------------------------
+def workspace_set(args):
+    path, doc = _workspace(args)
+    doc["objects"][args.name] = _load_json_arg(args.input, args)
+    _write_json(path, doc)
+    return {"stored": args.name, "workspace": path}
+
+
+def workspace_list(args):
+    path, doc = _workspace(args)
+    return {"workspace": path, "objects": sorted(doc["objects"])}
+
+
+def workspace_delete(args):
+    path, doc = _workspace(args, stored=True)
+    del doc["objects"][args.name]
+    _write_json(path, doc)
+    return {"deleted": args.name, "workspace": path}
+
+
+# -- command table -----------------------------------------------------------
+
+
+def _arg(*names, **options):
+    """The arguments of one `add_argument` call."""
+    return names, options
+
+
+_INPUT, _VARIETY, _NAME = _arg("input"), _arg("variety"), _arg("name")
+_VERIFY = ([_arg("--report", help="also write the report here")], verify)
+
+# command -> (help, {subcommand: (arguments, handler)}), or (help, (arguments, handler))
+# for a command without subcommands
+COMMANDS = {
+    "cone": ("polyhedral cone operations", {
+        "dual": ([_INPUT], lambda args: _typed(_resolve_cone(args.input, args).dual(), "cone")),
+        "rays": ([_INPUT], cone_rays),
+        "hilbert-basis": (
+            [_INPUT],
+            lambda args: _typed(_resolve_cone(args.input, args).hilbert_basis(), "semigroup"),
+        ),
+        "product": ([_arg("inputs", nargs=2)], cone_product),
+    }),
+    "ideal": ("polynomial and toric ideal operations", {
+        "toric": ([_INPUT], ideal_toric),
+        "groebner": ([_INPUT], lambda args: _ideal_to_json(_ideal_arg(args))),
+        "quotient-dim": ([_INPUT], ideal_quotient_dim),
+        "saturate": (
+            [_INPUT, _arg("--at", required=True, help="polynomial to saturate at")],
+            ideal_saturate,
+        ),
+        "regular-seq": ([_INPUT, _arg("--elements", nargs="+", required=True)], ideal_regular_seq),
+    }),
+    "div": ("divisor class group operations", {
+        "class-group": ([_VARIETY], div_class_group),
+        "canonical": ([_VARIETY], div_canonical),
+        "half-canonical": (
+            [_VARIETY], lambda args: half_canonical(_resolve_variety(args)).to_json()
+        ),
+        "module-gens": ([_VARIETY, _arg("divisor")], div_module_gens),
+        "trace-witness": (
+            [_VARIETY, _arg("divisor"), _arg("--other"), _arg("--target")],
+            div_trace_witness,
+        ),
+        "mcm-scan": (
+            [
+                _VARIETY,
+                _arg("--gen-bound", type=int, default=4, dest="gen_bound"),
+                _arg("--window", type=int, default=10),
+            ],
+            div_mcm_scan,
+        ),
+        "multiplicity": (
+            [_arg("--k", type=int, required=True), _arg("--s", type=int, required=True)],
+            div_multiplicity,
+        ),
+    }),
+    "verify": ("run every named check", _VERIFY),
+    "paper": ("aliases for the verification suite", {"verify": _VERIFY}),
+    "workspace": ("named JSON object store", {
+        "set": ([_NAME, _INPUT], workspace_set),
+        "get": ([_NAME], lambda args: _workspace(args, stored=True)[1]["objects"][args.name]),
+        "delete": ([_NAME], workspace_delete),
+        "list": ([], workspace_list),
+    }),
+}
 
 
 def _build_parser():
@@ -395,86 +414,18 @@ def _build_parser():
     common.add_argument("--json", action="store_true", help="compact machine output")
     common.add_argument("--workspace", default=None, help="workspace JSON file path")
 
-    parser = _Parser(
-        prog="torica",
-        description="Exact computations on affine toric varieties.",
-    )
+    parser = _Parser(prog="torica", description="Exact computations on affine toric varieties.")
     top = parser.add_subparsers(dest="command", required=True)
-
-    cone_p = top.add_parser("cone", help="polyhedral cone operations")
-    cone_sub = cone_p.add_subparsers(dest="sub", required=True)
-    for name in ("dual", "rays", "hilbert-basis"):
-        sp = cone_sub.add_parser(name, parents=[common])
-        sp.add_argument("input")
-        sp.set_defaults(handler=cmd_cone)
-    sp = cone_sub.add_parser("product", parents=[common])
-    sp.add_argument("inputs", nargs=2)
-    sp.set_defaults(handler=cmd_cone)
-
-    ideal_p = top.add_parser("ideal", help="polynomial and toric ideal operations")
-    ideal_sub = ideal_p.add_subparsers(dest="sub", required=True)
-    for name in ("toric", "groebner", "quotient-dim"):
-        sp = ideal_sub.add_parser(name, parents=[common])
-        sp.add_argument("input")
-        sp.set_defaults(handler=cmd_ideal)
-    sp = ideal_sub.add_parser("saturate", parents=[common])
-    sp.add_argument("input")
-    sp.add_argument("--at", required=True, help="polynomial to saturate at")
-    sp.set_defaults(handler=cmd_ideal)
-    sp = ideal_sub.add_parser("regular-seq", parents=[common])
-    sp.add_argument("input")
-    sp.add_argument("--elements", nargs="+", required=True)
-    sp.set_defaults(handler=cmd_ideal)
-
-    div_p = top.add_parser("div", help="divisor class group operations")
-    div_sub = div_p.add_subparsers(dest="sub", required=True)
-    for name in ("class-group", "canonical", "half-canonical"):
-        sp = div_sub.add_parser(name, parents=[common])
-        sp.add_argument("variety")
-        sp.set_defaults(handler=cmd_div)
-    sp = div_sub.add_parser("module-gens", parents=[common])
-    sp.add_argument("variety")
-    sp.add_argument("divisor")
-    sp.set_defaults(handler=cmd_div)
-    sp = div_sub.add_parser("trace-witness", parents=[common])
-    sp.add_argument("variety")
-    sp.add_argument("divisor")
-    sp.add_argument("--other", default=None)
-    sp.add_argument("--target", default=None)
-    sp.set_defaults(handler=cmd_div)
-    sp = div_sub.add_parser("mcm-scan", parents=[common])
-    sp.add_argument("variety")
-    sp.add_argument("--gen-bound", type=int, default=4, dest="gen_bound")
-    sp.add_argument("--window", type=int, default=10)
-    sp.set_defaults(handler=cmd_div)
-    sp = div_sub.add_parser("multiplicity", parents=[common])
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--s", type=int, required=True)
-    sp.set_defaults(handler=cmd_div)
-
-    verify_p = top.add_parser("verify", parents=[common], help="run every named check")
-    verify_p.add_argument("--report", default=None, help="also write the report here")
-    verify_p.set_defaults(handler=cmd_verify, sub=None)
-
-    paper_p = top.add_parser("paper", help="aliases for the verification suite")
-    paper_sub = paper_p.add_subparsers(dest="sub", required=True)
-    sp = paper_sub.add_parser("verify", parents=[common])
-    sp.add_argument("--report", default=None)
-    sp.set_defaults(handler=cmd_verify)
-
-    ws_p = top.add_parser("workspace", help="named JSON object store")
-    ws_sub = ws_p.add_subparsers(dest="sub", required=True)
-    sp = ws_sub.add_parser("set", parents=[common])
-    sp.add_argument("name")
-    sp.add_argument("input")
-    sp.set_defaults(handler=cmd_workspace)
-    for name in ("get", "delete"):
-        sp = ws_sub.add_parser(name, parents=[common])
-        sp.add_argument("name")
-        sp.set_defaults(handler=cmd_workspace)
-    sp = ws_sub.add_parser("list", parents=[common])
-    sp.set_defaults(handler=cmd_workspace)
-
+    for command, (summary, entry) in COMMANDS.items():
+        if isinstance(entry, dict):
+            subs = top.add_parser(command, help=summary).add_subparsers(dest="sub", required=True)
+            leaves = [(subs.add_parser(sub, parents=[common]), entry[sub]) for sub in entry]
+        else:
+            leaves = [(top.add_parser(command, parents=[common], help=summary), entry)]
+        for sub_parser, (arguments, handler) in leaves:
+            for names, options in arguments:
+                sub_parser.add_argument(*names, **options)
+            sub_parser.set_defaults(handler=handler)
     return parser
 
 
@@ -491,7 +442,15 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.handler(args)
+        result = args.handler(args)
+        document, status = result if isinstance(result, tuple) else (result, 0)
+        if args.json:
+            print(json.dumps(document, sort_keys=True, separators=(",", ":")))
+        else:
+            print(json.dumps(document, indent=2, sort_keys=True))
+        if getattr(args, "report", None):
+            _write_json(args.report, document)
+        return status
     except ToricaError as err:
         print(json.dumps(_error_json(err.code, err), indent=2, sort_keys=True))
         return 1
