@@ -43,16 +43,17 @@ def _degrees(bundle):
     return _int_tuple(bundle)
 
 
+def _h_p1(deg):
+    """(h^0, h^1) of O(deg) on P^1, for an integer `deg` already checked."""
+    return max(0, deg + 1), max(0, -deg - 1)
+
+
 def h_dim_p1(d, deg) -> int:
     """dim H^d(P^1, O(deg))."""
     d, deg = _int_tuple((d, deg))
     if d < 0:
         raise ValueError("cohomological degree must be non-negative")
-    if d == 0:
-        return max(0, deg + 1)
-    if d == 1:
-        return max(0, -deg - 1)
-    return 0
+    return _h_p1(deg)[d] if d <= 1 else 0
 
 
 def h_dim_product(d, bundle) -> int:
@@ -67,7 +68,7 @@ def h_dim_product(d, bundle) -> int:
         raise ValueError("cohomological degree must be non-negative")
     coeffs = [1]
     for deg in _degrees(bundle):
-        h0, h1 = h_dim_p1(0, deg), h_dim_p1(1, deg)
+        h0, h1 = _h_p1(deg)
         coeffs = [h0 * a + h1 * b for a, b in zip(coeffs + [0], [0] + coeffs)]
     return coeffs[d] if d < len(coeffs) else 0
 

@@ -40,16 +40,32 @@ _BASIS_BUDGET = 1000
 _MONOMIAL_BUDGET = 10**6
 
 
+# Miller-Rabin on the primes up to 41 decides primality exactly below this
+# bound (Sorenson & Webster, Math. Comp. 86, 2017); a larger field is refused.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n):
+    """Is n, below `_PRIME_BOUND`, prime? Miller-Rabin on `_PRIME_BASES`."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for p in _PRIME_BASES:
+        if n % p == 0:
+            return n == p
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -99,6 +115,8 @@ class PolyRing:
 
     def __init__(self, char, variables):
         (char,) = _int_tuple((char,))
+        if char >= _PRIME_BOUND:
+            raise ValueError(f"characteristic must be below {_PRIME_BOUND}, got {char}")
         if not _is_prime(char):
             raise ValueError(f"characteristic must be prime, got {char}")
         names = tuple(str(v) for v in variables)
@@ -853,7 +871,7 @@ def saturate(i: Ideal, f) -> Ideal:
     ext = PolyRing(ring.char, (aux,) + ring.variables)
 
     def lift(poly):
-        return Polynomial(ext, {(0,) + e: c for e, c in poly.terms.items()})
+        return _poly(ext, {(0,) + e: c for e, c in poly.terms.items()})
 
     t = ext.variable(aux)
     gens = [lift(g) for g in i.generators]
@@ -862,7 +880,7 @@ def saturate(i: Ideal, f) -> Ideal:
     kept = []
     for g in elim.groebner():
         if all(e[0] == 0 for e in g.terms):
-            kept.append(Polynomial(ring, {e[1:]: c for e, c in g.terms.items()}))
+            kept.append(_poly(ring, {e[1:]: c for e, c in g.terms.items()}))
     out = Ideal(ring, kept, order=i.order)
     if i.order == "grevlex":
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .cone import Cone, Semigroup, _grading
 from .errors import InfiniteCokernel
-from .polyring import Ideal, PolyRing, saturate
+from .polyring import Ideal, PolyRing, _poly, saturate
 from .zlinalg import IntMatrix, _int_tuple, kernel_basis, rank
 
 PHI_COLUMNS = ((1, 0, 1), (1, 0, 2), (1, 0, 0), (0, 1, 1), (0, 1, 2), (0, 1, 0))
@@ -237,5 +237,5 @@ def _power_presentation(base, k, s, char) -> ToricPresentation:
                 e = [0] * ring.nvars
                 e[offset : offset + base_nvars] = list(exps)
                 shifted[tuple(e)] = coeff
-            gens.append(ring.polynomial(shifted))
+            gens.append(_poly(ring, shifted))
     return ToricPresentation(map, ring, Ideal(ring, gens), Semigroup(dim, columns))

@@ -10,10 +10,8 @@ test suite both consume it.
 from .cohomology import LineBundleOnP1Product, check_danilov_hypothesis, danilov_violations, h_dim_product
 from .cone import Cone
 from .divisor import (
-    DivisorClass,
     a1_variety,
     canonical_class,
-    canonical_divisor,
     divisor_from_ray_coeffs,
     div_of_character,
     enumerate_mcm_rank_one_candidates,
@@ -43,7 +41,7 @@ from .toric import (
     steinberg_monomial_map,
     steinberg_ring_mod_l,
 )
-from .zlinalg import IntMatrix, _int_tuple, kernel_basis
+from .zlinalg import _int_tuple, kernel_basis
 
 REPORT_VERSION = 2
 
@@ -328,10 +326,6 @@ def check_quadric_cone_half_canonical(ctx):
     got = {"free": cg.free_rank, "torsion": list(cg.torsion)}
     got.update(outcome)
     return {"free": 0, "torsion": [2], "error": "NON_UNIQUE", "count": 2}, got
-
-
-def check_ids():
-    return [name for name, _ in _CHECKS]
 
 
 def run_checks(field=101):

@@ -545,7 +545,8 @@ def test_non_integer_field_environment_is_a_usage_error(monkeypatch, capsys):
     monkeypatch.setenv("TORICA_FIELD", "abc")
     code, out, err = run_cli(["div", "class-group", "@S"], capsys)
     assert (code, out) == (2, "")
-    assert json.loads(err)["error"] == {"code": "USAGE", "message": "field must be an integer, got 'abc'"}
+    error = json.loads(err)["error"]
+    assert error == {"code": "USAGE", "message": "field must be an integer, got 'abc'"}
 
 
 def test_workspace_get_and_delete_of_a_missing_name_are_usage_errors(tmp_path, capsys):
@@ -553,7 +554,8 @@ def test_workspace_get_and_delete_of_a_missing_name_are_usage_errors(tmp_path, c
     for sub in ("get", "delete"):
         code, out, err = run_cli(["workspace", sub, "nosuch", "--workspace", str(ws)], capsys)
         assert (code, out) == (2, ""), sub
-        assert json.loads(err)["error"] == {"code": "USAGE", "message": f"no object named nosuch in {ws}"}
+        error = json.loads(err)["error"]
+        assert error == {"code": "USAGE", "message": f"no object named nosuch in {ws}"}
     assert not ws.exists()
 
 
@@ -568,7 +570,7 @@ def test_divisor_document_without_coefficients_is_a_usage_error(monkeypatch, cap
 
 
 def test_mcm_scan_runs_only_in_the_surface_presentation(tmp_path, capsys):
-    """The certificates need the surface's ring presentation: a product builtin and a cone file are refused."""
+    """The certificates run in the surface's presentation: a product or a cone file is refused."""
     surface = {"dim": 3, "generators": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [2, 2, -1]]}
     cases = (
         ("@S^1*A^1", "no default parameter sequence for this presentation"),
@@ -578,3 +580,19 @@ def test_mcm_scan_runs_only_in_the_surface_presentation(tmp_path, capsys):
         code, out, err = run_cli(["div", "mcm-scan", variety], capsys)
         assert (code, out) == (2, ""), variety
         assert json.loads(err)["error"] == {"code": "BAD_INPUT", "message": message}
+
+
+def test_large_prime_fields_answer_and_fields_past_the_primality_bound_refuse(tmp_path, capsys):
+    """10^18 + 3 is decided prime at once; a 31-digit field is refused, not tested for ever."""
+    start = time.perf_counter()
+    data = out_json(["div", "class-group", "@S", "--field", "1000000000000000003"], capsys)
+    assert data == {"free": 1, "torsion": []}
+    field = 10**30 + 57
+    doc = {"field": field, "variables": ["x"], "generators": ["x^2"]}
+    code, out, err = run_cli(["ideal", "groebner", write_json(tmp_path / "big.json", doc)], capsys)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {
+        "code": "BAD_INPUT",
+        "message": f"characteristic must be below 3317044064679887385961981, got {field}",
+    }

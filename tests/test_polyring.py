@@ -41,6 +41,25 @@ def test_ring_requires_prime_characteristic():
     PolyRing(2, ("x",))  # 2 is a legal field for generic ideal work
 
 
+def test_primality_is_exact_below_its_bound_and_refused_above():
+    """Miller-Rabin on the primes to 41 agrees with a sieve and rejects strong pseudoprimes."""
+    sieve = [True] * 20000
+    sieve[0] = sieve[1] = False
+    for p in range(2, 142):
+        sieve[p * p :: p] = [False] * len(sieve[p * p :: p])
+    assert [n for n in range(20000) if polyring._is_prime(n)] == [n for n, p in enumerate(sieve) if p]
+    # strong pseudoprimes to the first 1, 4, 9 and 12 prime bases
+    for n in (2047, 3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not polyring._is_prime(n)
+    assert polyring._is_prime(10**18 + 3) and polyring._is_prime(2**61 - 1)
+    bound = polyring._PRIME_BOUND
+    assert bound == 3317044064679887385961981
+    assert PolyRing(bound - 168, ("x",)).char == bound - 168  # the largest prime below the bound
+    for char in (bound, 10**30 + 57):
+        with pytest.raises(ValueError, match=f"characteristic must be below {bound}, got {char}"):
+            PolyRing(char, ("x",))
+
+
 def test_parser_round_trip():
     ring = PolyRing(101, ("x", "y", "z"))
     for text in ("x^2*y - 3*z + 1", "x*y*z", "-x + y", "(x + y)^2 - x^2 - y^2"):
