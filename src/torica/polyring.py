@@ -53,6 +53,8 @@ def _is_prime(n):
     for p in _PRIME_BASES:
         if n % p == 0:
             return n == p
+    if n < _PRIME_BASES[-1] ** 2:  # a composite this small has a factor among the bases
+        return True
     d, r = n - 1, 0
     while d % 2 == 0:
         d, r = d // 2, r + 1
