@@ -8,6 +8,7 @@ import pytest
 
 from torica import (
     BudgetExceeded,
+    Cone,
     Ideal,
     IntMatrix,
     InfiniteCokernel,
@@ -275,6 +276,51 @@ def test_an_over_budget_saturation_raises_from_the_constructor(monkeypatch, caps
     assert main(["ideal", "toric", "@phi"]) == 1
     error = json.loads(capsys.readouterr().out)["error"]
     assert (error["code"], error["budget"]) == ("BUDGET_EXCEEDED", 5)
+
+
+def _reference_lift(cols, cone, m, memo):
+    """The first nonzero column, in index order, whose remainder lifts; recursive, by the rule.
+
+    A point outside the cone has no lift, and every nonzero column of a
+    pointed cone lowers a positive grading, so the recursion ends.
+    """
+    if not any(m):
+        return (0,) * len(cols)
+    if m not in memo:
+        memo[m] = None
+        if cone.contains(m):
+            for j, col in enumerate(cols):
+                if not any(col):
+                    continue
+                rest = _reference_lift(cols, cone, tuple(a - b for a, b in zip(m, col)), memo)
+                if rest is not None:
+                    memo[m] = tuple(e + (i == j) for i, e in enumerate(rest))
+                    break
+    return memo[m]
+
+
+def test_lifts_agree_with_a_recursive_reference():
+    """Seeded semigroup points, box points (some outside the cone) and the origin."""
+    rng = random.Random(26)
+    cases = [toric_ideal(m, 101) for m in _square_maps()]
+    cases += [steinberg_ring_mod_l(101), product_ring(2, 1, 101)]
+    lifted = 0
+    for pres in cases:
+        phi = pres.map.phi
+        cols = phi.columns()
+        cone, memo = Cone(phi.rows, cols), {}
+        points = [(0,) * phi.rows]
+        for _ in range(12):
+            coeffs = [rng.randint(0, 2) for _ in cols]
+            points.append(phi @ tuple(coeffs))
+            points.append(tuple(rng.randint(-1, 4) for _ in range(phi.rows)))
+        for point in points:
+            lift = pres.lift_lattice_point(point)
+            assert lift == _reference_lift(cols, cone, point, memo), (pres, point)
+            if lift is not None:
+                assert min(lift) >= 0 and phi @ lift == point
+                lifted += 1
+    assert lifted > 200
 
 
 def test_non_integral_sizes_are_refused():
