@@ -375,11 +375,16 @@ class Cone:
         return Semigroup(d, sorted(_minimal(keyed)))
 
 
+def _placed(vectors, at, d):
+    """Each vector padded with zeros into Z^d, its block starting at coordinate `at`."""
+    return [(0,) * at + v + (0,) * (d - at - len(v)) for v in vectors]
+
+
 def _embedded(dims, blocks):
-    """The vectors of every block, padded with zeros into its place in Z^sum(dims), sorted."""
+    """The vectors of every block, placed into its place in Z^sum(dims), sorted."""
     d, at, out = sum(dims), 0, []
     for dim, block in zip(dims, blocks):
-        out += [(0,) * at + v + (0,) * (d - at - dim) for v in block]
+        out += _placed(block, at, d)
         at += dim
     return tuple(sorted(out))
 

@@ -39,12 +39,19 @@ from .cone import (
     _double_description,
     _embedded,
     _minimal,
+    _placed,
     _product,
     _simplicial_points,
 )
 from .errors import BudgetExceeded, NonUnique, NoSolution, VarietyMismatch
 from .polyring import PolyRing, _add, _sub, module_regular_sequence
-from .toric import PHI_COLUMNS, _power_presentation, steinberg_ring_mod_l
+from .toric import (
+    PHI_COLUMNS,
+    _odd_prime,
+    _power_presentation,
+    _product_sizes,
+    steinberg_ring_mod_l,
+)
 from .zlinalg import IntMatrix, _int_tuple, invert_unimodular, rank, smith_normal_form
 
 
@@ -67,7 +74,6 @@ class ToricVariety:
         "name",
         "dual_cone",
         "_ray_split",
-        "_offsets",
         "_class_group",
         "_build_presentation",
     )
@@ -81,7 +87,6 @@ class ToricVariety:
         if cone is not None and cone.dim() != cone.ambient_dim:
             raise ValueError("cone must be full-dimensional")
         dims = [f.cone.ambient_dim for f in self.factors] if factors else [cone.ambient_dim]
-        self._offsets = tuple(accumulate(dims, initial=0))  # each factor's block, then the total
         self.name = name or f"X({sum(dims)}d)"
         self._build_presentation = presentation if callable(presentation) else lambda: presentation
         if cone is not None:
@@ -138,11 +143,11 @@ def _factor_parts(v: ToricVariety, part):
 
 def _product_ray_split(v: ToricVariety):
     """(factor position, index among the factor's rays) of each ray of the product v."""
-    d = v._offsets[-1]
+    dims = [f.cone.ambient_dim for f in v.factors]
     where = {
-        (0,) * lo + u + (0,) * (d - lo - len(u)): (pos, i)
-        for pos, (f, lo) in enumerate(zip(v.factors, v._offsets))
-        for i, u in enumerate(f.rays)
+        u: (pos, i)
+        for pos, (f, at) in enumerate(zip(v.factors, accumulate(dims, initial=0)))
+        for i, u in enumerate(_placed(f.rays, at, sum(dims)))
     }
     return tuple(where[u] for u in v.rays)
 
@@ -156,7 +161,10 @@ _PARTS = {
     "dual_cone": (lambda v: v.cone.dual(), lambda v: _product([f.dual_cone for f in v.factors])),
     "semigroup": (
         lambda v: v.dual_cone.hilbert_basis(),
-        lambda v: Semigroup(v._offsets[-1], _factor_parts(v, lambda f: f.semigroup.hilbert_generators)),
+        lambda v: Semigroup(
+            sum(f.cone.ambient_dim for f in v.factors),
+            _factor_parts(v, lambda f: f.semigroup.hilbert_generators),
+        ),
     ),
     "presentation": (lambda v: v._build_presentation(),) * 2,
     "_class_group": (lambda v: ClassGroup(v),) * 2,
@@ -169,16 +177,12 @@ def product(v1: ToricVariety, v2: ToricVariety, presentation=None, name=None) ->
     return ToricVariety(presentation=presentation, factors=(v1, v2), name=name)
 
 
-def _refuse_field(field, surface):
-    """Refuse now the field that building the presentation on its first read would refuse."""
-    if surface and field == 2:
-        raise ValueError("the surface ring is only considered at odd primes")
-    PolyRing(field, ())
-
-
 def steinberg_variety(field=101) -> ToricVariety:
-    """The base surface cone with its six-variable presentation, built when first read."""
-    _refuse_field(field, surface=True)
+    """The base surface cone with its six-variable presentation, built when first read.
+
+    The field is refused now if building the presentation would refuse it.
+    """
+    PolyRing(_odd_prime(field), ())
     cone = Cone(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 2, -1)])
     return ToricVariety(cone, presentation=lambda: steinberg_ring_mod_l(field), name="S")
 
@@ -209,15 +213,13 @@ def steinberg_product_variety(k, s, field=101) -> ToricVariety:
     nothing is enumerated again, and a caller such as `multiplicity`, which
     reads only the factors, builds no part of the product.
     """
-    k, s = _int_tuple((k, s))
-    if k < 0 or s < 0 or k + s < 1:
-        raise ValueError("need k >= 0, s >= 0, k + s >= 1")
+    k, s = _product_sizes(k, s)
     surface = steinberg_variety(field) if k else None
     line = affine_line_variety() if s else None
     factors = [surface] * k + [line] * s
     if len(factors) == 1:
         return factors[0]
-    _refuse_field(field, surface=False)
+    PolyRing(field, ())  # the field the presentation, built when first read, is over
     return ToricVariety(
         presentation=lambda: _power_presentation(surface.presentation if k else None, k, s, field),
         factors=factors,

@@ -12,14 +12,13 @@ kept. A variety defers building its presentation until a caller reads it.
 
 from __future__ import annotations
 
-from .cone import Cone, Semigroup, _grading
+from .cone import Cone, Semigroup, _dot, _grading, _placed
 from .errors import InfiniteCokernel
 from .polyring import Ideal, PolyRing, _poly, saturate
 from .zlinalg import IntMatrix, _int_tuple, kernel_basis, rank
 
 PHI_COLUMNS = ((1, 0, 1), (1, 0, 2), (1, 0, 0), (0, 1, 1), (0, 1, 2), (0, 1, 0))
 STEINBERG_VARIABLES = ("A", "B", "C", "X", "Y", "Z")
-STEINBERG_SUBSTITUTION = dict(zip(STEINBERG_VARIABLES, PHI_COLUMNS))
 
 
 class MonomialMap:
@@ -72,64 +71,45 @@ class ToricPresentation:
         """Exponent tuple e with phi @ e == m, or None if m is not in the semigroup.
 
         A depth-first search subtracts columns in index order, skipping any
-        column of higher grade than what is left. The search runs on an
-        explicit stack, so deep lifts need no recursion. The memo, shared
-        across calls, maps each visited point to the first column of its
-        lift, or to None when the point has no lift.
+        column of higher grade than what is left, and the lift is that of the
+        first column whose remainder lifts. The search is one loop over an
+        explicit stack of [point, grade, next column], so deep lifts need no
+        recursion; a point is graded when first on top, -1 outside the cone.
+        The memo, shared across calls, maps each settled point to its lift, or
+        to None when the point has no lift; it starts with the origin.
         """
         m = _int_tuple(m, self.map.phi.rows)
+        cols = self.map.phi.columns()
         if self._lifts is None:
-            cone = Cone(self.map.phi.rows, self.map.phi.columns())
+            cone = Cone(self.map.phi.rows, cols)
             if not cone.is_strongly_convex():
                 raise ValueError("lattice-point lifting needs a pointed column cone")
-            self._lifts = (cone, _grading(cone), {})
-        cone, weight, memo = self._lifts
-        cols = self.map.phi.columns()
-
-        def grade(v):
-            return sum(w * x for w, x in zip(weight, v))
-
-        col_grades = [grade(col) for col in cols]
-
-        def frame(v):
-            # [point, its grade or None outside the cone, next column to try]
-            return [v, grade(v) if cone.contains(v) else None, 0]
-
-        def settled(v):
-            return v in memo or not any(v)
-
-        def liftable(v):
-            return not any(v) or memo[v] is not None
-
-        stack = [] if settled(m) else [frame(m)]
-        while stack:
+            weight = _grading(cone)
+            grades = [_dot(weight, col) for col in cols]  # 0 only on a zero column
+            self._lifts = (cone, weight, grades, {(0,) * len(m): (0,) * len(cols)})
+        cone, weight, grades, memo = self._lifts
+        stack = [[m, None, 0]]
+        while m not in memo:
             top = stack[-1]
             v, gv, idx = top
-            if gv is not None:
-                while idx < len(cols) and not (any(cols[idx]) and col_grades[idx] <= gv):
-                    idx += 1
-            if gv is None or idx == len(cols):
+            if gv is None:
+                gv = top[1] = _dot(weight, v) if cone.contains(v) else -1
+            while idx < len(cols) and not 0 < grades[idx] <= gv:
+                idx += 1
+            if idx == len(cols):
                 memo[v] = None
                 stack.pop()
                 continue
             rest = tuple(a - b for a, b in zip(v, cols[idx]))
-            if not settled(rest):
+            if rest not in memo:
                 top[2] = idx
-                stack.append(frame(rest))
-            elif liftable(rest):
-                memo[v] = idx
-                stack.pop()
-            else:
+                stack.append([rest, None, 0])
+            elif memo[rest] is None:
                 top[2] = idx + 1
-
-        if not liftable(m):
-            return None
-        exps = [0] * len(cols)
-        while any(m):
-            idx = memo[m]
-            exps[idx] += 1
-            m = tuple(a - b for a, b in zip(m, cols[idx]))
-        return tuple(exps)
+            else:
+                memo[v] = tuple(e + (j == idx) for j, e in enumerate(memo[rest]))
+                stack.pop()
+        return memo[m]
 
     def monomial_for(self, m):
         """The ring monomial representing the character at lattice point m."""
@@ -154,22 +134,32 @@ def toric_ideal(map: MonomialMap, char) -> ToricPresentation:
     ideal = Ideal(ring, gens)
     if gens:
         ideal = saturate(ideal, ring.monomial((1,) * ring.nvars))
-    seen = []
-    for col in phi.columns():
-        if col not in seen:
-            seen.append(col)
-    return ToricPresentation(map, ring, ideal, Semigroup(phi.rows, seen))
+    distinct = list(dict.fromkeys(phi.columns()))
+    return ToricPresentation(map, ring, ideal, Semigroup(phi.rows, distinct))
 
 
 def steinberg_monomial_map() -> MonomialMap:
     return MonomialMap(IntMatrix.from_columns(PHI_COLUMNS), STEINBERG_VARIABLES)
 
 
-def steinberg_ring_mod_l(char) -> ToricPresentation:
-    """The six-variable surface ring at an odd prime."""
+def _odd_prime(char):
+    """`char`, refused when it is 2: the surface ring is only considered at odd primes."""
     if char == 2:
         raise ValueError("the surface ring is only considered at odd primes")
-    return toric_ideal(steinberg_monomial_map(), char)
+    return char
+
+
+def _product_sizes(k, s):
+    """(k, s) of a product S^k x A^s as integers, refused unless k, s >= 0 and k + s >= 1."""
+    k, s = _int_tuple((k, s))
+    if k < 0 or s < 0 or k + s < 1:
+        raise ValueError("need k >= 0, s >= 0, k + s >= 1")
+    return k, s
+
+
+def steinberg_ring_mod_l(char) -> ToricPresentation:
+    """The six-variable surface ring at an odd prime."""
+    return toric_ideal(steinberg_monomial_map(), _odd_prime(char))
 
 
 def steinberg_minors_ideal(ring: PolyRing) -> Ideal:
@@ -192,9 +182,7 @@ def product_ring(k, s, char) -> ToricPresentation:
     x1..xs for the polynomial part; the ideal is the disjoint sum of the
     factor ideals, which presents the tensor product over the ground field.
     """
-    k, s = _int_tuple((k, s))
-    if k < 0 or s < 0 or k + s < 1:
-        raise ValueError("need k >= 0, s >= 0, k + s >= 1")
+    k, s = _product_sizes(k, s)
     if k == 1 and s == 0:
         return steinberg_ring_mod_l(char)
     return _power_presentation(steinberg_ring_mod_l(char) if k else None, k, s, char)
@@ -210,32 +198,16 @@ def _power_presentation(base, k, s, char) -> ToricPresentation:
     base_dim = base.map.phi.rows if k else 0
     base_nvars = base.ring.nvars if k else 0
     dim = base_dim * k + s
-
-    names = []
-    columns = []
+    suffixes = [str(f + 1) for f in range(k)] if k >= 2 else [""] * k
+    names = [name + sfx for sfx in suffixes for name in base.map.variable_names]
+    ring = PolyRing(char, names + [f"x{j + 1}" for j in range(s)])
+    columns, gens = [], []
     for f in range(k):
-        suffix = str(f + 1) if k >= 2 else ""
-        names.extend(name + suffix for name in base.map.variable_names)
-        for col in base.map.phi.columns():
-            embedded = [0] * dim
-            embedded[base_dim * f : base_dim * (f + 1)] = list(col)
-            columns.append(tuple(embedded))
-    names.extend(f"x{j + 1}" for j in range(s))
-    for j in range(s):
-        embedded = [0] * dim
-        embedded[base_dim * k + j] = 1
-        columns.append(tuple(embedded))
-    map = MonomialMap(IntMatrix.from_columns(columns, rows=dim), names)
-
-    ring = PolyRing(char, names)
-    gens = []
-    for f in range(k):
-        offset = base_nvars * f
+        columns += _placed(base.map.phi.columns(), base_dim * f, dim)
         for g in base.ideal.generators:
-            shifted = {}
-            for exps, coeff in g.terms.items():
-                e = [0] * ring.nvars
-                e[offset : offset + base_nvars] = list(exps)
-                shifted[tuple(e)] = coeff
-            gens.append(_poly(ring, shifted))
+            shifted = _placed(g.terms, base_nvars * f, ring.nvars)
+            gens.append(_poly(ring, dict(zip(shifted, g.terms.values()))))
+    for j in range(s):
+        columns += _placed([(1,)], base_dim * k + j, dim)
+    map = MonomialMap(IntMatrix.from_columns(columns, rows=dim), ring.variables)
     return ToricPresentation(map, ring, Ideal(ring, gens), Semigroup(dim, columns))
