@@ -71,51 +71,58 @@ def _workspace_path(args):
     return args.workspace or os.environ.get(WORKSPACE_ENV_VAR) or DEFAULT_WORKSPACE
 
 
+def _read_json(token, name):
+    """The JSON document in the file `token`, or on stdin for `-`; `name` names it in errors.
+
+    An unreadable file or invalid JSON is a UsageError.
+    """
+    try:
+        if token == "-":
+            return json.load(sys.stdin)
+        with open(token, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as err:
+        raise UsageError(f"cannot read {name}: {err}")
+    except json.JSONDecodeError as err:
+        raise UsageError(f"{name} is not valid JSON: {err}")
+
+
 def _load_workspace(path):
     if not os.path.exists(path):
         return {"torica_workspace": 1, "objects": {}}
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise UsageError(f"workspace file {path} is not valid JSON: {err}")
+    doc = _read_json(path, f"workspace file {path}")
     if not isinstance(doc, dict) or "objects" not in doc:
         raise UsageError(f"workspace file {path} lacks an 'objects' table")
     return doc
 
 
 def _write_json(path, doc):
-    """Write `doc` through a temp file beside `path`, so a failed write leaves `path` as it was."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    """Write `doc` through a temp file beside `path`, so a failed write leaves `path` as it was.
+
+    A failed write is a UsageError that names `path`, not the temp file.
+    """
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         os.replace(tmp, path)
+    except OSError as err:
+        raise UsageError(f"cannot write {path}: {err.strerror}")
     finally:
-        if os.path.exists(tmp):
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
 
 
 def _load_json_arg(token, args):
     """Resolve an object argument: stdin, workspace reference, or file path."""
-    if token == "-":
-        try:
-            return json.load(sys.stdin)
-        except json.JSONDecodeError as err:
-            raise UsageError(f"stdin is not valid JSON: {err}")
     if token.startswith("@"):
         doc = _load_workspace(_workspace_path(args))
         name = token[1:]
         if name in doc["objects"]:
             return doc["objects"][name]
         raise UsageError(f"unknown built-in or workspace object {token}")
-    try:
-        with open(token, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as err:
-        raise UsageError(f"cannot read {token}: {err}")
-    except json.JSONDecodeError as err:
-        raise UsageError(f"{token} is not valid JSON: {err}")
+    return _read_json(token, "stdin" if token == "-" else token)
 
 
 def _resolve_field(args):

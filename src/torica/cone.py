@@ -111,13 +111,14 @@ def _parallelepiped(gens, heights=None, spent=0):
                 continue
             cs = range(b // g * inv % step, n, step)
             if qi:
-                cs = cs[: len(range(cs.start, (n - height) // qi + 1, step))]
+                cs = range(cs.start, min(n, (n - height) // qi + 1), step)
             if last:
                 cs = cs[-1:] if qi else cs
                 if not cs or height + cs[-1] * qi != n:
                     continue
-            if len(grown) + len(cs) > room:
-                charge(spent + len(grown) + len(cs), _LATTICE_BUDGET, _TRIANGULATION)
+            size = max(0, (cs.stop - cs.start + step - 1) // step)  # len(cs) may pass a C ssize_t
+            if len(grown) + size > room:
+                charge(spent + len(grown) + size, _LATTICE_BUDGET, _TRIANGULATION)
             grown += [((c,) + tail, height + c * qi) for c in cs]
         spent += len(grown)
         partial = grown

@@ -596,3 +596,48 @@ def test_large_prime_fields_answer_and_fields_past_the_primality_bound_refuse(tm
         "code": "BAD_INPUT",
         "message": f"characteristic must be below 3317044064679887385961981, got {field}",
     }
+
+
+def test_oversized_lattice_inputs_stop_on_the_triangulation_budget(monkeypatch, capsys):
+    """Parallelepiped levels too long for a C ssize_t are counted, not measured with len()."""
+    cases = (
+        (["cone", "hilbert-basis", "-"], {"dim": 2, "generators": [[1, 0], [1, 10**29]]}, 10**29 + 1),
+        (["div", "module-gens", "@S", "-"], {"coeffs": [-(10**21), 0, 0, 0]}, 5 * 10**20 + 3),
+    )
+    for argv, doc, count in cases:
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        start = time.perf_counter()
+        data = out_json(argv, capsys, expect_code=1)
+        assert time.perf_counter() - start < 5
+        assert data["error"] == {
+            "budget": 10**6,
+            "code": "BUDGET_EXCEEDED",
+            "message": f"triangulation counted {count} simplices and parallelepiped nodes, "
+            "over its budget of 1000000",
+        }
+
+
+def test_unreadable_and_unwritable_files_are_usage_errors(tmp_path, monkeypatch, capsys):
+    """A missing directory or a directory in place of a file exits 2 and names the path given."""
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "doc.json", PHI_CONE)
+    (tmp_path / "adir").mkdir()
+    missing = "No such file or directory"
+    unreadable = "cannot read workspace file adir: [Errno 21] Is a directory: 'adir'"
+    cases = (
+        (["workspace", "set", "x", "doc.json", "--workspace", "nodir/w.json"],
+         f"cannot write nodir/w.json: {missing}"),
+        (["workspace", "list", "--workspace", "adir"], unreadable),
+        (["cone", "rays", "@foo", "--workspace", "adir"], unreadable),
+        (["cone", "rays", "adir"], "cannot read adir: [Errno 21] Is a directory: 'adir'"),
+    )
+    for argv, message in cases:
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, ""), argv
+        assert json.loads(err)["error"] == {"code": "USAGE", "message": message}
+    # verify prints its report before it writes it
+    code, out, err = run_cli(["verify", "--json", "--report", "nodir/r.json"], capsys)
+    assert (code, out) == (2, (Path(__file__).parent / "data" / "verify.json").read_text())
+    error = json.loads(err)["error"]
+    assert error == {"code": "USAGE", "message": f"cannot write nodir/r.json: {missing}"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "doc.json"]
