@@ -74,7 +74,7 @@ def _workspace_path(args):
 def _read_json(token, name):
     """The JSON document in the file `token`, or on stdin for `-`; `name` names it in errors.
 
-    An unreadable file or invalid JSON is a UsageError.
+    An unreadable file, undecodable bytes or invalid JSON is a UsageError.
     """
     try:
         if token == "-":
@@ -83,7 +83,7 @@ def _read_json(token, name):
             return json.load(fh)
     except OSError as err:
         raise UsageError(f"cannot read {name}: {err}")
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise UsageError(f"{name} is not valid JSON: {err}")
 
 

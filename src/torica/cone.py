@@ -16,15 +16,16 @@ Lattice points are held in slack coordinates: over a region
 {p : <n, p> + a >= 0}, p has the slack vector (<n, p> + a). p lies in the
 region when its slack is >= 0, its grade is the slack sum, and p - q lies in
 the cone exactly when slack(q) <= slack(p), as in monomial divisibility.
-`_minimal` is the one sieve on such keys. Its candidates come from a pulling
-triangulation (`_pulling`) of a pointed cone and each simplex's half-open
-parallelepiped (`_parallelepiped`), as in the primal
-algorithm of Normaliz (Bruns & Ichim, J. Algebra 2010): Hilbert bases use
-the cone itself, divisorial modules the cone over their region. The work is
-counted as it is done, against the one budget `_LATTICE_BUDGET`: the
-enumeration charges 1 per simplex and each parallelepiped level's partial
-nodes, the sieve 1 per dominance test, each in its own count. `charge`
-raises `BudgetExceeded`, naming the counter, on a count that would pass it.
+`_minimal_points` is the one sieve on such keys. Its candidates come from
+one route, `_lattice_points`: a pulling triangulation (`_pulling`) of a
+pointed cone and each simplex's half-open parallelepiped, as in the primal
+algorithm of Normaliz (Bruns & Ichim, J. Algebra 2010). Hilbert bases use
+the cone itself, divisorial modules and local-cohomology witnesses the cone
+over their region (`_region_points`). The work is counted as it is done,
+against the one budget `_LATTICE_BUDGET`: the enumeration charges 1 per
+simplex and each parallelepiped level's partial nodes, the sieve 1 per
+dominance test, each in its own count. `charge` raises `BudgetExceeded`,
+naming the counter, on a count that would pass it.
 """
 
 from __future__ import annotations
@@ -125,25 +126,55 @@ def _parallelepiped(gens, heights=None, spent=0):
     return [tuple(_dot(c, col) // n for col in columns) for c, _ in partial], spent
 
 
-def _simplicial_points(rays, normals, dim, heights=None):
-    """The parallelepiped points over a pulling triangulation of the pointed cone on `rays`.
+def _lattice_points(rays, normals, dim, heights=None):
+    """Yield the rays, then each simplex's parallelepiped points, of the cone on `rays`.
 
-    The facet masks are the rays tight on each normal; a normal tight on
-    every ray (a lineality direction of the dual) is never a proper face.
-    `heights`, one per ray, keeps the points at height 1. The work is
-    counted as it is done, 1 per simplex and each parallelepiped level's
-    nodes, and BudgetExceeded is raised once the count would pass
-    `_LATTICE_BUDGET`.
+    The one lattice-point route: a second algorithm (the dual one of
+    ROADMAP item 1) replaces this body alone. The cone is pointed, of
+    dimension `dim` and cut out by `normals`; a simplex of its pulling
+    triangulation is charged 1, and `_parallelepiped` its nodes, against
+    `_LATTICE_BUDGET`. With `heights`, one per ray, only points at height 1
+    are given.
     """
+    yield from rays if heights is None else (r for r, h in zip(rays, heights) if h == 1)
     masks = [sum(1 << i for i, r in enumerate(rays) if _dot(u, r) == 0) for u in normals]
-    points, spent = [], 0
+    spent = 0
     for simplex in _pulling((1 << len(rays)) - 1, masks, dim):
         chosen = [i for i in range(len(rays)) if simplex >> i & 1]
         sub_heights = None if heights is None else [heights[i] for i in chosen]
         spent = charge(spent + 1, _LATTICE_BUDGET, _TRIANGULATION)
         found, spent = _parallelepiped([rays[i] for i in chosen], sub_heights, spent)
-        points += found
-    return points
+        yield from found
+
+
+def _region_cone(normals, coeffs):
+    """(rows, rays) of the cone {(m, t) : <m, u> + a t >= 0, t >= 0} over the region.
+
+    Its rays are (r, 0) for each ray r of the region's recession cone, then
+    (q·v, q) for each vertex v of the region by q > 0. Pulling the recession
+    rays first gave far smaller parallelepipeds on seeded regions (3.9
+    million points against 32 million at the worst), and `_parallelepiped`
+    solves for the vertex coefficients, last in each simplex, first, so its
+    height cut acts early.
+    """
+    rows = [u + (a,) for u, a in zip(normals, coeffs)] + [(0,) * len(normals[0]) + (1,)]
+    return rows, sorted(_double_description(rows, len(rows[0]))[1], key=lambda r: r[-1])
+
+
+def _region_points(normals, coeffs):
+    """Yield lattice points m of the region {m : <m, u> + a >= 0}, enough to generate it.
+
+    A height-1 point of the region's cone is p + sum(n_i g_i) over a simplex
+    of its pulling triangulation, p in the parallelepiped. Either p has
+    height 1, or one g_i is (v, 1) for an integral vertex v and the rest lies
+    in the recession cone. So the height-1 points of `_lattice_points` hold
+    every minimal point. An empty region gives none.
+    """
+    rows, hom = _region_cone(normals, coeffs)
+    heights = [r[-1] for r in hom]
+    if any(heights):
+        dim = rank(IntMatrix._trusted(hom, len(rows[0])))
+        yield from (p[:-1] for p in _lattice_points(hom, rows, dim, heights))
 
 
 def _minimal(items):
@@ -162,6 +193,14 @@ def _minimal(items):
         if not any(all(map(le, k, key)) for k, _ in kept):
             kept.append((key, value))
     return [value for _, value in kept]
+
+
+def _minimal_points(points, normals):
+    """The points no other can be taken from, sorted, by `_minimal` on keys (<n, p>).
+
+    These differ from the slack (<n, p> + a) by a constant, which keeps their order and sums'.
+    """
+    return sorted(_minimal((tuple(_dot(n, p) for n in normals), p) for p in points))
 
 
 def _eliminate(a, k, v):
@@ -358,22 +397,19 @@ class Cone:
         """Minimal generating set of cone ∩ Z^d as a semigroup.
 
         Every irreducible element of a simplicial cone is one of its rays or
-        a point of its half-open parallelepiped, so the rays and the
-        parallelepiped points of a pulling triangulation, keyed by their
-        slack over the dual generators, go through the `_minimal` sieve
-        (Bruns & Ichim, J. Algebra 2010). Both count their work against
-        `_LATTICE_BUDGET` and raise BudgetExceeded past it.
+        a point of its half-open parallelepiped, so the nonzero points of
+        `_lattice_points` go through `_minimal_points` over the dual
+        generators (Bruns & Ichim, J. Algebra 2010). Both count their work
+        against `_LATTICE_BUDGET` and raise BudgetExceeded past it.
         """
         if not self.is_strongly_convex():
             raise NotPointed("Hilbert basis requires a cone with no line")
-        d = self.ambient_dim
         rays = self.rays()
         if not rays:
-            return Semigroup(d, [])
+            return Semigroup(self.ambient_dim, [])
         duals = self.dual_generators()
-        points = list(rays) + _simplicial_points(rays, duals, self.dim())
-        keyed = ((tuple(_dot(u, p) for u in duals), p) for p in points if any(p))
-        return Semigroup(d, sorted(_minimal(keyed)))
+        points = (p for p in _lattice_points(rays, duals, self.dim()) if any(p))
+        return Semigroup(self.ambient_dim, _minimal_points(points, duals))
 
 
 def _placed(vectors, at, d):

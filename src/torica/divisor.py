@@ -10,12 +10,11 @@ use concatenated per-factor coordinates so that factor classes stay visible.
 
 Divisorial modules O(D) are handled through their lattice regions
 {m : <m, u_rho> + a_rho >= 0} = conv(V) + sigma^dual, V the region's
-vertices, and the cone {(m, t) : <m, u_rho> + a_rho t >= 0, t >= 0} over
-them, whose rays double description finds (`cone._double_description`).
-Their minimal generators are the `cone._minimal` points, keyed by the slack
-(<m, u_rho> + a_rho), among the integral vertices and the height-1 points in
-the parallelepipeds over a triangulation of that cone
-(`cone._simplicial_points`), the routine behind Hilbert bases too.
+vertices. Their minimal generators are `cone._minimal_points` of
+`cone._region_points`, the integral vertices and height-1 parallelepiped
+points of the cone over the region, drawn from `cone._lattice_points`, the
+one lattice route, which Hilbert bases use too. A change of lattice
+algorithm (ROADMAP item 1) lands there, not here.
 
 Ring presentations are built when first read, and their ideals when those
 are, so class groups, module generators and multiplicities compute no
@@ -33,15 +32,7 @@ from __future__ import annotations
 from itertools import accumulate, product as iproduct
 
 from .cone import (
-    Cone,
-    Semigroup,
-    _dot,
-    _double_description,
-    _embedded,
-    _minimal,
-    _placed,
-    _product,
-    _simplicial_points,
+    Cone, Semigroup, _dot, _embedded, _minimal_points, _placed, _product, _region_points
 )
 from .errors import BudgetExceeded, NonUnique, NoSolution, VarietyMismatch
 from .polyring import PolyRing, _add, _sub, module_regular_sequence
@@ -52,7 +43,7 @@ from .toric import (
     _product_sizes,
     steinberg_ring_mod_l,
 )
-from .zlinalg import IntMatrix, _int_tuple, invert_unimodular, rank, smith_normal_form
+from .zlinalg import IntMatrix, _int_tuple, invert_unimodular, smith_normal_form
 
 
 class ToricVariety:
@@ -217,9 +208,9 @@ def steinberg_product_variety(k, s, field=101) -> ToricVariety:
     surface = steinberg_variety(field) if k else None
     line = affine_line_variety() if s else None
     factors = [surface] * k + [line] * s
+    PolyRing(field, ())  # the field the presentation, built when first read, is over
     if len(factors) == 1:
         return factors[0]
-    PolyRing(field, ())  # the field the presentation, built when first read, is over
     return ToricVariety(
         presentation=lambda: _power_presentation(surface.presentation if k else None, k, s, field),
         factors=factors,
@@ -513,37 +504,6 @@ class DivisorialModule:
         }
 
 
-def _region_cone(rays, coeffs):
-    """(rows, rays) of the cone {(m, t) : <m, u> + a t >= 0, t >= 0} over the region.
-
-    Its rays are (r, 0) for each ray r of the dual cone, then (q·v, q) for
-    each vertex v of the region by q > 0. Pulling the dual rays first gave
-    far smaller parallelepipeds on seeded regions (3.9 million points
-    against 32 million at the worst), and `_parallelepiped` solves for the
-    vertex coefficients, last in each simplex, first, so its height cut
-    acts early.
-    """
-    rows = [u + (a,) for u, a in zip(rays, coeffs)] + [(0,) * len(rays[0]) + (1,)]
-    return rows, sorted(_double_description(rows, len(rows[0]))[1], key=lambda r: r[-1])
-
-
-def _atomic_module_generators(v: ToricVariety, d: TorusDivisor):
-    """The minimal points of the region, from the height-1 points of its cone.
-
-    A height-1 point of the region's cone is p + sum(n_i g_i) over a simplex
-    of its pulling triangulation, p in the parallelepiped. Either p has
-    height 1, or one g_i is (v, 1) for an integral vertex v and the rest lies
-    in the semigroup. So the integral vertices and the height-1
-    parallelepiped points, keyed by their slack <m, u> + a, go through
-    `_minimal`. The triangulation and the sieve each count their work
-    against the lattice budget and raise BudgetExceeded past it.
-    """
-    rows, hom = _region_cone(v.rays, d.coeffs)
-    heights = [r[-1] for r in hom]
-    points = [r for r in hom if r[-1] == 1] + _simplicial_points(hom, rows, len(rows[0]), heights)
-    return sorted(_minimal((tuple(_dot(u, p) for u in rows[:-1]), p[:-1]) for p in points))
-
-
 def module_generators(v: ToricVariety, d: TorusDivisor) -> DivisorialModule:
     """Minimal monomial generators of O(D) over the semigroup ring."""
     if d.variety is not v:
@@ -553,7 +513,7 @@ def module_generators(v: ToricVariety, d: TorusDivisor) -> DivisorialModule:
         factor_gens = [module_generators(f, df).generators for f, df in zip(v.factors, parts)]
         # the factor blocks are contiguous and in factor order, so a generator concatenates
         return DivisorialModule(d, sorted(sum(combo, ()) for combo in iproduct(*factor_gens)))
-    return DivisorialModule(d, _atomic_module_generators(v, d))
+    return DivisorialModule(d, _minimal_points(_region_points(v.rays, d.coeffs), v.rays))
 
 
 def multiplicity(v: ToricVariety) -> int:
@@ -592,8 +552,7 @@ def trace_surjectivity_witness(v: ToricVariety, d: TorusDivisor, other=None, tar
         target = canonical_divisor(v)
     gens_a = module_generators(v, d).generators
     gens_b = gens_a if other == d else module_generators(v, other).generators
-    sums = {_add(a, b) for a in gens_a for b in gens_b}
-    product_gens = sorted(_minimal((tuple(_dot(p, u) for u in v.rays), p) for p in sums))
+    product_gens = _minimal_points({_add(a, b) for a in gens_a for b in gens_b}, v.rays)
     target_gens = list(module_generators(v, target).generators)
     if len(product_gens) != len(target_gens):
         return False, None
@@ -662,10 +621,10 @@ def _local_cohomology_witness(v: ToricVariety, d: TorusDivisor):
     the rays and facets form a cycle, so for a nonempty proper set S of
     satisfied rays Γ_m is acyclic exactly when S is an arc, and otherwise
     H_0 != 0. For each other S the region {<m, u_i> + a_i >= 0 for i in S,
-    <= -1 otherwise} is searched for a lattice point, among its integral
-    vertices and the height-1 points of its cone's parallelepipeds, as for
-    module generators. The answer is None when O(D) is MCM, and also off
-    dimension 3 or when a search would exceed the lattice budget.
+    <= -1 otherwise} is searched for its first lattice point, drawn from
+    `_region_points` as module generators are. The answer is None when O(D)
+    is MCM, and also off dimension 3 or when a search would exceed the
+    lattice budget.
     """
     if v.cone.ambient_dim != 3:
         return None
@@ -679,19 +638,12 @@ def _local_cohomology_witness(v: ToricVariety, d: TorusDivisor):
         inside = [subset >> i & 1 for i in range(len(rays))]
         signed = [u if keep else tuple(-x for x in u) for u, keep in zip(rays, inside)]
         coeffs = [a if keep else -a - 1 for a, keep in zip(d.coeffs, inside)]
-        rows, hom = _region_cone(signed, coeffs)
-        heights = [r[-1] for r in hom]
-        if not any(heights):
-            continue
-        vertex = next((r for r in hom if r[-1] == 1), None)
-        if vertex is not None:
-            return vertex[:-1]
         try:
-            points = _simplicial_points(hom, rows, rank(IntMatrix(hom)), heights)
+            m = next(_region_points(signed, coeffs), None)
         except BudgetExceeded:
             return None
-        if points:
-            return points[0][:-1]
+        if m is not None:
+            return m
     return None
 
 

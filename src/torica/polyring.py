@@ -32,12 +32,14 @@ from .zlinalg import _int_tuple
 
 INFINITE = float("inf")
 
-# Limits on one Groebner basis computation, on the standard monomials
-# listed for one ideal and on the term products of one parse
-# (docs/formats.md, "Error object").
+# Limits on one Groebner basis computation, on the reduction steps of one
+# basis or normal form, on the standard monomials listed for one ideal and
+# on the term products of one parse (docs/formats.md, "Error object").
 _PAIR_BUDGET = 5000
 _BASIS_BUDGET = 1000
+_REDUCTION_BUDGET = 10**6
 _MONOMIAL_BUDGET = 10**6
+_REDUCTION = "reduction ran {count} steps, over its budget of {budget}"
 
 
 # Miller-Rabin on the primes up to 41 decides primality exactly below this
@@ -591,12 +593,13 @@ def _widening(order, nvars, term_dicts, run, bits=0):
             bits *= 2
 
 
-def _reduce(work, records, p, guard):
-    """Full remainder of a packed term dict modulo monic packed records, tried in order.
+def _reduce(work, records, p, guard, spent=0):
+    """(remainder, spent): the full remainder of packed terms modulo monic records, in order.
 
     `work` is consumed. Its monomials leave a heap largest first. A cancelled
     term keeps a zero entry until it is popped, and every new term is smaller
-    than the one being reduced, so each monomial enters the heap once.
+    than the one being reduced, so each monomial enters the heap once. Each
+    reduced monomial adds a step to `spent`, which may not pass _REDUCTION_BUDGET.
     """
     heap = [-m for m in work]
     heapify(heap)
@@ -612,6 +615,9 @@ def _reduce(work, records, p, guard):
         else:
             remainder[m] = c
             continue
+        spent += 1
+        if spent > _REDUCTION_BUDGET:
+            charge(spent, _REDUCTION_BUDGET, _REDUCTION)
         shift = m - lt
         for ge, gc in tail:
             te = ge + shift
@@ -623,7 +629,7 @@ def _reduce(work, records, p, guard):
                 heappush(heap, -te)
             else:
                 work[te] = (s - c * gc) % p
-    return remainder
+    return remainder, spent
 
 
 def _monic(terms, p):
@@ -675,8 +681,9 @@ def _groebner(ring, generators, order, known=None):
     built only for a pair pushed onto the heap.
     Pairs are taken least lcm first. The result keeps the records whose
     leaders no other kept leader divides, each reduced by the others.
-    Reducing more than _PAIR_BUDGET pairs, or finding more than
-    _BASIS_BUDGET elements, known ones included, raises BudgetExceeded.
+    Reducing more than _PAIR_BUDGET pairs, finding more than _BASIS_BUDGET
+    elements, known ones included, or _REDUCTION_BUDGET reduction steps, the
+    final interreduction's included, raises BudgetExceeded.
     """
     p = ring.char
 
@@ -726,7 +733,7 @@ def _groebner(ring, generators, order, known=None):
                 insert(record, paired=False)
         for record in sorted(_monic(packing.pack_terms(g.terms), p) for g in generators if g.terms):
             insert(record)
-        reduced = 0
+        reduced = steps = 0
         while pairs:
             reduced = charge(
                 reduced + 1,
@@ -735,17 +742,19 @@ def _groebner(ring, generators, order, known=None):
                 left=len(pairs),
             )
             m, i, j = heappop(pairs)
-            r = _reduce(_s_terms(records[i], records[j], m, p, guard), reducers, p, guard)
+            s_terms = _s_terms(records[i], records[j], m, p, guard)
+            r, steps = _reduce(s_terms, reducers, p, guard, steps)
             if r:
                 insert(_monic(r, p))
         minimal = []
         for lt, tail in sorted(reducers, key=lambda r: r[0]):
             if all((lt - m) & guard for m, _ in minimal):
                 minimal.append((lt, tail))
-        return packing, tuple(
-            (lt, tuple(_reduce(dict(tail), minimal[:i] + minimal[i + 1 :], p, guard).items()))
-            for i, (lt, tail) in enumerate(minimal)
-        )
+        basis = []
+        for i, (lt, tail) in enumerate(minimal):
+            r, steps = _reduce(dict(tail), minimal[:i] + minimal[i + 1 :], p, guard, steps)
+            basis.append((lt, tuple(r.items())))
+        return packing, tuple(basis)
 
     bits = known[0].bits if known else 0
     return _widening(order, ring.nvars, [g.terms for g in generators], run, bits)
@@ -808,7 +817,7 @@ class Ideal:
 
         def run(wide):
             reducers = records if wide.bits == packing.bits else _repacked(records, packing, wide)
-            rem = _reduce(wide.pack_terms(f.terms), reducers, self.ring.char, wide.guard)
+            rem = _reduce(wide.pack_terms(f.terms), reducers, self.ring.char, wide.guard)[0]
             return _poly(self.ring, {wide.unpack(m): c for m, c in rem.items()})
 
         return _widening(self.order, self.ring.nvars, [f.terms], run, packing.bits)

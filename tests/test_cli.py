@@ -641,3 +641,32 @@ def test_unreadable_and_unwritable_files_are_usage_errors(tmp_path, monkeypatch,
     error = json.loads(err)["error"]
     assert error == {"code": "USAGE", "message": f"cannot write nodir/r.json: {missing}"}
     assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "doc.json"]
+
+
+def test_undecodable_bytes_are_usage_errors(tmp_path, monkeypatch, capsys):
+    """A file or stdin starting with the bytes FF FE is not UTF-8 JSON: exit 2, USAGE."""
+    path = tmp_path / "bin.json"
+    path.write_bytes(b"\xff\xfe{}")
+    decode = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    code, out, err = run_cli(["cone", "dual", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {
+        "code": "USAGE", "message": f"{path} is not valid JSON: {decode}"
+    }
+    stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe{}"), encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out, err = run_cli(["cone", "dual", "-"], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {"code": "USAGE", "message": f"stdin is not valid JSON: {decode}"}
+
+
+def test_the_line_builtin_refuses_a_bad_field(capsys):
+    """`@A^1` is a single factor, and its field is checked as every other builtin's."""
+    assert out_json(["div", "class-group", "@A^1", "--field", "3"], capsys) == {
+        "free": 0, "torsion": []
+    }
+    code, out, err = run_cli(["div", "class-group", "@A^1", "--field", "4"], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {
+        "code": "BAD_INPUT", "message": "characteristic must be prime, got 4"
+    }

@@ -41,8 +41,8 @@ from torica import (
 )
 import torica.divisor
 from torica import cone as cone_module
-from torica.cone import _dot, _grading, _pulling
-from torica.divisor import _region_cone, product as variety_product
+from torica.cone import _dot, _grading, _pulling, _region_cone
+from torica.divisor import product as variety_product
 from torica.zlinalg import IntMatrix, det, solve_rational
 
 from suites import class_representative_suite
@@ -846,6 +846,15 @@ def test_surface_constructors_refuse_a_bad_field_when_built():
             steinberg_product_variety(k, s, field=4)
 
 
+def test_a_single_line_factor_refuses_a_bad_field():
+    """S^0 x A^1 is the line itself, returned after its field is checked."""
+    with pytest.raises(ValueError, match="must be prime"):
+        steinberg_product_variety(0, 1, field=4)
+    with pytest.raises(ValueError, match="not an integer"):
+        steinberg_product_variety(0, 1, field=3.5)
+    assert steinberg_product_variety(0, 1, field=3).rays == ((1,),)
+
+
 def test_non_integral_sizes_and_fields_are_refused():
     for call in (
         lambda: steinberg_product_variety(1.5, 0),
@@ -954,16 +963,16 @@ def test_local_cohomology_witness_against_box_scan(monkeypatch):
     then asserts nothing.
     """
     over_budget = []
-    real = torica.divisor._simplicial_points
+    real = torica.divisor._region_points
 
     def recorded(*args):
         try:
-            return real(*args)
+            yield from real(*args)
         except BudgetExceeded:
             over_budget.append(args)
             raise
 
-    monkeypatch.setattr(torica.divisor, "_simplicial_points", recorded)
+    monkeypatch.setattr(torica.divisor, "_region_points", recorded)
     rng = random.Random(13)
     tried = found = 0
     while tried < 40:

@@ -508,6 +508,12 @@ def test_budget_messages_are_pinned_byte_for_byte(monkeypatch):
             5,
         ),
         (
+            (polyring, "_REDUCTION_BUDGET", 10),
+            lambda: Ideal(ring, HOSTILE).groebner(),
+            "reduction ran 11 steps, over its budget of 10",
+            10,
+        ),
+        (
             # keys of sums 2, 2, 2, 6 are charged 0, 1, 2 and 3 dominance tests
             (cone, "_LATTICE_BUDGET", 3),
             lambda: _minimal([((0, 2), 1), ((1, 1), 2), ((2, 0), 3), ((3, 3), 4)]),
@@ -522,6 +528,28 @@ def test_budget_messages_are_pinned_byte_for_byte(monkeypatch):
             run()
         assert (str(info.value), info.value.budget) == (message, budget)
         monkeypatch.undo()
+
+
+def test_reduction_steps_are_counted_per_basis_and_per_normal_form(monkeypatch):
+    """Each basis and each normal form counts its own reduction steps, from zero.
+
+    The leaders of x - y and y - z are coprime, so no S-pair is reduced,
+    and the basis takes its one step in the final interreduction (x - y to
+    x - z). x^3 then reduces to z^3 in 3 steps, and z in none.
+    """
+    ring = PolyRing(101, ("x", "y", "z"))
+    monkeypatch.setattr(polyring, "_REDUCTION_BUDGET", 0)
+    with pytest.raises(BudgetExceeded, match="^reduction ran 1 steps, over its budget of 0$"):
+        Ideal(ring, ["x - y", "y - z"]).groebner()
+    monkeypatch.setattr(polyring, "_REDUCTION_BUDGET", 3)
+    ideal = Ideal(ring, ["x - y", "y - z"])
+    for _ in range(3):
+        assert ideal.normal_form("x^3") == ring.parse("z^3")
+    monkeypatch.setattr(polyring, "_REDUCTION_BUDGET", 2)
+    with pytest.raises(BudgetExceeded, match="^reduction ran 3 steps, over its budget of 2$"):
+        ideal.normal_form("x^3")
+    monkeypatch.setattr(polyring, "_REDUCTION_BUDGET", 0)
+    assert ideal.normal_form("z") == ring.parse("z")
 
 
 def test_exponents_at_the_field_limit(monkeypatch):

@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from itertools import combinations, product as iproduct
 
 import pytest
@@ -276,6 +277,26 @@ def test_an_over_budget_saturation_raises_from_the_constructor(monkeypatch, caps
     assert main(["ideal", "toric", "@phi"]) == 1
     error = json.loads(capsys.readouterr().out)["error"]
     assert (error["code"], error["budget"]) == ("BUDGET_EXCEEDED", 5)
+
+
+def test_a_huge_lattice_entry_stops_on_the_reduction_budget(tmp_path, capsys):
+    """The saturation of a map with an entry -10^8 stops on its reduction steps within 10 s.
+
+    Its S-pairs and basis stay within their budgets while one reduction
+    runs through about 10^8 monomials, so only the step count can stop it.
+    """
+    phi = [[-(10**8), 2, 1, 0], [0, 1, 2, 3]]
+    message = "reduction ran 1000001 steps, over its budget of 1000000"
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded) as err:
+        toric_ideal(MonomialMap(IntMatrix(phi), ("a", "b", "c", "d")), 101)
+    assert (str(err.value), err.value.budget) == (message, 10**6)
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps({"phi": phi}))
+    assert main(["ideal", "toric", str(path)]) == 1
+    assert time.perf_counter() - start < 10
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"budget": 10**6, "code": "BUDGET_EXCEEDED", "message": message}
 
 
 def _reference_lift(cols, cone, m, memo):
