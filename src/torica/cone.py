@@ -126,20 +126,23 @@ def _parallelepiped(gens, heights=None, spent=0):
     return [tuple(_dot(c, col) // n for col in columns) for c, _ in partial], spent
 
 
-def _lattice_points(rays, normals, dim, heights=None):
+def _lattice_points(rays, normals, heights=None):
     """Yield the rays, then each simplex's parallelepiped points, of the cone on `rays`.
 
     The one lattice-point route: a second algorithm (the dual one of
-    ROADMAP item 1) replaces this body alone. The cone is pointed, of
-    dimension `dim` and cut out by `normals`; a simplex of its pulling
-    triangulation is charged 1, and `_parallelepiped` its nodes, against
-    `_LATTICE_BUDGET`. With `heights`, one per ray, only points at height 1
-    are given.
+    ROADMAP item 1) replaces this body alone. The cone is pointed and cut
+    out by `normals`, so it spans the orthogonal of those tight on every
+    ray. A simplex of its pulling triangulation is charged 1, and
+    `_parallelepiped` its nodes, against `_LATTICE_BUDGET`. With `heights`,
+    one per ray, only points at height 1 are given.
     """
     yield from rays if heights is None else (r for r, h in zip(rays, heights) if h == 1)
+    full = (1 << len(rays)) - 1
     masks = [sum(1 << i for i, r in enumerate(rays) if _dot(u, r) == 0) for u in normals]
+    tight = [u for u, z in zip(normals, masks) if z == full]
+    dim = len(rays[0]) - rank(IntMatrix._trusted(tight, len(rays[0])))
     spent = 0
-    for simplex in _pulling((1 << len(rays)) - 1, masks, dim):
+    for simplex in _pulling(full, masks, dim):
         chosen = [i for i in range(len(rays)) if simplex >> i & 1]
         sub_heights = None if heights is None else [heights[i] for i in chosen]
         spent = charge(spent + 1, _LATTICE_BUDGET, _TRIANGULATION)
@@ -173,8 +176,7 @@ def _region_points(normals, coeffs):
     rows, hom = _region_cone(normals, coeffs)
     heights = [r[-1] for r in hom]
     if any(heights):
-        dim = rank(IntMatrix._trusted(hom, len(rows[0])))
-        yield from (p[:-1] for p in _lattice_points(hom, rows, dim, heights))
+        yield from (p[:-1] for p in _lattice_points(hom, rows, heights))
 
 
 def _minimal(items):
@@ -408,7 +410,7 @@ class Cone:
         if not rays:
             return Semigroup(self.ambient_dim, [])
         duals = self.dual_generators()
-        points = (p for p in _lattice_points(rays, duals, self.dim()) if any(p))
+        points = (p for p in _lattice_points(rays, duals) if any(p))
         return Semigroup(self.ambient_dim, _minimal_points(points, duals))
 
 
