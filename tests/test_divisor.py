@@ -841,24 +841,16 @@ def test_surface_constructors_refuse_a_bad_field_when_built():
     """The presentations are built on first read, but their field is refused at once."""
     with pytest.raises(ValueError, match="odd primes"):
         steinberg_variety(2)
-    for k, s in ((1, 1), (0, 2)):
+    for k, s in ((1, 1), (0, 2), (0, 1)):
         with pytest.raises(ValueError, match="must be prime"):
             steinberg_product_variety(k, s, field=4)
-
-
-def test_a_single_line_factor_refuses_a_bad_field():
-    """S^0 x A^1 is the line itself, returned after its field is checked."""
-    with pytest.raises(ValueError, match="must be prime"):
-        steinberg_product_variety(0, 1, field=4)
-    with pytest.raises(ValueError, match="not an integer"):
-        steinberg_product_variety(0, 1, field=3.5)
-    assert steinberg_product_variety(0, 1, field=3).rays == ((1,),)
 
 
 def test_non_integral_sizes_and_fields_are_refused():
     for call in (
         lambda: steinberg_product_variety(1.5, 0),
         lambda: steinberg_product_variety(1, 0.5),
+        lambda: steinberg_product_variety(0, 1, 3.5),
         lambda: steinberg_multiplicity(1.5, 0),
         lambda: affine_space_variety(2.5),
         lambda: steinberg_variety(3.5),
