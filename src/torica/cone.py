@@ -16,8 +16,9 @@ Lattice points are held in slack coordinates: over a region
 {p : <n, p> + a >= 0}, p has the slack vector (<n, p> + a). p lies in the
 region when its slack is >= 0, its grade is the slack sum, and p - q lies in
 the cone exactly when slack(q) <= slack(p), as in monomial divisibility.
-`_minimal_points` is the one sieve on such keys. Its candidates come from
-one route, `_lattice_points`: a pulling triangulation (`_pulling`) of a
+`_minimal` is the one sieve on such keys, `_minimal_points` keys points for
+it, and one route, `_lattice_points`, where the dual algorithm of ROADMAP
+item 1 is to land, gives the candidates: a pulling triangulation of a
 pointed cone and each simplex's half-open parallelepiped, as in the primal
 algorithm of Normaliz (Bruns & Ichim, J. Algebra 2010). Hilbert bases use
 the cone itself, divisorial modules and local-cohomology witnesses the cone
@@ -129,12 +130,10 @@ def _parallelepiped(gens, heights=None, spent=0):
 def _lattice_points(rays, normals, heights=None):
     """Yield the rays, then each simplex's parallelepiped points, of the cone on `rays`.
 
-    The one lattice-point route: a second algorithm (the dual one of
-    ROADMAP item 1) replaces this body alone. The cone is pointed and cut
-    out by `normals`, so it spans the orthogonal of those tight on every
-    ray. A simplex of its pulling triangulation is charged 1, and
-    `_parallelepiped` its nodes, against `_LATTICE_BUDGET`. With `heights`,
-    one per ray, only points at height 1 are given.
+    The cone is pointed and cut out by `normals`, so it spans the orthogonal
+    of those tight on every ray. A simplex of its pulling triangulation is
+    charged 1, and `_parallelepiped` its nodes, against `_LATTICE_BUDGET`.
+    With `heights`, one per ray, only points at height 1 are given.
     """
     yield from rays if heights is None else (r for r, h in zip(rays, heights) if h == 1)
     full = (1 << len(rays)) - 1
