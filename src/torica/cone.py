@@ -33,10 +33,10 @@ from __future__ import annotations
 
 from itertools import product as iproduct
 from math import gcd, prod
-from operator import le, mul
+from operator import le
 
 from .errors import NotPointed, NotStronglyConvex, charge
-from .zlinalg import IntMatrix, _echelon, _int_tuple, kernel_basis, lattice_member, rank
+from .zlinalg import IntMatrix, _dot, _echelon, _int_tuple, kernel_basis, lattice_member, rank
 
 _LATTICE_BUDGET = 10**6
 _TRIANGULATION = (
@@ -48,10 +48,6 @@ _SIEVE = "minimal sieve ran {count} dominance tests, over its budget of {budget}
 def _primitive(vec):
     g = gcd(*vec)
     return tuple(x // g for x in vec) if g else None
-
-
-def _dot(a, b):
-    return sum(map(mul, a, b))
 
 
 def _grading(cone):

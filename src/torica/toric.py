@@ -1,21 +1,23 @@
 """Monomial maps and their lattice ideals.
 
 Builds toric ideals as saturated lattice ideals from an integer matrix
-whose columns record the monomial substitution, and packages the specific
-rings used across the library: the base surface ring on six variables
-(A,B,C,X,Y,Z with A=xz, B=xz^2, C=x, X=yz, Y=yz^2, Z=y) and tensor-power
-products of it with polynomial variables. A presentation holds its ideal
-(the saturation, or the shifted copies of a factor's ideal) from
-construction; its lattice-point lifting data is built by the first lift and
-kept. A variety defers building its presentation until a caller reads it.
+whose columns record the monomial substitution (the binomials of an
+LLL-reduced kernel basis, saturated at the product of all variables), and
+packages the specific rings used across the library: the base surface
+ring on six variables (A,B,C,X,Y,Z with A=xz, B=xz^2, C=x, X=yz, Y=yz^2,
+Z=y) and tensor-power products of it with polynomial variables. A
+presentation holds its ideal (the saturation, or the shifted copies of a
+factor's ideal) from construction; its lattice-point lifting data is built
+by the first lift and kept. A variety defers building its presentation
+until a caller reads it.
 """
 
 from __future__ import annotations
 
-from .cone import Cone, Semigroup, _dot, _grading, _placed
+from .cone import Cone, Semigroup, _grading, _placed
 from .errors import InfiniteCokernel
 from .polyring import Ideal, PolyRing, _poly, saturate
-from .zlinalg import IntMatrix, _int_tuple, kernel_basis, rank
+from .zlinalg import IntMatrix, _dot, _int_tuple, _lll, kernel_basis, rank
 
 PHI_COLUMNS = ((1, 0, 1), (1, 0, 2), (1, 0, 0), (0, 1, 1), (0, 1, 2), (0, 1, 0))
 STEINBERG_VARIABLES = ("A", "B", "C", "X", "Y", "Z")
@@ -122,15 +124,16 @@ class ToricPresentation:
 def toric_ideal(map: MonomialMap, char) -> ToricPresentation:
     """Presentation of the semigroup ring of the columns of `map`.
 
-    The lattice ideal of an HNF kernel basis is saturated at the product
-    of all variables, which removes the dependence on the choice of
-    kernel basis.
+    The lattice ideal of an LLL-reduced kernel basis (`zlinalg._lll` of
+    the Hermite kernel basis) is saturated at the product of all
+    variables, which removes the dependence on the choice of kernel basis.
+    Short basis vectors leave the saturation fewer S-pairs to reduce.
     """
     phi = map.phi
     if rank(phi) < phi.rows:
         raise InfiniteCokernel("the column lattice has infinite cokernel")
     ring = PolyRing(char, map.variable_names)
-    gens = [ring.binomial_from_vector(col) for col in kernel_basis(phi).columns()]
+    gens = [ring.binomial_from_vector(v) for v in _lll(kernel_basis(phi).columns())]
     ideal = Ideal(ring, gens)
     if gens:
         ideal = saturate(ideal, ring.monomial((1,) * ring.nvars))

@@ -18,13 +18,20 @@ column and starting each operation at the column leave H, the transform
 and so U what they were. Everything runs on Python ints, so nothing ever
 overflows; back-substitution uses fractions.Fraction. Matrices built
 from rows that are already int tuples skip the entry check
-(`IntMatrix._trusted`); the public constructors keep it.
+(`IntMatrix._trusted`); the public constructors keep it. Apart from the
+elimination, `_lll` LLL-reduces a lattice basis in integers alone; the
+toric ideals saturate the reduced kernel basis it gives.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import prod
+from operator import mul
+
+
+def _dot(a, b):
+    return sum(map(mul, a, b))
 
 
 def _int_tuple(xs, length=None):
@@ -303,6 +310,62 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
     h, r, _ = _echelon(_with_identity(a.transpose().entries), a.rows)
     reduced = hermite_normal_form(IntMatrix([row[a.rows :] for row in h[r:]], cols=a.cols))
     return IntMatrix.from_columns(reduced.entries, rows=a.cols)
+
+
+def _lll(rows):
+    """An LLL-reduced basis, delta = 99/100, of the lattice spanned by independent integer rows.
+
+    Integral LLL (Cohen, GTM 138, Alg. 2.6.7): the Gram-Schmidt data are kept
+    as integers, d[j] the Gram determinant of the first j rows (d[0] = 1) and
+    lam[k][j] = d[j + 1] mu_kj, so no fraction is formed. Each step adds an
+    integer multiple of one row to another or swaps two, so the rows span the
+    same lattice. Returns the rows as int tuples, [] for no rows.
+    """
+    b = [list(row) for row in rows]
+    n = len(b)
+    if not n:
+        return []
+    d = [1, _dot(b[0], b[0])] + [0] * (n - 1)
+    lam = [[0] * n for _ in range(n)]
+
+    def size_reduce(k, l):
+        if 2 * abs(lam[k][l]) > d[l + 1]:
+            q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+            lam[k][l] -= q * d[l + 1]
+            for i in range(l):
+                lam[k][i] -= q * lam[l][i]
+
+    k, kmax = 1, 0
+    while k < n:
+        if k > kmax:
+            kmax = k
+            for j in range(k + 1):
+                u = _dot(b[k], b[j])
+                for i in range(j):
+                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = u
+                else:
+                    d[k + 1] = u
+        size_reduce(k, k - 1)
+        if 100 * d[k + 1] * d[k - 1] < 99 * d[k] ** 2 - 100 * lam[k][k - 1] ** 2:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            for j in range(k - 1):
+                lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+            c = lam[k][k - 1]
+            new = (d[k - 1] * d[k + 1] + c * c) // d[k]
+            for i in range(k + 1, kmax + 1):
+                t = lam[i][k]
+                lam[i][k] = (d[k + 1] * lam[i][k - 1] - c * t) // d[k]
+                lam[i][k - 1] = (new * t + c * lam[i][k]) // d[k + 1]
+            d[k] = new
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                size_reduce(k, l)
+            k += 1
+    return [tuple(row) for row in b]
 
 
 def cokernel_presentation(a: IntMatrix):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from torica import polyring
+from torica import polyring, verification
 from torica.cli import main
 
 PHI_CONE = {"dim": 3, "generators": [[1, 0, 0], [0, 1, 0], [1, 0, 2], [0, 1, 2]]}
@@ -394,6 +394,27 @@ def test_verify_refuses_a_non_prime_field(capsys):
             "code": "BAD_INPUT",
             "message": "characteristic must be prime, got 4",
         }
+
+
+def test_a_check_that_raises_fails_its_entry_and_the_run(monkeypatch, capsys):
+    """A check that raises is reported as a failed entry carrying the error, and verify exits 1."""
+    name, _fn = verification._CHECKS[0]
+
+    def broken(ctx):
+        raise ArithmeticError("broken on purpose")
+
+    monkeypatch.setattr(verification, "_CHECKS", [(name, broken)] + verification._CHECKS[1:])
+    code, out, _err = run_cli(["verify", "--json"], capsys)
+    assert code == 1
+    report = json.loads(out)
+    assert report["checks"][0] == {
+        "check_id": name,
+        "expected": None,
+        "got": {"error": "ArithmeticError", "message": "broken on purpose"},
+        "pass": False,
+    }
+    assert report["all_pass"] is False
+    assert report["passed"] == report["total"] - 1
 
 
 def test_paper_verify_alias(capsys):

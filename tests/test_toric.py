@@ -18,6 +18,7 @@ from torica import (
     PolyRing,
     ideal_equal,
     product_ring,
+    rank,
     saturate,
     steinberg_minors_ideal,
     steinberg_monomial_map,
@@ -240,9 +241,10 @@ def test_saturation_keeps_its_elimination_basis():
 
 
 def test_square_maps_reduce_a_pinned_number_of_s_pairs(monkeypatch):
-    """The pair criteria leave 891 S-pairs to reduce over the 16 square-orbit maps at F_32003.
+    """The pair criteria leave 576 S-pairs to reduce over the 16 square-orbit maps at F_32003.
 
-    A change to which pairs the criteria keep moves this count.
+    A change to which pairs the criteria keep, or to the lattice basis the
+    saturation starts from, moves this count.
     """
     formed = []
     s_terms = polyring._s_terms
@@ -252,14 +254,77 @@ def test_square_maps_reduce_a_pinned_number_of_s_pairs(monkeypatch):
         before = len(formed)
         toric_ideal(m, 32003).ideal  # the saturation runs when toric_ideal is called
         per_map.append(len(formed) - before)
-    assert per_map == [31, 34, 51, 43, 38, 68, 39, 113, 38, 23, 31, 57, 38, 148, 65, 74]
-    assert sum(per_map) == 891
+    assert per_map == [24, 38, 48, 21, 29, 52, 17, 44, 32, 17, 24, 41, 34, 70, 38, 47]
+    assert sum(per_map) == 576
+
+
+def _seeded_maps(ncols):
+    """The first six full-rank 3 x `ncols` maps with columns (1, a, b), 0 <= a, b <= 5.
+
+    Drawn with random.Random(1), a rank-deficient draw skipped.
+    """
+    rng = random.Random(1)
+    names = [f"v{i}" for i in range(ncols)]
+    maps = []
+    while len(maps) < 6:
+        phi = IntMatrix.from_columns(
+            [(1, rng.randint(0, 5), rng.randint(0, 5)) for _ in range(ncols)]
+        )
+        if rank(phi) == 3:
+            maps.append(MonomialMap(phi, names))
+    return maps
+
+
+def _eliminated(map, char):
+    """The toric ideal's reduced grevlex basis by eliminating the ring map.
+
+    The ideal of x_j - t^(a_j) in F[t, x], t-variables first, meets F[x] in
+    the toric ideal of the nonnegative columns a_j (Sturmfels, Groebner Bases
+    and Convex Polytopes, ch. 4); the t-free elements of its basis in the
+    order ("elim", d) generate that intersection.
+    """
+    phi, d = map.phi, map.phi.rows
+    n = len(map.variable_names)
+    ring = PolyRing(char, [f"t{i}_" for i in range(d)] + list(map.variable_names))
+    gens = [
+        ring.monomial((0,) * d + tuple(int(i == j) for i in range(n)))
+        - ring.monomial(col + (0,) * n)
+        for j, col in enumerate(phi.columns())
+    ]
+    target = PolyRing(char, map.variable_names)
+    kept = [
+        target.polynomial({e[d:]: c for e, c in g.terms.items()})
+        for g in Ideal(ring, gens, order=("elim", d)).groebner()
+        if all(e[:d] == (0,) * d for e in g.terms)
+    ]
+    return Ideal(target, kept).groebner()
+
+
+def test_toric_ideals_agree_with_the_elimination_of_the_ring_map():
+    """The saturated lattice route and the elimination route give one reduced basis.
+
+    The 16 square-orbit maps at three fields, the surface and six seeded 3x8 maps.
+    """
+    cases = [(m, p) for m in _square_maps() for p in (32003, 101, 3)]
+    cases += [(steinberg_monomial_map(), 101)] + [(m, 32003) for m in _seeded_maps(8)]
+    for m, p in cases:
+        assert toric_ideal(m, p).ideal.groebner() == _eliminated(m, p), (m, p)
+
+
+def test_seeded_3x10_maps_answer_within_the_default_budgets():
+    """All six seeded 3x10 maps answer within the 5,000-pair and 1,000-element budgets."""
+    for m in _seeded_maps(10):
+        basis = toric_ideal(m, 32003).ideal.groebner()
+        assert basis
+        for g in basis:  # every element is a binomial of the kernel
+            (a, _), (b, _) = g.terms.items()
+            assert m.phi @ a == m.phi @ b
 
 
 def test_an_over_budget_saturation_raises_from_the_constructor(monkeypatch, capsys):
     """A presentation saturates when it is built, so the constructors themselves refuse.
 
-    The surface's saturation reduces 31 S-pairs; its variety still defers the
+    The surface's saturation reduces 25 S-pairs; its variety still defers the
     presentation, so building the variety refuses nothing until it is read.
     """
     monkeypatch.setattr(polyring, "_PAIR_BUDGET", 5)

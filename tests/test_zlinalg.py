@@ -19,7 +19,7 @@ from torica import (
     smith_normal_form,
     solve_rational,
 )
-from torica.zlinalg import _echelon
+from torica.zlinalg import _echelon, _lll
 
 from suites import check_smith, snf_suite
 
@@ -121,6 +121,39 @@ def test_kernel_basis_random_annihilation():
         assert rank(kb) == kb.cols == cols - rank(a)
         for j in range(kb.cols):
             assert a @ kb.column(j) == (0,) * rows
+
+
+def _gram_schmidt(rows):
+    """(mu, squared norms b*_i . b*_i) of the rows, in exact fractions."""
+    stars, norms = [], []
+    mu = [[Fraction(0)] * len(rows) for _ in rows]
+    for i, row in enumerate(rows):
+        star = [Fraction(x) for x in row]
+        for j in range(i):
+            mu[i][j] = sum(x * y for x, y in zip(row, stars[j])) / norms[j]
+            star = [x - mu[i][j] * y for x, y in zip(star, stars[j])]
+        stars.append(star)
+        norms.append(sum(x * x for x in star))
+    return mu, norms
+
+
+def test_lll_reduces_seeded_bases_of_the_same_lattice():
+    """200 seeded independent bases: same lattice, size-reduced, Lovasz at 99/100."""
+    assert _lll([]) == []
+    rng = random.Random(28)
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        cols = rng.randint(n, 8)
+        rows = [[rng.randint(-20, 20) for _ in range(cols)] for _ in range(n)]
+        while rank(IntMatrix(rows)) < n:
+            rows = [[rng.randint(-20, 20) for _ in range(cols)] for _ in range(n)]
+        reduced = _lll(rows)
+        assert len(reduced) == n and all(type(x) is int for row in reduced for x in row)
+        assert hermite_normal_form(IntMatrix(reduced)) == hermite_normal_form(IntMatrix(rows))
+        mu, norms = _gram_schmidt(reduced)
+        assert all(abs(mu[i][j]) <= Fraction(1, 2) for i in range(n) for j in range(i)), rows
+        for k in range(1, n):
+            assert norms[k] >= (Fraction(99, 100) - mu[k][k - 1] ** 2) * norms[k - 1], rows
 
 
 def test_cokernel_presentation_examples():
