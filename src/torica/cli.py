@@ -445,6 +445,16 @@ def _error_json(code, err):
     return {"error": body}
 
 
+def _print(text):
+    """Print and flush `text`; on a closed pipe point stdout at os.devnull, so exit stays quiet."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -452,14 +462,14 @@ def main(argv=None) -> int:
         result = args.handler(args)
         document, status = result if isinstance(result, tuple) else (result, 0)
         if args.json:
-            print(json.dumps(document, sort_keys=True, separators=(",", ":")))
+            _print(json.dumps(document, sort_keys=True, separators=(",", ":")))
         else:
-            print(json.dumps(document, indent=2, sort_keys=True))
+            _print(json.dumps(document, indent=2, sort_keys=True))
         if getattr(args, "report", None):
             _write_json(args.report, document)
         return status
     except ToricaError as err:
-        print(json.dumps(_error_json(err.code, err), indent=2, sort_keys=True))
+        _print(json.dumps(_error_json(err.code, err), indent=2, sort_keys=True))
         return 1
     except UsageError as err:
         error, status = _error_json("USAGE", err), 2

@@ -2,11 +2,12 @@
 
 A variety is a full-dimensional strongly convex cone with its parts: rays,
 dual cone and semigroup, class group and (optionally) a ring presentation.
-Each part is built on its first read, an atomic variety's from its cone
-and a product's only from the same part of its factors. Divisors are
-integer coefficient vectors over the lex-ordered rays. Class groups come
-from the Smith normal form of the ray-pairing matrix; product varieties
-use concatenated per-factor coordinates so that factor classes stay visible.
+Each part is a cached property, built on its first read, an atomic
+variety's from its cone and a product's only from the same part of its
+factors. Divisors are integer coefficient vectors over the lex-ordered
+rays. Class groups come from the Smith normal form of the ray-pairing
+matrix; product varieties use concatenated per-factor coordinates so that
+factor classes stay visible.
 
 Divisorial modules O(D) are handled through their lattice regions
 {m : <m, u_rho> + a_rho >= 0} = conv(V) + sigma^dual, V the region's
@@ -29,12 +30,13 @@ certified.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import accumulate, product as iproduct
 
 from .cone import (
-    Cone, Semigroup, _dot, _embedded, _minimal_points, _placed, _product, _region_points
+    Cone, Semigroup, _dot, _embedded, _grading, _minimal_points, _placed, _product, _region_points
 )
-from .errors import BudgetExceeded, NonUnique, NoSolution, VarietyMismatch
+from .errors import NonUnique, NoSolution, VarietyMismatch
 from .polyring import PolyRing, _add, _sub, module_regular_sequence
 from .toric import (
     PHI_COLUMNS,
@@ -50,24 +52,11 @@ class ToricVariety:
     """Normal affine toric variety: a pointed full-dimensional cone and its parts.
 
     Each part (`cone`, `rays`, `_ray_split`, `dual_cone`, `semigroup`,
-    `presentation`, the class group) is built on its first read by its
-    builder in `_PARTS` and kept: an atomic variety's from its cone, a
-    product's only from the same part of its factors. A callable
-    `presentation` is called on its first read.
+    `presentation`, the class group) is a cached property, built on its
+    first read and kept: an atomic variety's from its cone, a product's
+    only from the same part of its factors. A callable `presentation` is
+    called on its first read.
     """
-
-    __slots__ = (
-        "cone",
-        "rays",
-        "semigroup",
-        "presentation",
-        "factors",
-        "name",
-        "dual_cone",
-        "_ray_split",
-        "_class_group",
-        "_build_presentation",
-    )
 
     def __init__(self, cone: Cone | None = None, presentation=None, factors=None, name=None):
         self.factors = tuple(g for f in factors for g in f.factors) if factors else (self,)
@@ -79,20 +68,61 @@ class ToricVariety:
             raise ValueError("cone must be full-dimensional")
         dims = [f.cone.ambient_dim for f in self.factors] if factors else [cone.ambient_dim]
         self.name = name or f"X({sum(dims)}d)"
-        self._build_presentation = presentation if callable(presentation) else lambda: presentation
+        self._presentation = presentation
         if cone is not None:
             if self.is_product() and cone.rays() != self.rays:
                 raise ValueError("the cone's rays are not the embedded factor rays")
             self.cone = cone
 
-    def __getattr__(self, name):
-        """Build a part on its first read, by its builder in `_PARTS`, and keep it."""
-        builders = _PARTS.get(name)
-        if builders is None:
-            raise AttributeError(name)
-        value = builders[self.is_product()](self)
-        setattr(self, name, value)
-        return value
+    @cached_property
+    def cone(self):
+        """A product's cone, composed from its factors'; an atomic variety's is given."""
+        return _product([f.cone for f in self.factors])
+
+    @cached_property
+    def rays(self):
+        if not self.is_product():
+            return self.cone.rays()
+        return _factor_parts(self, lambda f: f.rays)
+
+    @cached_property
+    def _ray_split(self):
+        """(factor position, index among the factor's rays) of each ray."""
+        if not self.is_product():
+            return tuple((0, i) for i in range(len(self.rays)))
+        dims = [f.cone.ambient_dim for f in self.factors]
+        where = {
+            u: (pos, i)
+            for pos, (f, at) in enumerate(zip(self.factors, accumulate(dims, initial=0)))
+            for i, u in enumerate(_placed(f.rays, at, sum(dims)))
+        }
+        return tuple(where[u] for u in self.rays)
+
+    @cached_property
+    def dual_cone(self):
+        """The dual cone; a product's cone holds its composed dual, so nothing is enumerated."""
+        return self.cone.dual()
+
+    @cached_property
+    def semigroup(self):
+        if not self.is_product():
+            return self.dual_cone.hilbert_basis()
+        dim = sum(f.cone.ambient_dim for f in self.factors)
+        return Semigroup(dim, _factor_parts(self, lambda f: f.semigroup.hilbert_generators))
+
+    @cached_property
+    def presentation(self):
+        p = self._presentation
+        return p() if callable(p) else p
+
+    @cached_property
+    def _class_group(self):
+        return ClassGroup(self)
+
+    @cached_property
+    def _class_data(self):
+        """The Smith-form class data of an atomic variety: a block of each class group it is in."""
+        return _AtomicClassData(self)
 
     def __repr__(self):
         return f"ToricVariety({self.name}, rays={len(self.rays)})"
@@ -130,36 +160,6 @@ class ToricVariety:
 def _factor_parts(v: ToricVariety, part):
     """`part` of each factor of the product v, embedded in the factor's block, sorted."""
     return _embedded([f.cone.ambient_dim for f in v.factors], [part(f) for f in v.factors])
-
-
-def _product_ray_split(v: ToricVariety):
-    """(factor position, index among the factor's rays) of each ray of the product v."""
-    dims = [f.cone.ambient_dim for f in v.factors]
-    where = {
-        u: (pos, i)
-        for pos, (f, at) in enumerate(zip(v.factors, accumulate(dims, initial=0)))
-        for i, u in enumerate(_placed(f.rays, at, sum(dims)))
-    }
-    return tuple(where[u] for u in v.rays)
-
-
-# Each part's builders: (for an atomic variety, from its cone; for a product,
-# from the same part of its factors). An atomic variety's cone is given.
-_PARTS = {
-    "cone": (None, lambda v: _product([f.cone for f in v.factors])),
-    "rays": (lambda v: v.cone.rays(), lambda v: _factor_parts(v, lambda f: f.rays)),
-    "_ray_split": (lambda v: tuple((0, i) for i in range(len(v.rays))), _product_ray_split),
-    "dual_cone": (lambda v: v.cone.dual(), lambda v: _product([f.dual_cone for f in v.factors])),
-    "semigroup": (
-        lambda v: v.dual_cone.hilbert_basis(),
-        lambda v: Semigroup(
-            sum(f.cone.ambient_dim for f in v.factors),
-            _factor_parts(v, lambda f: f.semigroup.hilbert_generators),
-        ),
-    ),
-    "presentation": (lambda v: v._build_presentation(),) * 2,
-    "_class_group": (lambda v: ClassGroup(v),) * 2,
-}
 
 
 def product(v1: ToricVariety, v2: ToricVariety, presentation=None, name=None) -> ToricVariety:
@@ -332,8 +332,6 @@ class DivisorClass:
 class _AtomicClassData:
     """SNF cokernel data of the ray-pairing matrix of one atomic variety."""
 
-    __slots__ = ("nrays", "u", "u_inv", "free_positions", "torsion_positions", "moduli")
-
     def __init__(self, variety: ToricVariety):
         rays = variety.rays
         self.nrays = len(rays)
@@ -357,7 +355,11 @@ class _AtomicClassData:
             if flip:
                 u_rows[pos] = [-x for x in u_rows[pos]]
         self.u = IntMatrix(u_rows)
-        self.u_inv = None  # only `representative` reads it, so it is inverted on first use
+
+    @cached_property
+    def u_inv(self):
+        """The inverse of `u`; only `representative` reads it, so it is inverted on first use."""
+        return invert_unimodular(self.u)
 
     def coords(self, coeffs):
         b = self.u @ tuple(coeffs)
@@ -371,8 +373,6 @@ class _AtomicClassData:
             b[pos] = val
         for pos, val in zip(self.torsion_positions, torsion):
             b[pos] = val
-        if self.u_inv is None:
-            self.u_inv = invert_unimodular(self.u)
         return self.u_inv @ tuple(b)
 
 
@@ -383,10 +383,7 @@ class ClassGroup:
 
     def __init__(self, variety: ToricVariety):
         self.variety = variety
-        if variety.is_product():
-            self.blocks = tuple(b for f in variety.factors for b in f.class_group().blocks)
-        else:
-            self.blocks = (_AtomicClassData(variety),)
+        self.blocks = tuple(f._class_data for f in variety.factors)
         self.free_rank = sum(len(b.free_positions) for b in self.blocks)
         self.torsion = tuple(m for b in self.blocks for m in b.moduli)
 
@@ -574,9 +571,11 @@ def _steinberg_parameter_sequence(presentation):
 def module_is_maximal_cohen_macaulay(v: ToricVariety, gens, sequence=None) -> bool:
     """Certify depth = dim for the module generated by lattice points `gens`.
 
-    The generators are translated into the semigroup, lifted to monomials
-    of the presentation ring, and the parameter sequence is certified to be
-    regular on the module by exact Hilbert-series bookkeeping.
+    The generators are translated into the semigroup along the sum of the
+    cone's dual generators (`cone._grading`), a point inside the dual cone,
+    lifted to monomials of the presentation ring, and the parameter
+    sequence is certified to be regular on the module by exact
+    Hilbert-series bookkeeping.
     """
     pres = v.presentation
     if pres is None:
@@ -585,10 +584,7 @@ def module_is_maximal_cohen_macaulay(v: ToricVariety, gens, sequence=None) -> bo
         if list(pres.map.phi.columns()) != list(PHI_COLUMNS):
             raise ValueError("no default parameter sequence for this presentation")
         sequence = _steinberg_parameter_sequence(pres)
-    interior = tuple(
-        sum(h[i] for h in v.semigroup.hilbert_generators)
-        for i in range(v.cone.ambient_dim)
-    )
+    interior = _grading(v.cone)
     shift = 0
     for u in v.rays:
         pu = _dot(interior, u)
@@ -623,8 +619,8 @@ def _local_cohomology_witness(v: ToricVariety, d: TorusDivisor):
     H_0 != 0. For each other S the region {<m, u_i> + a_i >= 0 for i in S,
     <= -1 otherwise} is searched for its first lattice point, drawn from
     `_region_points` as module generators are. The answer is None when O(D)
-    is MCM, and also off dimension 3 or when a search would exceed the
-    lattice budget.
+    is MCM, and also off dimension 3; a search that would exceed the
+    lattice budget raises BudgetExceeded.
     """
     if v.cone.ambient_dim != 3:
         return None
@@ -638,10 +634,7 @@ def _local_cohomology_witness(v: ToricVariety, d: TorusDivisor):
         inside = [subset >> i & 1 for i in range(len(rays))]
         signed = [u if keep else tuple(-x for x in u) for u, keep in zip(rays, inside)]
         coeffs = [a if keep else -a - 1 for a, keep in zip(d.coeffs, inside)]
-        try:
-            m = next(_region_points(signed, coeffs), None)
-        except BudgetExceeded:
-            return None
+        m = next(_region_points(signed, coeffs), None)
         if m is not None:
             return m
     return None

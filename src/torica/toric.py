@@ -14,6 +14,8 @@ until a caller reads it.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .cone import Cone, Semigroup, _grading, _placed
 from .errors import InfiniteCokernel
 from .polyring import Ideal, PolyRing, _poly, saturate
@@ -54,20 +56,28 @@ class ToricPresentation:
     `lift_lattice_point` and kept.
     """
 
-    __slots__ = ("map", "ring", "ideal", "semigroup", "_lifts")
-
     def __init__(self, map: MonomialMap, ring: PolyRing, ideal: Ideal, semigroup: Semigroup):
         self.map = map
         self.ring = ring
         self.ideal = ideal
         self.semigroup = semigroup
-        self._lifts = None
 
     def __repr__(self):
         return (
             f"ToricPresentation(vars={list(self.map.variable_names)}, "
             f"dim={self.semigroup.ambient_dim})"
         )
+
+    @cached_property
+    def _lifts(self):
+        """(column cone, grading, column grades, memo) of `lift_lattice_point`."""
+        cols = self.map.phi.columns()
+        cone = Cone(self.map.phi.rows, cols)
+        if not cone.is_strongly_convex():
+            raise ValueError("lattice-point lifting needs a pointed column cone")
+        weight = _grading(cone)
+        grades = [_dot(weight, col) for col in cols]  # 0 only on a zero column
+        return cone, weight, grades, {(0,) * self.map.phi.rows: (0,) * len(cols)}
 
     def lift_lattice_point(self, m):
         """Exponent tuple e with phi @ e == m, or None if m is not in the semigroup.
@@ -82,13 +92,6 @@ class ToricPresentation:
         """
         m = _int_tuple(m, self.map.phi.rows)
         cols = self.map.phi.columns()
-        if self._lifts is None:
-            cone = Cone(self.map.phi.rows, cols)
-            if not cone.is_strongly_convex():
-                raise ValueError("lattice-point lifting needs a pointed column cone")
-            weight = _grading(cone)
-            grades = [_dot(weight, col) for col in cols]  # 0 only on a zero column
-            self._lifts = (cone, weight, grades, {(0,) * len(m): (0,) * len(cols)})
         cone, weight, grades, memo = self._lifts
         stack = [[m, None, 0]]
         while m not in memo:

@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -66,6 +67,12 @@ def test_cone_hilbert_basis(tmp_path, capsys):
     cone_file = write_json(tmp_path / "cone.json", PHI_CONE)
     data = out_json(["cone", "hilbert-basis", cone_file], capsys)
     assert len(data["hilbert_basis"]) == 6
+
+
+def test_zero_cone_has_an_empty_hilbert_basis(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"dim": 2, "generators": []})))
+    data = out_json(["cone", "hilbert-basis", "-"], capsys)
+    assert data == {"type": "semigroup", "dim": 2, "hilbert_basis": []}
 
 
 def test_cone_product(tmp_path, capsys):
@@ -429,6 +436,32 @@ def test_verify_console_script_subprocess():
         text=True,
     )
     assert result.returncode == 2
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_exits_with_the_commands_own_status(tmp_path, unbuffered):
+    """A reader that has gone is no defect: --report is still written, stderr stays empty."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    report = tmp_path / "report.json"
+    for argv, status in (
+        (["verify", "--json", "--report", str(report)], 0),
+        (["div", "half-canonical", "@A1"], 1),  # a domain error object on stdout
+    ):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "torica.cli", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (status, b""), argv
+    assert json.loads(report.read_text())["all_pass"] is True
 
 
 def test_field_env_variable(tmp_path, monkeypatch, capsys):

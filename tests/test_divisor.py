@@ -1,5 +1,6 @@
 """Divisor class groups, divisorial modules, multiplicity, the MCM scan."""
 
+import copy
 import random
 import time
 from fractions import Fraction
@@ -812,6 +813,20 @@ def test_multiplicity_composes_no_product(monkeypatch):
             read()
 
 
+def test_copying_a_variety_builds_no_part(monkeypatch):
+    """A copy shares the parts built so far and builds none of the others."""
+
+    def refuse(*args):
+        raise AssertionError("built a part that was not read")
+
+    monkeypatch.setattr(Cone, "hilbert_basis", refuse)
+    monkeypatch.setattr(Cone, "dual", refuse)
+    v = ToricVariety(Cone(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 2, -1)]))
+    w = copy.copy(v)
+    assert w.cone is v.cone
+    assert class_group(w).presentation() == (1, ())
+
+
 def test_flat_s8_class_group_without_its_semigroup():
     """Flat S^8 answers its class group; only reading its semigroup runs the sieve over budget."""
     flat = ToricVariety(Cone(24, steinberg_product_variety(8, 0).cone.generators))
@@ -869,6 +884,19 @@ def test_multiplicity_matches_variety_route():
 
 def test_mcm_scan_exact_result(surface):
     results = enumerate_mcm_rank_one_candidates(surface, gen_bound=4)
+    assert [(cls.free[0], n) for cls, n in results] == [
+        (-1, 4), (0, 1), (1, 2), (2, 3), (3, 4),
+    ]
+
+
+def test_mcm_scan_computes_no_hilbert_basis(monkeypatch):
+    """The certificates take their interior point from the cone, not from the semigroup."""
+
+    def refuse(*args):
+        raise AssertionError("computed a Hilbert basis")
+
+    monkeypatch.setattr(Cone, "hilbert_basis", refuse)
+    results = enumerate_mcm_rank_one_candidates(steinberg_variety(), gen_bound=4)
     assert [(cls.free[0], n) for cls, n in results] == [
         (-1, 4), (0, 1), (1, 2), (2, 3), (3, 4),
     ]
@@ -951,8 +979,8 @@ def test_local_cohomology_witness_matches_certificate(surface, monkeypatch):
 def test_local_cohomology_witness_against_box_scan(monkeypatch):
     """On seeded 3-dimensional cones, a box degree whose Γ is disconnected implies a witness.
 
-    A search over the lattice budget gives up with None, and the box scan
-    then asserts nothing.
+    A search over the lattice budget raises BudgetExceeded; none of these
+    40 cones reaches it.
     """
     over_budget = []
     real = torica.divisor._region_points
@@ -1001,6 +1029,15 @@ def test_local_cohomology_witness_in_a_region_of_many_parallelepiped_points():
     m = torica.divisor._local_cohomology_witness(v, d)
     assert m is not None
     assert _gamma_disconnected(v, d, m), m
+
+
+def test_local_cohomology_witness_over_the_lattice_budget_raises(monkeypatch):
+    """A search that would pass the budget raises; it does not report the absence of a witness."""
+    v = ToricVariety(Cone(3, [(1, 3, -2), (2, 4, 3), (-1, 4, 0), (-1, -3, 4)]))
+    d = v.divisor((2, -2, 3, -3))
+    monkeypatch.setattr(cone_module, "_LATTICE_BUDGET", 100)
+    with pytest.raises(BudgetExceeded):
+        torica.divisor._local_cohomology_witness(v, d)
 
 
 def test_local_cohomology_witness_only_in_dimension_3(surface):
