@@ -445,6 +445,13 @@ def _error_json(code, err):
     return {"error": body}
 
 
+def _dumps(document, compact):
+    """`document` as sorted JSON: one line when `compact` (`--json`), else indented."""
+    if compact:
+        return json.dumps(document, sort_keys=True, separators=(",", ":"))
+    return json.dumps(document, indent=2, sort_keys=True)
+
+
 def _print(text):
     """Print and flush `text`; on a closed pipe point stdout at os.devnull, so exit stays quiet."""
     try:
@@ -461,15 +468,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         result = args.handler(args)
         document, status = result if isinstance(result, tuple) else (result, 0)
-        if args.json:
-            _print(json.dumps(document, sort_keys=True, separators=(",", ":")))
-        else:
-            _print(json.dumps(document, indent=2, sort_keys=True))
+        _print(_dumps(document, args.json))
         if getattr(args, "report", None):
             _write_json(args.report, document)
         return status
     except ToricaError as err:
-        _print(json.dumps(_error_json(err.code, err), indent=2, sort_keys=True))
+        _print(_dumps(_error_json(err.code, err), args.json))
         return 1
     except UsageError as err:
         error, status = _error_json("USAGE", err), 2

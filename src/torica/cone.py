@@ -177,12 +177,13 @@ def _region_points(normals, coeffs):
 def _minimal(items):
     """Values of the (key, value) pairs whose key is >= no other key, by key sum.
 
-    For slack keys that keeps the points no other point can be taken from,
-    for exponent keys the monomials no other one divides. A key can only be
-    >= keys of smaller sum, and testing the kept ones suffices, since a
-    dropped key is >= a kept one. A repeated key keeps its first value.
-    Each candidate is charged one dominance test per kept key, and
-    BudgetExceeded is raised once the tests would pass `_LATTICE_BUDGET`.
+    Its one library caller, `_minimal_points`, keys each point by its
+    pairings with the rays, so it keeps the points no other point can be
+    taken from. A key can only be >= keys of smaller sum, and testing the
+    kept ones suffices, since a dropped key is >= a kept one. A repeated
+    key keeps its first value. Each candidate is charged one dominance test
+    per kept key, and BudgetExceeded is raised once the tests would pass
+    `_LATTICE_BUDGET`.
     """
     kept, tests = [], 0
     for key, value in sorted(items, key=lambda kv: sum(kv[0])):

@@ -21,11 +21,14 @@ Ring presentations are built when first read, and their ideals when those
 are, so class groups, module generators and multiplicities compute no
 Groebner basis; only the Cohen-Macaulay certificates, which work in the
 presentation ring, do. The MCM scan first refutes what it can without
-them: on a 3-dimensional cone a lattice point whose satisfied rays are not
-one arc of the facet cycle is a degree where local cohomology below the
-top does not vanish (`_local_cohomology_witness`), found in a region of
-the same form as a divisor's. Only the classes without such a witness are
-certified.
+them or the module generators: on a 3-dimensional cone a lattice point
+whose satisfied rays are not one arc of the facet cycle is a degree where
+local cohomology below the top does not vanish
+(`_local_cohomology_witness`), found in a region of the same form as a
+divisor's. Only the classes without such a witness have their generators
+enumerated, and of those only the ones within the generator bound are
+certified. The scan charges its class count against `_SCAN_BUDGET` before
+the first class.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from itertools import accumulate, product as iproduct
 from .cone import (
     Cone, Semigroup, _dot, _embedded, _grading, _minimal_points, _placed, _product, _region_points
 )
-from .errors import NonUnique, NoSolution, VarietyMismatch
+from .errors import NonUnique, NoSolution, VarietyMismatch, charge
 from .polyring import PolyRing, _add, _sub, module_regular_sequence
 from .toric import (
     PHI_COLUMNS,
@@ -46,6 +49,9 @@ from .toric import (
     steinberg_ring_mod_l,
 )
 from .zlinalg import IntMatrix, _int_tuple, invert_unimodular, smith_normal_form
+
+_SCAN_BUDGET = 10**5
+_SCAN = "mcm scan spans {count} classes, over its budget of {budget}"
 
 
 class ToricVariety:
@@ -648,21 +654,27 @@ def enumerate_mcm_rank_one_candidates(
     Returns (class, generator count) for every class whose module has at
     most gen_bound minimal generators AND whose parameter sequence is
     certified regular on it. A class with a local-cohomology witness degree
-    (`_local_cohomology_witness`) is refuted by it, and only the classes
-    without one go to the regular-sequence certificate, so every class
-    returned is still certified. The extra band beyond the window guards
-    the claim that nothing new appears just outside the scanned range.
+    (`_local_cohomology_witness`) is refuted by it before its generators
+    are enumerated; only the classes without one have their generators
+    counted against gen_bound and go to the regular-sequence certificate,
+    so every class returned is still certified. The extra band beyond the
+    window guards the claim that nothing new appears just outside the
+    scanned range. A negative window or band is a ValueError, and a scan of
+    more than `_SCAN_BUDGET` classes raises BudgetExceeded before the first.
     """
+    if scan_window < 0 or band < 0:
+        raise ValueError(f"scan window and band must be >= 0, got {scan_window} and {band}")
     cg = v.class_group()
     if cg.free_rank != 1 or cg.torsion:
         raise ValueError("scan expects an infinite cyclic class group")
+    charge(2 * (scan_window + band) + 1, _SCAN_BUDGET, _SCAN)
     results = []
     for k in range(-scan_window - band, scan_window + band + 1):
         cls = DivisorClass(v, (k,))
         rep = cg.representative(cls)
-        gens = module_generators(v, rep).generators
-        if len(gens) > gen_bound or _local_cohomology_witness(v, rep) is not None:
+        if _local_cohomology_witness(v, rep) is not None:
             continue
-        if module_is_maximal_cohen_macaulay(v, gens, sequence=sequence):
+        gens = module_generators(v, rep).generators
+        if len(gens) <= gen_bound and module_is_maximal_cohen_macaulay(v, gens, sequence=sequence):
             results.append((cls, len(gens)))
     return results

@@ -323,14 +323,66 @@ def test_div_mcm_scan(capsys):
 
 
 def test_div_mcm_scan_over_budget_exits_one(capsys):
-    """The first class, -100005, gives about 10^5 candidates; the sieve's count stops it in 10 s."""
+    """Window 100000 spans 200,011 classes, over the scan budget; it is refused before the first."""
     start = time.perf_counter()
-    data = out_json(["div", "mcm-scan", "@S", "--window", "100000"], capsys, expect_code=1)
+    code, out, err = run_cli(["div", "mcm-scan", "@S", "--window", "100000"], capsys)
     assert time.perf_counter() - start < 10
-    assert data["error"]["code"] == "BUDGET_EXCEEDED"
-    assert data["error"]["budget"] == 10**6
-    assert data["error"]["message"].startswith("minimal sieve ran ")
-    assert data["error"]["message"].endswith(" dominance tests, over its budget of 1000000")
+    assert (code, err) == (1, "")
+    assert out == (
+        "{\n"
+        '  "error": {\n'
+        '    "budget": 100000,\n'
+        '    "code": "BUDGET_EXCEEDED",\n'
+        '    "message": "mcm scan spans 200011 classes, over its budget of 100000"\n'
+        "  }\n"
+        "}\n"
+    )
+
+
+def test_div_mcm_scan_wide_window_answers(capsys):
+    """Only classes without a local-cohomology witness are enumerated, so window 2000 answers."""
+    start = time.perf_counter()
+    data = out_json(["div", "mcm-scan", "@S", "--window", "2000", "--json"], capsys)
+    assert time.perf_counter() - start < 10
+    assert data["window"] == 2000
+    assert [c["class"] for c in data["candidates"]] == [-1, 0, 1, 2, 3]
+
+
+def test_div_mcm_scan_refuses_a_negative_window(capsys):
+    code, out, err = run_cli(["div", "mcm-scan", "@S", "--window", "-3"], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {
+        "code": "BAD_INPUT",
+        "message": "scan window and band must be >= 0, got -3 and 5",
+    }
+
+
+def test_div_module_gens_over_budget_exits_one(monkeypatch, capsys):
+    """Class -100005 gives about 10^5 candidates; the sieve's count stops it within 10 s."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"coeffs": [0, 0, 0, -100005]})))
+    start = time.perf_counter()
+    data = out_json(["div", "module-gens", "@S", "-"], capsys, expect_code=1)
+    assert time.perf_counter() - start < 10
+    assert data["error"] == {
+        "budget": 10**6,
+        "code": "BUDGET_EXCEEDED",
+        "message": "minimal sieve ran 1000407 dominance tests, over its budget of 1000000",
+    }
+
+
+def test_error_object_under_json_is_one_line(tmp_path, capsys):
+    """--json prints a domain error object on one line; a usage error on stderr stays indented."""
+    code, out, err = run_cli(["div", "half-canonical", "@A1", "--json"], capsys)
+    assert (code, err) == (1, "")
+    assert out == (
+        '{"error":{"code":"NON_UNIQUE","count":2,'
+        '"message":"2 classes square to the canonical class"}}\n'
+    )
+    workspace = str(tmp_path / "ws.json")
+    argv = ["div", "half-canonical", "@nothing", "--json", "--workspace", workspace]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("{\n")
 
 
 def test_ideal_groebner_over_budget_exits_one(tmp_path, monkeypatch, capsys):

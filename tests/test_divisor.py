@@ -1052,7 +1052,11 @@ def test_local_cohomology_witness_only_in_dimension_3(surface):
 
 
 def test_mcm_scan_certifies_only_classes_without_witness(surface, monkeypatch):
-    """Of the 8 classes within gen_bound 4, the witness refutes -6, -4, -2; 5 are certified."""
+    """The witness refutes 26 of the 31 classes, -6, -4 and -2 within gen_bound 4 among them.
+
+    The other 5 have their generators enumerated, are within gen_bound and
+    are certified.
+    """
     certified = []
     real = torica.divisor.module_is_maximal_cohen_macaulay
 
@@ -1064,6 +1068,58 @@ def test_mcm_scan_certifies_only_classes_without_witness(surface, monkeypatch):
     results = enumerate_mcm_rank_one_candidates(surface, gen_bound=4)
     assert len(results) == 5
     assert certified == [4, 1, 2, 3, 4]  # generator counts of classes -1..3
+
+
+def test_mcm_scan_enumerates_generators_only_for_classes_without_witness(monkeypatch):
+    """The default scan asks all 31 classes for a witness and enumerates the generators of 5."""
+    calls = {"witness": 0, "generators": 0}
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        torica.divisor,
+        "_local_cohomology_witness",
+        counted("witness", torica.divisor._local_cohomology_witness),
+    )
+    monkeypatch.setattr(
+        torica.divisor, "module_generators", counted("generators", module_generators)
+    )
+    results = enumerate_mcm_rank_one_candidates(steinberg_variety(), gen_bound=4)
+    assert [(cls.free[0], n) for cls, n in results] == [
+        (-1, 4), (0, 1), (1, 2), (2, 3), (3, 4),
+    ]
+    assert calls == {"witness": 31, "generators": 5}
+
+
+def test_mcm_scan_refuses_negative_window_or_band(surface):
+    """A negative window would scan a shorter range than asked for, so it is refused."""
+    for window, band in ((-3, 5), (10, -1), (-6, 0)):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            enumerate_mcm_rank_one_candidates(surface, scan_window=window, band=band)
+    assert enumerate_mcm_rank_one_candidates(surface, scan_window=0, band=0) == [
+        (DivisorClass(surface, (0,)), 1)
+    ]
+
+
+def test_mcm_scan_charges_its_class_count_before_the_first_class(surface, monkeypatch):
+    """2(window + band) + 1 classes are charged at once: 21 within a budget of 21, 23 over it."""
+
+    def refuse(*args):
+        raise AssertionError("scanned a class")
+
+    monkeypatch.setattr(torica.divisor, "_SCAN_BUDGET", 21)
+    assert len(enumerate_mcm_rank_one_candidates(surface, scan_window=5, band=5)) == 5
+    monkeypatch.setattr(torica.divisor, "_local_cohomology_witness", refuse)
+    with pytest.raises(BudgetExceeded) as info:
+        enumerate_mcm_rank_one_candidates(surface, scan_window=6, band=5)
+    assert (str(info.value), info.value.budget) == (
+        "mcm scan spans 23 classes, over its budget of 21", 21
+    )
 
 
 def test_mcm_scan_requires_cyclic_class_group():

@@ -520,6 +520,14 @@ def test_budget_messages_are_pinned_byte_for_byte(monkeypatch):
             "minimal sieve ran 6 dominance tests, over its budget of 3",
             3,
         ),
+        (
+            None,
+            lambda: divisor.enumerate_mcm_rank_one_candidates(
+                divisor.steinberg_variety(), scan_window=10**5
+            ),
+            "mcm scan spans 200011 classes, over its budget of 100000",
+            10**5,
+        ),
     ]
     for patch, run, message, budget in cases:
         if patch:
