@@ -30,6 +30,7 @@ from .divisor import (
     steinberg_variety,
     ToricVariety,
     TorusDivisor,
+    _scan_bounds,
     trace_surjectivity_witness,
 )
 from .errors import BudgetExceeded, NonUnique, ToricaError
@@ -298,11 +299,11 @@ def div_trace_witness(args):
 
 
 def div_mcm_scan(args):
-    results = enumerate_mcm_rank_one_candidates(
-        _resolve_variety(args), gen_bound=args.gen_bound, scan_window=args.window
-    )
+    variety = _resolve_variety(args)
+    results = enumerate_mcm_rank_one_candidates(variety, gen_bound=args.gen_bound)
+    lo, hi = _scan_bounds(variety)
     candidates = [{"class": cls.free[0], "generators": count} for cls, count in results]
-    return {"gen_bound": args.gen_bound, "window": args.window, "candidates": candidates}
+    return {"gen_bound": args.gen_bound, "range": [lo + 1, hi - 1], "candidates": candidates}
 
 
 def div_multiplicity(args):
@@ -392,11 +393,7 @@ COMMANDS = {
             div_trace_witness,
         ),
         "mcm-scan": (
-            [
-                _VARIETY,
-                _arg("--gen-bound", type=int, default=4, dest="gen_bound"),
-                _arg("--window", type=int, default=10),
-            ],
+            [_VARIETY, _arg("--gen-bound", type=int, default=4, dest="gen_bound")],
             div_mcm_scan,
         ),
         "multiplicity": (

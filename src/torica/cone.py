@@ -82,8 +82,10 @@ def _parallelepiped(gens, heights=None, spent=0):
     unimodular T that is not needed, the point c·G / N, c in [0, N)^r, is in
     Z^d exactly when H @ c == 0 mod N, where N = prod h_ii counts the points.
     H is upper triangular, so c is solved for from its last coordinate to
-    its first, each from one congruence h_ii c_i == -sum_{k>i} h_ik c_k
-    (mod N), whose solutions in [0, N) are a range. With `heights` q only
+    its first, each from one congruence h_ii c_i == b = -sum_{k>i} h_ik c_k
+    (mod N), whose solutions in [0, N) are the range from b / h_ii by
+    N / h_ii. It always solves: by induction each c_k solved so far is a
+    multiple of prod_{j<k} h_jj, so h_ii divides b. With `heights` q only
     the points with sum(c_i q_i) = N, those at height 1, are given: a
     partial sum above N is cut, and so is one below N once no positive
     height is left. Each level adds its partial nodes to `spent`, the
@@ -97,17 +99,12 @@ def _parallelepiped(gens, heights=None, spent=0):
     q = heights or (0,) * r
     partial = [((), 0)]  # (c_i, .., c_{r-1}), sum of their c_k q_k
     for i in reversed(range(r)):
-        g = gcd(h[i][i], n)
-        step = n // g
-        inv = pow(h[i][i] // g, -1, step)
+        step = n // h[i][i]
         row, qi, room = h[i][i + 1 :], q[i], _LATTICE_BUDGET - spent
         last = heights is not None and not any(q[:i])  # the height is final after this level
         grown = []
         for tail, height in partial:
-            b = -_dot(row, tail)
-            if b % g:
-                continue
-            cs = range(b // g * inv % step, n, step)
+            cs = range(-_dot(row, tail) // h[i][i] % step, n, step)
             if qi:
                 cs = range(cs.start, min(n, (n - height) // qi + 1), step)
             if last:

@@ -25,10 +25,11 @@ them or the module generators: on a 3-dimensional cone a lattice point
 whose satisfied rays are not one arc of the facet cycle is a degree where
 local cohomology below the top does not vanish
 (`_local_cohomology_witness`), found in a region of the same form as a
-divisor's. Only the classes without such a witness have their generators
-enumerated, and of those only the ones within the generator bound are
-certified. The scan charges its class count against `_SCAN_BUDGET` before
-the first class.
+divisor's. The classes it scans are proved from the cone (`_scan_bounds`):
+past them every class has a witness, so no window is chosen. Only the
+classes without a witness have their generators enumerated, and of those
+only the ones within the generator bound are certified. The scan charges
+its class count against `_SCAN_BUDGET` before the first class.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ from functools import cached_property
 from itertools import accumulate, product as iproduct
 
 from .cone import (
-    Cone, Semigroup, _dot, _embedded, _grading, _minimal_points, _placed, _product, _region_points
+    Cone, Semigroup, _dot, _double_description, _embedded, _grading, _minimal_points, _placed,
+    _product, _region_points,
 )
 from .errors import NonUnique, NoSolution, VarietyMismatch, charge
 from .polyring import PolyRing, _add, _sub, module_regular_sequence
@@ -108,6 +110,23 @@ class ToricVariety:
     def dual_cone(self):
         """The dual cone; a product's cone holds its composed dual, so nothing is enumerated."""
         return self.cone.dual()
+
+    @cached_property
+    def _non_arcs(self):
+        """Sign vectors (1 in, -1 out) of the ray subsets that are not one arc of the facet cycle.
+
+        These are the subsets a local-cohomology witness is searched in; the
+        facet masks they are read from are built once, here.
+        """
+        rays = self.rays
+        facets = [
+            sum(1 << i for i, u in enumerate(rays) if _dot(n, u) == 0) for n in self.dual_cone.rays()
+        ]
+        return tuple(
+            tuple(1 if subset >> i & 1 else -1 for i in range(len(rays)))
+            for subset in range(1, (1 << len(rays)) - 1)
+            if not _is_arc(subset, facets)
+        )
 
     @cached_property
     def semigroup(self):
@@ -622,54 +641,86 @@ def _local_cohomology_witness(v: ToricVariety, d: TorusDivisor):
     cone whose rays all satisfy <m, u> + a >= 0. On a 3-dimensional cone
     the rays and facets form a cycle, so for a nonempty proper set S of
     satisfied rays Γ_m is acyclic exactly when S is an arc, and otherwise
-    H_0 != 0. For each other S the region {<m, u_i> + a_i >= 0 for i in S,
-    <= -1 otherwise} is searched for its first lattice point, drawn from
-    `_region_points` as module generators are. The answer is None when O(D)
-    is MCM, and also off dimension 3; a search that would exceed the
-    lattice budget raises BudgetExceeded.
+    H_0 != 0. For each other S, as listed by `v._non_arcs`, the region
+    {<m, u_i> + a_i >= 0 for i in S, <= -1 otherwise} is searched for its
+    first lattice point, drawn from `_region_points` as module generators
+    are. The answer is None when O(D) is MCM, and also off dimension 3; a
+    search that would exceed the lattice budget raises BudgetExceeded.
     """
     if v.cone.ambient_dim != 3:
         return None
-    rays = v.rays
-    facets = [
-        sum(1 << i for i, u in enumerate(rays) if _dot(n, u) == 0) for n in v.dual_cone.rays()
-    ]
-    for subset in range(1, (1 << len(rays)) - 1):
-        if _is_arc(subset, facets):
-            continue
-        inside = [subset >> i & 1 for i in range(len(rays))]
-        signed = [u if keep else tuple(-x for x in u) for u, keep in zip(rays, inside)]
-        coeffs = [a if keep else -a - 1 for a, keep in zip(d.coeffs, inside)]
+    for signs in v._non_arcs:
+        signed = [tuple(s * x for x in u) for u, s in zip(v.rays, signs)]
+        coeffs = [s * a + (s - 1) // 2 for a, s in zip(d.coeffs, signs)]
         m = next(_region_points(signed, coeffs), None)
         if m is not None:
             return m
     return None
 
 
-def enumerate_mcm_rank_one_candidates(
-    v: ToricVariety, gen_bound=4, scan_window=10, band=5, sequence=None
-):
-    """Scan classes k in [-w-band, w+band] for small Cohen-Macaulay modules.
+def _scan_bounds(v: ToricVariety):
+    """(lo, hi): every class k <= lo and every k >= hi has a local-cohomology witness.
+
+    The representative of class k is k·r, so the witness region of a
+    non-arc subset S with signs s is P_S(k) = {m : A_S m >= b_S + k c_S},
+    with rows s_i u_i, b_i = (1 - s_i) / 2 and c_i = -s_i r_i. P_S(k) holds
+    the unit cube m0 + [0, 1]^3, and so the lattice point ⌈m0⌉, exactly when
+    A_S m0 + neg(A_S) >= b_S + k c_S, where neg sums each row's negative
+    entries. One `_double_description` of that system, homogenized in
+    (m0, k, t) with t >= 0, gives the k for which such an m0 exists: a ray
+    with t = 0 and k != 0 says they run without end in the sign of k, and
+    the rays with t > 0 end them at the least or greatest k/t.
+
+    No branch is needed for a missing bound. A full 3-dimensional cone with
+    Cl = Z has exactly 4 rays, since the free rank is rays - dim, so the
+    non-arc subsets are the two diagonals {0, 2} and {1, 3} of the facet
+    cycle. The one relation l0 u0 + l2 u2 = l1 u1 + l3 u3, l > 0, pairs with
+    r to a nonzero class s: weighting the rows of P_S by l shows that one
+    diagonal's region has points only for k s > 0 and the other's only for
+    k s < 0, and by Gordan's theorem each region has interior points for
+    k of its sign, so it holds a unit cube for large |k|. Both bounds exist.
+    A dimension other than 3 is a ValueError.
+    """
+    dim = v.cone.ambient_dim
+    if dim != 3:
+        raise ValueError(f"the MCM scan needs a 3-dimensional cone, got dimension {dim}")
+    r = v.class_group().representative(DivisorClass(v, (1,))).coeffs
+    below, above = [], []
+    for signs in v._non_arcs:
+        rows = [
+            tuple(s * x for x in u) + (s * a, sum(min(s * x, 0) for x in u) + (s - 1) // 2)
+            for u, a, s in zip(v.rays, r, signs)
+        ]
+        ends = [ray[3:] for ray in _double_description(rows + [(0, 0, 0, 0, 1)], 5)[1]]
+        if any(k > 0 and not t for k, t in ends):
+            above.append(min(-(-k // t) for k, t in ends if t))
+        if any(k < 0 and not t for k, t in ends):
+            below.append(max(k // t for k, t in ends if t))
+    return max(below), min(above)
+
+
+def enumerate_mcm_rank_one_candidates(v: ToricVariety, gen_bound=4, sequence=None):
+    """Every MCM class k of a 3-dimensional variety with Cl = Z whose module is small.
 
     Returns (class, generator count) for every class whose module has at
     most gen_bound minimal generators AND whose parameter sequence is
-    certified regular on it. A class with a local-cohomology witness degree
-    (`_local_cohomology_witness`) is refuted by it before its generators
-    are enumerated; only the classes without one have their generators
-    counted against gen_bound and go to the regular-sequence certificate,
-    so every class returned is still certified. The extra band beyond the
-    window guards the claim that nothing new appears just outside the
-    scanned range. A negative window or band is a ValueError, and a scan of
-    more than `_SCAN_BUDGET` classes raises BudgetExceeded before the first.
+    certified regular on it. The classes scanned are those strictly between
+    the bounds `_scan_bounds` proves from the cone; every class outside has
+    a local-cohomology witness, so none is left out. A class with a witness
+    (`_local_cohomology_witness`) is refuted by it before its generators are
+    enumerated; only the classes without one have their generators counted
+    against gen_bound and go to the regular-sequence certificate, so every
+    class returned is still certified. Another class group or dimension is
+    a ValueError, and a scan of more than `_SCAN_BUDGET` classes raises
+    BudgetExceeded before the first.
     """
-    if scan_window < 0 or band < 0:
-        raise ValueError(f"scan window and band must be >= 0, got {scan_window} and {band}")
     cg = v.class_group()
     if cg.free_rank != 1 or cg.torsion:
         raise ValueError("scan expects an infinite cyclic class group")
-    charge(2 * (scan_window + band) + 1, _SCAN_BUDGET, _SCAN)
+    lo, hi = _scan_bounds(v)
+    charge(hi - lo - 1, _SCAN_BUDGET, _SCAN)
     results = []
-    for k in range(-scan_window - band, scan_window + band + 1):
+    for k in range(lo + 1, hi):
         cls = DivisorClass(v, (k,))
         rep = cg.representative(cls)
         if _local_cohomology_witness(v, rep) is not None:

@@ -312,49 +312,22 @@ def test_div_trace_witness(tmp_path, capsys):
 
 
 def test_div_mcm_scan(capsys):
-    data = out_json(["div", "mcm-scan", "@S"], capsys)
-    assert data["candidates"] == [
-        {"class": -1, "generators": 4},
-        {"class": 0, "generators": 1},
-        {"class": 1, "generators": 2},
-        {"class": 2, "generators": 3},
-        {"class": 3, "generators": 4},
-    ]
-
-
-def test_div_mcm_scan_over_budget_exits_one(capsys):
-    """Window 100000 spans 200,011 classes, over the scan budget; it is refused before the first."""
-    start = time.perf_counter()
-    code, out, err = run_cli(["div", "mcm-scan", "@S", "--window", "100000"], capsys)
-    assert time.perf_counter() - start < 10
-    assert (code, err) == (1, "")
-    assert out == (
-        "{\n"
-        '  "error": {\n'
-        '    "budget": 100000,\n'
-        '    "code": "BUDGET_EXCEEDED",\n'
-        '    "message": "mcm scan spans 200011 classes, over its budget of 100000"\n'
-        "  }\n"
-        "}\n"
-    )
-
-
-def test_div_mcm_scan_wide_window_answers(capsys):
-    """Only classes without a local-cohomology witness are enumerated, so window 2000 answers."""
-    start = time.perf_counter()
-    data = out_json(["div", "mcm-scan", "@S", "--window", "2000", "--json"], capsys)
-    assert time.perf_counter() - start < 10
-    assert data["window"] == 2000
-    assert [c["class"] for c in data["candidates"]] == [-1, 0, 1, 2, 3]
-
-
-def test_div_mcm_scan_refuses_a_negative_window(capsys):
-    code, out, err = run_cli(["div", "mcm-scan", "@S", "--window", "-3"], capsys)
-    assert (code, out) == (2, "")
-    assert json.loads(err)["error"] == {
-        "code": "BAD_INPUT",
-        "message": "scan window and band must be >= 0, got -3 and 5",
+    """The range -6..8 is proved from the cone; the window option it replaced is a usage error."""
+    data = out_json(["div", "mcm-scan", "@S", "--json"], capsys)
+    assert data == {
+        "gen_bound": 4,
+        "range": [-6, 8],
+        "candidates": [
+            {"class": -1, "generators": 4},
+            {"class": 0, "generators": 1},
+            {"class": 1, "generators": 2},
+            {"class": 2, "generators": 3},
+            {"class": 3, "generators": 4},
+        ],
     }
+    code, out, err = run_cli(["div", "mcm-scan", "@S", "--window", "10"], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["code"] == "USAGE"
 
 
 def test_div_module_gens_over_budget_exits_one(monkeypatch, capsys):
@@ -680,10 +653,10 @@ def test_divisor_document_without_coefficients_is_a_usage_error(monkeypatch, cap
 
 
 def test_mcm_scan_runs_only_in_the_surface_presentation(tmp_path, capsys):
-    """The certificates run in the surface's presentation: a product or a cone file is refused."""
+    """The scan runs on 3-dimensional cones in the surface's presentation; others are refused."""
     surface = {"dim": 3, "generators": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [2, 2, -1]]}
     cases = (
-        ("@S^1*A^1", "no default parameter sequence for this presentation"),
+        ("@S^1*A^1", "the MCM scan needs a 3-dimensional cone, got dimension 4"),
         (write_json(tmp_path / "s.json", surface), "variety has no ring presentation"),
     )
     for variety, message in cases:

@@ -970,8 +970,9 @@ def test_local_cohomology_witness_matches_certificate(surface, monkeypatch):
         )
     assert [k for k, ok in certified.items() if ok] == [-1, 0, 1, 2, 3]
     assert _witness_disagreements(surface, certified) == []
+    # a variety lists its non-arc subsets once, so the broken criterion needs a fresh one
     monkeypatch.setattr(torica.divisor, "_is_arc", lambda subset, facets: True)
-    assert _witness_disagreements(surface, certified) == [
+    assert _witness_disagreements(steinberg_variety(), certified) == [
         k for k, ok in certified.items() if not ok
     ]
 
@@ -1052,7 +1053,7 @@ def test_local_cohomology_witness_only_in_dimension_3(surface):
 
 
 def test_mcm_scan_certifies_only_classes_without_witness(surface, monkeypatch):
-    """The witness refutes 26 of the 31 classes, -6, -4 and -2 within gen_bound 4 among them.
+    """The witness refutes 10 of the 15 classes, -6, -4 and -2 within gen_bound 4 among them.
 
     The other 5 have their generators enumerated, are within gen_bound and
     are certified.
@@ -1071,7 +1072,7 @@ def test_mcm_scan_certifies_only_classes_without_witness(surface, monkeypatch):
 
 
 def test_mcm_scan_enumerates_generators_only_for_classes_without_witness(monkeypatch):
-    """The default scan asks all 31 classes for a witness and enumerates the generators of 5."""
+    """The scan asks the 15 classes -6..8 for a witness and enumerates the generators of 5."""
     calls = {"witness": 0, "generators": 0}
 
     def counted(name, real):
@@ -1093,33 +1094,120 @@ def test_mcm_scan_enumerates_generators_only_for_classes_without_witness(monkeyp
     assert [(cls.free[0], n) for cls, n in results] == [
         (-1, 4), (0, 1), (1, 2), (2, 3), (3, 4),
     ]
-    assert calls == {"witness": 31, "generators": 5}
-
-
-def test_mcm_scan_refuses_negative_window_or_band(surface):
-    """A negative window would scan a shorter range than asked for, so it is refused."""
-    for window, band in ((-3, 5), (10, -1), (-6, 0)):
-        with pytest.raises(ValueError, match="must be >= 0"):
-            enumerate_mcm_rank_one_candidates(surface, scan_window=window, band=band)
-    assert enumerate_mcm_rank_one_candidates(surface, scan_window=0, band=0) == [
-        (DivisorClass(surface, (0,)), 1)
-    ]
+    assert calls == {"witness": 15, "generators": 5}
 
 
 def test_mcm_scan_charges_its_class_count_before_the_first_class(surface, monkeypatch):
-    """2(window + band) + 1 classes are charged at once: 21 within a budget of 21, 23 over it."""
+    """The 15 classes of the proved range are charged at once: within a budget of 15, over 14."""
 
     def refuse(*args):
         raise AssertionError("scanned a class")
 
-    monkeypatch.setattr(torica.divisor, "_SCAN_BUDGET", 21)
-    assert len(enumerate_mcm_rank_one_candidates(surface, scan_window=5, band=5)) == 5
+    monkeypatch.setattr(torica.divisor, "_SCAN_BUDGET", 15)
+    assert len(enumerate_mcm_rank_one_candidates(surface)) == 5
+    monkeypatch.setattr(torica.divisor, "_SCAN_BUDGET", 14)
     monkeypatch.setattr(torica.divisor, "_local_cohomology_witness", refuse)
     with pytest.raises(BudgetExceeded) as info:
-        enumerate_mcm_rank_one_candidates(surface, scan_window=6, band=5)
+        enumerate_mcm_rank_one_candidates(surface)
     assert (str(info.value), info.value.budget) == (
-        "mcm scan spans 23 classes, over its budget of 21", 21
+        "mcm scan spans 15 classes, over its budget of 14", 14
     )
+
+
+def test_mcm_scan_bounds_of_the_surface(surface):
+    """Every class <= -7 and >= 9 of the surface has a witness, so -6..8 decide every MCM class."""
+    assert torica.divisor._scan_bounds(surface) == (-7, 9)
+    witness = torica.divisor._local_cohomology_witness
+    cg = class_group(surface)
+    for k in (-8, -7, 9, 10):
+        assert witness(surface, cg.representative(DivisorClass(surface, (k,)))) is not None
+
+
+def test_mcm_scan_refuses_a_dimension_other_than_3():
+    """S x A^1 has Cl = Z but dimension 4, where the proved range does not hold; it is refused."""
+    v = steinberg_product_variety(1, 1)
+    assert class_group(v).presentation() == (1, ())
+    with pytest.raises(ValueError, match="needs a 3-dimensional cone, got dimension 4"):
+        enumerate_mcm_rank_one_candidates(v)
+
+
+def _seeded_scan_cones(count, seed=7):
+    """`count` varieties of seeded 3-dimensional cones with 4 rays, entries in [-2, 3], Cl = Z."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        c = Cone(3, [tuple(rng.randint(-2, 3) for _ in range(3)) for _ in range(4)])
+        if not c.is_strongly_convex() or c.dim() != 3 or len(c.rays()) != 4:
+            continue
+        v = ToricVariety(c)
+        if class_group(v).presentation() == (1, ()):
+            found.append(v)
+    return found
+
+
+def _cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _conic_classes(v):
+    """The classes of the conic divisors (floor <y, u_rho>)_rho, y in R^3, from their arrangement.
+
+    The arrangement {<y, u_rho> in Z} is Z^3-periodic and its cells are
+    bounded, so each open cell has, up to a translation in Z^3, a vertex p
+    in [0, 1)^3 where three of the planes meet. Near p, y = p + e w has the floor vector of p less 1
+    at each tight ray with <w, u> < 0. Every sign pattern of <w, u> on the
+    tight rays is realized, except, when all four are tight, the two that
+    agree or disagree everywhere with the ray classes c_rho: by Gordan,
+    sum c_rho u_rho = 0 is then the only relation in the way.
+    """
+    rays, cg = v.rays, class_group(v)
+    c = [cg.project(v.divisor([int(i == j) for j in range(4)])).free[0] for i in range(4)]
+    classes = set()
+    for triple in combinations(range(4), 3):
+        m = [rays[i] for i in triple]
+        # the columns of det * m^-1 are the cross products of the other two rows
+        cols = [_cross(m[(i + 1) % 3], m[(i + 2) % 3]) for i in range(3)]
+        det = _dot(m[0], cols[0])
+        box = [range(sum(min(x, 0) for x in u), sum(max(x, 0) for x in u) + 1) for u in m]
+        for n in iproduct(*box):
+            p = [sum(k * col[j] for k, col in zip(n, cols)) for j in range(3)]  # det * the vertex
+            if not all(0 <= x * det < det * det for x in p):
+                continue
+            pairing = [_dot(p, u) for u in rays]
+            base = [x // det for x in pairing]
+            tight = [i for i, x in enumerate(pairing) if x % det == 0]
+            for signs in iproduct((1, -1), repeat=len(tight)):
+                if len(tight) == 4 and len({s * c[i] > 0 for s, i in zip(signs, tight)}) == 1:
+                    continue
+                floor = list(base)
+                for s, i in zip(signs, tight):
+                    floor[i] -= s < 0
+                classes.add(_dot(c, floor))
+    return sorted(classes)
+
+
+def test_conic_classes_of_the_surface_are_its_mcm_classes(surface):
+    assert _conic_classes(surface) == [-1, 0, 1, 2, 3]
+
+
+def test_mcm_scan_bounds_and_conic_classes_on_seeded_cones():
+    """On 40 seeded cones every class in [lo - 25, lo] and [hi, hi + 25] has a witness.
+
+    The conic classes, MCM by Bruns & Gubeladze (2003), lie strictly
+    between the bounds and have none.
+    """
+    witness = torica.divisor._local_cohomology_witness
+    for v in _seeded_scan_cones(40):
+        lo, hi = torica.divisor._scan_bounds(v)
+        cg = class_group(v)
+
+        def refuted(k):
+            return witness(v, cg.representative(DivisorClass(v, (k,)))) is not None
+
+        beyond = [*range(lo - 25, lo + 1), *range(hi, hi + 26)]
+        assert all(refuted(k) for k in beyond), (v.rays, lo, hi)
+        conic = _conic_classes(v)
+        assert all(lo < k < hi and not refuted(k) for k in conic), (v.rays, lo, hi, conic)
 
 
 def test_mcm_scan_requires_cyclic_class_group():

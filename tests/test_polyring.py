@@ -521,12 +521,10 @@ def test_budget_messages_are_pinned_byte_for_byte(monkeypatch):
             3,
         ),
         (
-            None,
-            lambda: divisor.enumerate_mcm_rank_one_candidates(
-                divisor.steinberg_variety(), scan_window=10**5
-            ),
-            "mcm scan spans 200011 classes, over its budget of 100000",
-            10**5,
+            (divisor, "_SCAN_BUDGET", 14),
+            lambda: divisor.enumerate_mcm_rank_one_candidates(divisor.steinberg_variety()),
+            "mcm scan spans 15 classes, over its budget of 14",
+            14,
         ),
     ]
     for patch, run, message, budget in cases:
