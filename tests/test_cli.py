@@ -330,6 +330,17 @@ def test_div_mcm_scan(capsys):
     assert json.loads(err)["error"]["code"] == "USAGE"
 
 
+def test_div_mcm_scan_wide_window_answers(capsys):
+    """Only classes without a local-cohomology witness are enumerated, so the whole proved range answers."""
+    start = time.perf_counter()
+    data = out_json(["div", "mcm-scan", "@S", "--json"], capsys)
+    assert time.perf_counter() - start < 10
+    low, high = data["range"]
+    assert high - low + 1 == 15
+    assert [c["class"] for c in data["candidates"]] == [-1, 0, 1, 2, 3]
+    assert all(low <= c["class"] <= high for c in data["candidates"])
+
+
 def test_div_module_gens_over_budget_exits_one(monkeypatch, capsys):
     """Class -100005 gives about 10^5 candidates; the sieve's count stops it within 10 s."""
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"coeffs": [0, 0, 0, -100005]})))
