@@ -51,8 +51,8 @@ def main():
     ok, witness = trace_surjectivity_witness(v, degree_one, target=omega)
     print("\ntrace pairing surjective:", ok, " witness monomial:", witness)
 
-    print("\nmaximal Cohen-Macaulay scan (generator bound 4):")
-    for cls, n in enumerate_mcm_rank_one_candidates(v, gen_bound=4):
+    print("\nmaximal Cohen-Macaulay classes (every one, from the proved range):")
+    for cls, n in enumerate_mcm_rank_one_candidates(v):
         print("    class {:>2}: {} generators".format(cls.free[0], n))
 
 

@@ -30,7 +30,6 @@ from .divisor import (
     steinberg_variety,
     ToricVariety,
     TorusDivisor,
-    _scan_bounds,
     trace_surjectivity_witness,
 )
 from .errors import BudgetExceeded, NonUnique, ToricaError
@@ -300,10 +299,10 @@ def div_trace_witness(args):
 
 def div_mcm_scan(args):
     variety = _resolve_variety(args)
-    results = enumerate_mcm_rank_one_candidates(variety, gen_bound=args.gen_bound)
-    lo, hi = _scan_bounds(variety)
+    results = enumerate_mcm_rank_one_candidates(variety)
+    lo, hi = variety._scan_bounds
     candidates = [{"class": cls.free[0], "generators": count} for cls, count in results]
-    return {"gen_bound": args.gen_bound, "range": [lo + 1, hi - 1], "candidates": candidates}
+    return {"range": [lo + 1, hi - 1], "candidates": candidates}
 
 
 def div_multiplicity(args):
@@ -392,10 +391,7 @@ COMMANDS = {
             [_VARIETY, _arg("divisor"), _arg("--other"), _arg("--target")],
             div_trace_witness,
         ),
-        "mcm-scan": (
-            [_VARIETY, _arg("--gen-bound", type=int, default=4, dest="gen_bound")],
-            div_mcm_scan,
-        ),
+        "mcm-scan": ([_VARIETY], div_mcm_scan),
         "multiplicity": (
             [_arg("--k", type=int, required=True), _arg("--s", type=int, required=True)],
             div_multiplicity,

@@ -18,7 +18,7 @@ region when its slack is >= 0, its grade is the slack sum, and p - q lies in
 the cone exactly when slack(q) <= slack(p), as in monomial divisibility.
 `_minimal` is the one sieve on such keys, `_minimal_points` keys points for
 it, and one route, `_lattice_points`, where the dual algorithm of ROADMAP
-item 1 is to land, gives the candidates: a pulling triangulation of a
+item 2 is to land, gives the candidates: a pulling triangulation of a
 pointed cone and each simplex's half-open parallelepiped, as in the primal
 algorithm of Normaliz (Bruns & Ichim, J. Algebra 2010). Hilbert bases use
 the cone itself, divisorial modules and local-cohomology witnesses the cone

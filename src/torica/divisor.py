@@ -15,21 +15,22 @@ vertices. Their minimal generators are `cone._minimal_points` of
 `cone._region_points`, the integral vertices and height-1 parallelepiped
 points of the cone over the region, drawn from `cone._lattice_points`, the
 one lattice route, which Hilbert bases use too. A change of lattice
-algorithm (ROADMAP item 1) lands there, not here.
+algorithm (ROADMAP item 2) lands there, not here.
 
 Ring presentations are built when first read, and their ideals when those
-are, so class groups, module generators and multiplicities compute no
-Groebner basis; only the Cohen-Macaulay certificates, which work in the
-presentation ring, do. The MCM scan first refutes what it can without
-them or the module generators: on a 3-dimensional cone a lattice point
-whose satisfied rays are not one arc of the facet cycle is a degree where
-local cohomology below the top does not vanish
+are, so class groups, module generators, multiplicities and the MCM scan
+compute no Groebner basis; only the Cohen-Macaulay certificate
+(`module_is_maximal_cohen_macaulay`), which works in the presentation ring,
+does, and it is the second route the scan is tested against. The MCM scan
+decides each class by a local-cohomology witness alone: on a 3-dimensional
+cone a lattice point whose satisfied rays are not one arc of the facet
+cycle is a degree where local cohomology below the top does not vanish
 (`_local_cohomology_witness`), found in a region of the same form as a
-divisor's. The classes it scans are proved from the cone (`_scan_bounds`):
-past them every class has a witness, so no window is chosen. Only the
-classes without a witness have their generators enumerated, and of those
-only the ones within the generator bound are certified. The scan charges
-its class count against `_SCAN_BUDGET` before the first class.
+divisor's, and a class without one is MCM. The classes it scans are proved
+from the cone (`ToricVariety._scan_bounds`): past them every class has a
+witness, so no window is chosen. Only the classes without a witness have
+their generators enumerated. The scan charges its class count against
+`_SCAN_BUDGET` before the first class.
 """
 
 from __future__ import annotations
@@ -127,6 +128,48 @@ class ToricVariety:
             for subset in range(1, (1 << len(rays)) - 1)
             if not _is_arc(subset, facets)
         )
+
+    @cached_property
+    def _scan_bounds(self):
+        """(lo, hi): every class k <= lo and every k >= hi has a local-cohomology witness.
+
+        Proved once per variety: the scan and the range it reports both read it.
+        The representative of class k is k·r, so the witness region of a
+        non-arc subset S with signs s is P_S(k) = {m : A_S m >= b_S + k c_S},
+        with rows s_i u_i, b_i = (1 - s_i) / 2 and c_i = -s_i r_i. P_S(k) holds
+        the unit cube m0 + [0, 1]^3, and so the lattice point ⌈m0⌉, exactly when
+        A_S m0 + neg(A_S) >= b_S + k c_S, where neg sums each row's negative
+        entries. One `_double_description` of that system, homogenized in
+        (m0, k, t) with t >= 0, gives the k for which such an m0 exists: a ray
+        with t = 0 and k != 0 says they run without end in the sign of k, and
+        the rays with t > 0 end them at the least or greatest k/t.
+
+        No branch is needed for a missing bound. A full 3-dimensional cone with
+        Cl = Z has exactly 4 rays, since the free rank is rays - dim, so the
+        non-arc subsets are the two diagonals {0, 2} and {1, 3} of the facet
+        cycle. The one relation l0 u0 + l2 u2 = l1 u1 + l3 u3, l > 0, pairs with
+        r to a nonzero class s: weighting the rows of P_S by l shows that one
+        diagonal's region has points only for k s > 0 and the other's only for
+        k s < 0, and by Gordan's theorem each region has interior points for
+        k of its sign, so it holds a unit cube for large |k|. Both bounds exist.
+        A dimension other than 3 is a ValueError.
+        """
+        dim = self.cone.ambient_dim
+        if dim != 3:
+            raise ValueError(f"the MCM scan needs a 3-dimensional cone, got dimension {dim}")
+        r = self.class_group().representative(DivisorClass(self, (1,))).coeffs
+        below, above = [], []
+        for signs in self._non_arcs:
+            rows = [
+                tuple(s * x for x in u) + (s * a, sum(min(s * x, 0) for x in u) + (s - 1) // 2)
+                for u, a, s in zip(self.rays, r, signs)
+            ]
+            ends = [ray[3:] for ray in _double_description(rows + [(0, 0, 0, 0, 1)], 5)[1]]
+            if any(k > 0 and not t for k, t in ends):
+                above.append(min(-(-k // t) for k, t in ends if t))
+            if any(k < 0 and not t for k, t in ends):
+                below.append(max(k // t for k, t in ends if t))
+        return max(below), min(above)
 
     @cached_property
     def semigroup(self):
@@ -658,74 +701,27 @@ def _local_cohomology_witness(v: ToricVariety, d: TorusDivisor):
     return None
 
 
-def _scan_bounds(v: ToricVariety):
-    """(lo, hi): every class k <= lo and every k >= hi has a local-cohomology witness.
+def enumerate_mcm_rank_one_candidates(v: ToricVariety):
+    """Every MCM class of a 3-dimensional variety with Cl = Z, with its generator count.
 
-    The representative of class k is k·r, so the witness region of a
-    non-arc subset S with signs s is P_S(k) = {m : A_S m >= b_S + k c_S},
-    with rows s_i u_i, b_i = (1 - s_i) / 2 and c_i = -s_i r_i. P_S(k) holds
-    the unit cube m0 + [0, 1]^3, and so the lattice point ⌈m0⌉, exactly when
-    A_S m0 + neg(A_S) >= b_S + k c_S, where neg sums each row's negative
-    entries. One `_double_description` of that system, homogenized in
-    (m0, k, t) with t >= 0, gives the k for which such an m0 exists: a ray
-    with t = 0 and k != 0 says they run without end in the sign of k, and
-    the rays with t > 0 end them at the least or greatest k/t.
-
-    No branch is needed for a missing bound. A full 3-dimensional cone with
-    Cl = Z has exactly 4 rays, since the free rank is rays - dim, so the
-    non-arc subsets are the two diagonals {0, 2} and {1, 3} of the facet
-    cycle. The one relation l0 u0 + l2 u2 = l1 u1 + l3 u3, l > 0, pairs with
-    r to a nonzero class s: weighting the rows of P_S by l shows that one
-    diagonal's region has points only for k s > 0 and the other's only for
-    k s < 0, and by Gordan's theorem each region has interior points for
-    k of its sign, so it holds a unit cube for large |k|. Both bounds exist.
-    A dimension other than 3 is a ValueError.
-    """
-    dim = v.cone.ambient_dim
-    if dim != 3:
-        raise ValueError(f"the MCM scan needs a 3-dimensional cone, got dimension {dim}")
-    r = v.class_group().representative(DivisorClass(v, (1,))).coeffs
-    below, above = [], []
-    for signs in v._non_arcs:
-        rows = [
-            tuple(s * x for x in u) + (s * a, sum(min(s * x, 0) for x in u) + (s - 1) // 2)
-            for u, a, s in zip(v.rays, r, signs)
-        ]
-        ends = [ray[3:] for ray in _double_description(rows + [(0, 0, 0, 0, 1)], 5)[1]]
-        if any(k > 0 and not t for k, t in ends):
-            above.append(min(-(-k // t) for k, t in ends if t))
-        if any(k < 0 and not t for k, t in ends):
-            below.append(max(k // t for k, t in ends if t))
-    return max(below), min(above)
-
-
-def enumerate_mcm_rank_one_candidates(v: ToricVariety, gen_bound=4, sequence=None):
-    """Every MCM class k of a 3-dimensional variety with Cl = Z whose module is small.
-
-    Returns (class, generator count) for every class whose module has at
-    most gen_bound minimal generators AND whose parameter sequence is
-    certified regular on it. The classes scanned are those strictly between
-    the bounds `_scan_bounds` proves from the cone; every class outside has
-    a local-cohomology witness, so none is left out. A class with a witness
-    (`_local_cohomology_witness`) is refuted by it before its generators are
-    enumerated; only the classes without one have their generators counted
-    against gen_bound and go to the regular-sequence certificate, so every
-    class returned is still certified. Another class group or dimension is
-    a ValueError, and a scan of more than `_SCAN_BUDGET` classes raises
-    BudgetExceeded before the first.
+    Returns (class, minimal generator count) for every class strictly
+    between the bounds `v._scan_bounds` proves from the cone that has no
+    local-cohomology witness (`_local_cohomology_witness`). In dimension 3
+    the witness decides MCM exactly, and every class outside the bounds has
+    one, so these are all the MCM classes; only their generators are
+    enumerated. Another class group or dimension is a ValueError, and a
+    scan of more than `_SCAN_BUDGET` classes raises BudgetExceeded before
+    the first.
     """
     cg = v.class_group()
     if cg.free_rank != 1 or cg.torsion:
         raise ValueError("scan expects an infinite cyclic class group")
-    lo, hi = _scan_bounds(v)
+    lo, hi = v._scan_bounds
     charge(hi - lo - 1, _SCAN_BUDGET, _SCAN)
     results = []
     for k in range(lo + 1, hi):
         cls = DivisorClass(v, (k,))
         rep = cg.representative(cls)
-        if _local_cohomology_witness(v, rep) is not None:
-            continue
-        gens = module_generators(v, rep).generators
-        if len(gens) <= gen_bound and module_is_maximal_cohen_macaulay(v, gens, sequence=sequence):
-            results.append((cls, len(gens)))
+        if _local_cohomology_witness(v, rep) is None:
+            results.append((cls, len(module_generators(v, rep).generators)))
     return results

@@ -231,7 +231,7 @@ def check_product_class_data(ctx):
 
 @_check
 def check_mcm_scan(ctx):
-    results = enumerate_mcm_rank_one_candidates(ctx.surface, gen_bound=4)
+    results = enumerate_mcm_rank_one_candidates(ctx.surface)
     got = [[cls.free[0], count] for cls, count in results]
     return [[-1, 4], [0, 1], [1, 2], [2, 3], [3, 4]], got
 

@@ -143,7 +143,7 @@ def test_criterion_07_trace_witness():
 
 def test_criterion_08_mcm_candidate_scan():
     v = steinberg_variety()
-    found = enumerate_mcm_rank_one_candidates(v, gen_bound=4)
+    found = enumerate_mcm_rank_one_candidates(v)
     assert {cls.free[0]: n for cls, n in found} == {-1: 4, 0: 1, 1: 2, 2: 3, 3: 4}
     cg = v.class_group()
     for cls, n in found:

@@ -302,6 +302,19 @@ def test_div_multiplicity_past_the_digit_limit_is_over_budget(capsys):
     assert (error["code"], error["budget"]) == ("BUDGET_EXCEEDED", 4300)
 
 
+def test_div_multiplicity_of_an_oversized_product_is_over_budget(capsys):
+    """k = 10^9 stops on the factor budget of 10^5 within a second, before any factor is built."""
+    start = time.perf_counter()
+    code, out, err = run_cli(["div", "multiplicity", "--k", "1000000000", "--s", "0"], capsys)
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (1, "")
+    assert json.loads(out)["error"] == {
+        "budget": 100000,
+        "code": "BUDGET_EXCEEDED",
+        "message": "S^k x A^s has 1000000000 factors, over its budget of 100000",
+    }
+
+
 def test_div_trace_witness(tmp_path, capsys):
     divisor_file = write_json(tmp_path / "d.json", {"coeffs": [-1, 0, -1, 0]})
     target_file = write_json(tmp_path / "t.json", {"coeffs": [0, 0, -1, 0]})
@@ -312,10 +325,9 @@ def test_div_trace_witness(tmp_path, capsys):
 
 
 def test_div_mcm_scan(capsys):
-    """The range -6..8 is proved from the cone; the window option it replaced is a usage error."""
+    """The range -6..8 is proved from the cone; the window and generator bound options are usage errors."""
     data = out_json(["div", "mcm-scan", "@S", "--json"], capsys)
     assert data == {
-        "gen_bound": 4,
         "range": [-6, 8],
         "candidates": [
             {"class": -1, "generators": 4},
@@ -325,9 +337,10 @@ def test_div_mcm_scan(capsys):
             {"class": 3, "generators": 4},
         ],
     }
-    code, out, err = run_cli(["div", "mcm-scan", "@S", "--window", "10"], capsys)
-    assert (code, out) == (2, "")
-    assert json.loads(err)["error"]["code"] == "USAGE"
+    for option in ("--window", "--gen-bound"):
+        code, out, err = run_cli(["div", "mcm-scan", "@S", option, "10"], capsys)
+        assert (code, out) == (2, ""), option
+        assert json.loads(err)["error"]["code"] == "USAGE", option
 
 
 def test_div_mcm_scan_wide_window_answers(capsys):
@@ -663,17 +676,17 @@ def test_divisor_document_without_coefficients_is_a_usage_error(monkeypatch, cap
     }
 
 
-def test_mcm_scan_runs_only_in_the_surface_presentation(tmp_path, capsys):
-    """The scan runs on 3-dimensional cones in the surface's presentation; others are refused."""
+def test_mcm_scan_runs_on_any_3_dimensional_cone(tmp_path, capsys):
+    """A cone document of the surface's cone answers as @S does; a 4-dimensional product is refused."""
     surface = {"dim": 3, "generators": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [2, 2, -1]]}
-    cases = (
-        ("@S^1*A^1", "the MCM scan needs a 3-dimensional cone, got dimension 4"),
-        (write_json(tmp_path / "s.json", surface), "variety has no ring presentation"),
-    )
-    for variety, message in cases:
-        code, out, err = run_cli(["div", "mcm-scan", variety], capsys)
-        assert (code, out) == (2, ""), variety
-        assert json.loads(err)["error"] == {"code": "BAD_INPUT", "message": message}
+    expected = out_json(["div", "mcm-scan", "@S"], capsys)
+    assert out_json(["div", "mcm-scan", write_json(tmp_path / "s.json", surface)], capsys) == expected
+    code, out, err = run_cli(["div", "mcm-scan", "@S^1*A^1"], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {
+        "code": "BAD_INPUT",
+        "message": "the MCM scan needs a 3-dimensional cone, got dimension 4",
+    }
 
 
 def test_large_prime_fields_answer_and_fields_past_the_primality_bound_refuse(tmp_path, capsys):

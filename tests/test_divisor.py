@@ -883,20 +883,20 @@ def test_multiplicity_matches_variety_route():
 
 
 def test_mcm_scan_exact_result(surface):
-    results = enumerate_mcm_rank_one_candidates(surface, gen_bound=4)
+    results = enumerate_mcm_rank_one_candidates(surface)
     assert [(cls.free[0], n) for cls, n in results] == [
         (-1, 4), (0, 1), (1, 2), (2, 3), (3, 4),
     ]
 
 
 def test_mcm_scan_computes_no_hilbert_basis(monkeypatch):
-    """The certificates take their interior point from the cone, not from the semigroup."""
+    """The scan reads no semigroup: its witnesses and module generators come from the rays."""
 
     def refuse(*args):
         raise AssertionError("computed a Hilbert basis")
 
     monkeypatch.setattr(Cone, "hilbert_basis", refuse)
-    results = enumerate_mcm_rank_one_candidates(steinberg_variety(), gen_bound=4)
+    results = enumerate_mcm_rank_one_candidates(steinberg_variety())
     assert [(cls.free[0], n) for cls, n in results] == [
         (-1, 4), (0, 1), (1, 2), (2, 3), (3, 4),
     ]
@@ -1052,23 +1052,35 @@ def test_local_cohomology_witness_only_in_dimension_3(surface):
             assert witness(v, rep) is None
 
 
-def test_mcm_scan_certifies_only_classes_without_witness(surface, monkeypatch):
-    """The witness refutes 10 of the 15 classes, -6, -4 and -2 within gen_bound 4 among them.
+def test_mcm_scan_makes_no_certificate_call(monkeypatch):
+    """The witness alone decides the scan: a certificate that refuses to run is never reached."""
 
-    The other 5 have their generators enumerated, are within gen_bound and
-    are certified.
-    """
-    certified = []
-    real = torica.divisor.module_is_maximal_cohen_macaulay
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran a regular-sequence certificate")
 
-    def counted(v, gens, sequence=None):
-        certified.append(len(gens))
-        return real(v, gens, sequence=sequence)
+    monkeypatch.setattr(torica.divisor, "module_is_maximal_cohen_macaulay", refuse)
+    monkeypatch.setattr(torica.divisor, "module_regular_sequence", refuse)
+    results = enumerate_mcm_rank_one_candidates(steinberg_variety())
+    assert [(cls.free[0], n) for cls, n in results] == [
+        (-1, 4), (0, 1), (1, 2), (2, 3), (3, 4),
+    ]
 
-    monkeypatch.setattr(torica.divisor, "module_is_maximal_cohen_macaulay", counted)
-    results = enumerate_mcm_rank_one_candidates(surface, gen_bound=4)
-    assert len(results) == 5
-    assert certified == [4, 1, 2, 3, 4]  # generator counts of classes -1..3
+
+def test_mcm_scan_matches_the_certificate_over_its_range(surface):
+    """On every class -6..8, generator count aside, the certificate accepts exactly the scanned classes."""
+    cg = class_group(surface)
+    lo, hi = surface._scan_bounds
+    certified = [
+        k
+        for k in range(lo + 1, hi)
+        if module_is_maximal_cohen_macaulay(
+            surface,
+            module_generators(surface, cg.representative(DivisorClass(surface, (k,)))).generators,
+        )
+    ]
+    scanned = [cls.free[0] for cls, _ in enumerate_mcm_rank_one_candidates(surface)]
+    assert (lo + 1, hi - 1) == (-6, 8)
+    assert certified == scanned == [-1, 0, 1, 2, 3]
 
 
 def test_mcm_scan_enumerates_generators_only_for_classes_without_witness(monkeypatch):
@@ -1090,7 +1102,7 @@ def test_mcm_scan_enumerates_generators_only_for_classes_without_witness(monkeyp
     monkeypatch.setattr(
         torica.divisor, "module_generators", counted("generators", module_generators)
     )
-    results = enumerate_mcm_rank_one_candidates(steinberg_variety(), gen_bound=4)
+    results = enumerate_mcm_rank_one_candidates(steinberg_variety())
     assert [(cls.free[0], n) for cls, n in results] == [
         (-1, 4), (0, 1), (1, 2), (2, 3), (3, 4),
     ]
@@ -1116,7 +1128,7 @@ def test_mcm_scan_charges_its_class_count_before_the_first_class(surface, monkey
 
 def test_mcm_scan_bounds_of_the_surface(surface):
     """Every class <= -7 and >= 9 of the surface has a witness, so -6..8 decide every MCM class."""
-    assert torica.divisor._scan_bounds(surface) == (-7, 9)
+    assert surface._scan_bounds == (-7, 9)
     witness = torica.divisor._local_cohomology_witness
     cg = class_group(surface)
     for k in (-8, -7, 9, 10):
@@ -1198,7 +1210,7 @@ def test_mcm_scan_bounds_and_conic_classes_on_seeded_cones():
     """
     witness = torica.divisor._local_cohomology_witness
     for v in _seeded_scan_cones(40):
-        lo, hi = torica.divisor._scan_bounds(v)
+        lo, hi = v._scan_bounds
         cg = class_group(v)
 
         def refuted(k):
@@ -1208,6 +1220,33 @@ def test_mcm_scan_bounds_and_conic_classes_on_seeded_cones():
         assert all(refuted(k) for k in beyond), (v.rays, lo, hi)
         conic = _conic_classes(v)
         assert all(lo < k < hi and not refuted(k) for k in conic), (v.rays, lo, hi, conic)
+
+
+def test_mcm_scan_answers_seeded_cone_documents():
+    """The first 12 seeded cones scan with no presentation; their conic classes are in the answer.
+
+    Each generator count is that of the class's module.
+    """
+    for v in _seeded_scan_cones(12):
+        results = enumerate_mcm_rank_one_candidates(v)
+        lo, hi = v._scan_bounds
+        cg = class_group(v)
+        found = [cls.free[0] for cls, _ in results]
+        assert all(lo < k < hi for k in found), (v.rays, lo, hi, found)
+        assert set(_conic_classes(v)) <= set(found), (v.rays, found)
+        for cls, n in results:
+            assert n == len(module_generators(v, cg.representative(cls)).generators), (v.rays, cls)
+
+
+def test_an_oversized_product_stops_on_its_factor_budget():
+    """S^(10^9) is refused before a factor list is built, within a second."""
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded) as info:
+        steinberg_multiplicity(10**9, 0)
+    assert time.perf_counter() - start < 1
+    assert (str(info.value), info.value.budget) == (
+        "S^k x A^s has 1000000000 factors, over its budget of 100000", 10**5
+    )
 
 
 def test_mcm_scan_requires_cyclic_class_group():

@@ -526,6 +526,12 @@ def test_budget_messages_are_pinned_byte_for_byte(monkeypatch):
             "mcm scan spans 15 classes, over its budget of 14",
             14,
         ),
+        (
+            None,
+            lambda: divisor.steinberg_multiplicity(10**9, 0),
+            "S^k x A^s has 1000000000 factors, over its budget of 100000",
+            10**5,
+        ),
     ]
     for patch, run, message, budget in cases:
         if patch:
