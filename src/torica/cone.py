@@ -56,6 +56,11 @@ def _grading(cone):
     return tuple(sum(n[i] for n in duals) for i in range(cone.ambient_dim))
 
 
+def _tight(rows, vectors):
+    """For each row, the bit mask of the vectors it pairs to zero with."""
+    return [sum(1 << i for i, v in enumerate(vectors) if _dot(a, v) == 0) for a in rows]
+
+
 def _pulling(face, facet_masks, dim):
     """Yield the simplices, as ray bit masks, of the pulling triangulation of a face.
 
@@ -130,7 +135,7 @@ def _lattice_points(rays, normals, heights=None):
     """
     yield from rays if heights is None else (r for r, h in zip(rays, heights) if h == 1)
     full = (1 << len(rays)) - 1
-    masks = [sum(1 << i for i, r in enumerate(rays) if _dot(u, r) == 0) for u in normals]
+    masks = _tight(normals, rays)
     tight = [u for u, z in zip(normals, masks) if z == full]
     dim = len(rays[0]) - rank(IntMatrix._trusted(tight, len(rays[0])))
     spent = 0
@@ -378,9 +383,8 @@ class Cone:
             return self._rays
         if not self.is_strongly_convex():
             raise NotStronglyConvex("rays are only unique for strongly convex cones")
-        duals = self.dual_generators()
         gens = self.generators
-        tight = [sum(1 << i for i, n in enumerate(duals) if _dot(n, g) == 0) for g in gens]
+        tight = _tight(gens, self.dual_generators())
         self._rays = tuple(g for g, z in zip(gens, tight) if sum(w & z == z for w in tight) == 1)
         return self._rays
 

@@ -4,10 +4,11 @@ A variety is a full-dimensional strongly convex cone with its parts: rays,
 dual cone and semigroup, class group and (optionally) a ring presentation.
 Each part is a cached property, built on its first read, an atomic
 variety's from its cone and a product's only from the same part of its
-factors. Divisors are integer coefficient vectors over the lex-ordered
-rays. Class groups come from the Smith normal form of the ray-pairing
-matrix; product varieties use concatenated per-factor coordinates so that
-factor classes stay visible.
+factors, and each is derived in one place: the rays and the ray split are
+read off one sorted ray order. Divisors are integer coefficient vectors
+over the lex-ordered rays. Class groups come from the Smith normal form of
+the ray-pairing matrix; product varieties use concatenated per-factor
+coordinates so that factor classes stay visible.
 
 Divisorial modules O(D) are handled through their lattice regions
 {m : <m, u_rho> + a_rho >= 0} = conv(V) + sigma^dual, V the region's
@@ -28,7 +29,10 @@ cycle is a degree where local cohomology below the top does not vanish
 (`_local_cohomology_witness`), found in a region of the same form as a
 divisor's, and a class without one is MCM. The classes it scans are proved
 from the cone (`ToricVariety._scan_bounds`): past them every class has a
-witness, so no window is chosen. Only the classes without a witness have
+witness, so no window is chosen. The witness search and that proof read
+one table of the non-arc ray subsets and their signed rays
+(`ToricVariety._non_arcs`) and one class generator r, class k being k·r,
+so the two cannot drift apart. Only the classes without a witness have
 their generators enumerated. The scan charges its class count against
 `_SCAN_BUDGET` before the first class.
 """
@@ -36,11 +40,11 @@ their generators enumerated. The scan charges its class count against
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import accumulate, product as iproduct
+from itertools import accumulate, chain, islice, product as iproduct
 
 from .cone import (
-    Cone, Semigroup, _dot, _double_description, _embedded, _grading, _minimal_points, _placed,
-    _product, _region_points,
+    Cone, Semigroup, _dot, _embedded, _grading, _minimal_points, _placed, _product, _region_cone,
+    _region_points, _tight,
 )
 from .errors import NonUnique, NoSolution, VarietyMismatch, charge
 from .polyring import PolyRing, _add, _sub, module_regular_sequence
@@ -64,7 +68,9 @@ class ToricVariety:
     `presentation`, the class group) is a cached property, built on its
     first read and kept: an atomic variety's from its cone, a product's
     only from the same part of its factors. A callable `presentation` is
-    called on its first read.
+    called on its first read. Each datum has one source: `_ray_order` for
+    the rays and the ray split, and, for the MCM scan, `_non_arcs` for the
+    witness regions and `_class_generator` for the class representatives.
     """
 
     def __init__(self, cone: Cone | None = None, presentation=None, factors=None, name=None):
@@ -89,23 +95,27 @@ class ToricVariety:
         return _product([f.cone for f in self.factors])
 
     @cached_property
+    def _ray_order(self):
+        """(ray, factor position, index among the factor's rays) of each ray, in lex ray order.
+
+        A product's rays are its factors' rays placed into their blocks, and
+        this one sort gives both `rays` and `_ray_split`.
+        """
+        dims = [f.cone.ambient_dim for f in self.factors]
+        return sorted(
+            (u, pos, i)
+            for pos, (f, at) in enumerate(zip(self.factors, accumulate(dims, initial=0)))
+            for i, u in enumerate(_placed(f.cone.rays(), at, sum(dims)))
+        )
+
+    @cached_property
     def rays(self):
-        if not self.is_product():
-            return self.cone.rays()
-        return _factor_parts(self, lambda f: f.rays)
+        return tuple(u for u, _, _ in self._ray_order)
 
     @cached_property
     def _ray_split(self):
         """(factor position, index among the factor's rays) of each ray."""
-        if not self.is_product():
-            return tuple((0, i) for i in range(len(self.rays)))
-        dims = [f.cone.ambient_dim for f in self.factors]
-        where = {
-            u: (pos, i)
-            for pos, (f, at) in enumerate(zip(self.factors, accumulate(dims, initial=0)))
-            for i, u in enumerate(_placed(f.rays, at, sum(dims)))
-        }
-        return tuple(where[u] for u in self.rays)
+        return tuple((pos, i) for _, pos, i in self._ray_order)
 
     @cached_property
     def dual_cone(self):
@@ -114,35 +124,42 @@ class ToricVariety:
 
     @cached_property
     def _non_arcs(self):
-        """Sign vectors (1 in, -1 out) of the ray subsets that are not one arc of the facet cycle.
+        """(signs, signed rays) of each ray subset that is not one arc of the facet cycle.
 
-        These are the subsets a local-cohomology witness is searched in; the
-        facet masks they are read from are built once, here.
+        The signs are 1 in the subset and -1 out, and the signed rays are
+        s_i u_i, the rows of the subset's witness region. Only a 3-dimensional
+        cone has a facet cycle, so another dimension is a ValueError, raised
+        here for the witness search and the scan bounds alike.
         """
+        dim = self.cone.ambient_dim
+        if dim != 3:
+            raise ValueError(f"the MCM scan needs a 3-dimensional cone, got dimension {dim}")
         rays = self.rays
-        facets = [
-            sum(1 << i for i, u in enumerate(rays) if _dot(n, u) == 0) for n in self.dual_cone.rays()
-        ]
-        return tuple(
-            tuple(1 if subset >> i & 1 else -1 for i in range(len(rays)))
-            for subset in range(1, (1 << len(rays)) - 1)
-            if not _is_arc(subset, facets)
-        )
+        facets = _tight(self.dual_cone.rays(), rays)
+        subsets = [s for s in range(1, (1 << len(rays)) - 1) if not _is_arc(s, facets)]
+        signs = [tuple(1 if s >> i & 1 else -1 for i in range(len(rays))) for s in subsets]
+        return [(t, [tuple(s * x for x in u) for u, s in zip(rays, t)]) for t in signs]
+
+    @cached_property
+    def _class_generator(self):
+        """The representative r of class 1 when Cl = Z; the scan represents class k by k·r."""
+        return self.class_group().representative(DivisorClass(self, (1,)))
 
     @cached_property
     def _scan_bounds(self):
         """(lo, hi): every class k <= lo and every k >= hi has a local-cohomology witness.
 
         Proved once per variety: the scan and the range it reports both read it.
-        The representative of class k is k·r, so the witness region of a
-        non-arc subset S with signs s is P_S(k) = {m : A_S m >= b_S + k c_S},
-        with rows s_i u_i, b_i = (1 - s_i) / 2 and c_i = -s_i r_i. P_S(k) holds
-        the unit cube m0 + [0, 1]^3, and so the lattice point ⌈m0⌉, exactly when
-        A_S m0 + neg(A_S) >= b_S + k c_S, where neg sums each row's negative
-        entries. One `_double_description` of that system, homogenized in
-        (m0, k, t) with t >= 0, gives the k for which such an m0 exists: a ray
-        with t = 0 and k != 0 says they run without end in the sign of k, and
-        the rays with t > 0 end them at the least or greatest k/t.
+        The representative of class k is k·r (`_class_generator`), so the
+        witness region of a non-arc subset S with signs s is
+        P_S(k) = {m : A_S m >= b_S + k c_S}, with the signed rays s_i u_i of
+        `_non_arcs` as rows, b_i = (1 - s_i) / 2 and c_i = -s_i r_i. P_S(k)
+        holds the unit cube m0 + [0, 1]^3, and so the lattice point ⌈m0⌉,
+        exactly when A_S m0 + neg(A_S) >= b_S + k c_S, where neg sums each
+        row's negative entries. The cone `_region_cone` builds over that
+        system in (m0, k) gives the k for which such an m0 exists: a ray with
+        t = 0 and k != 0 says they run without end in the sign of k, and the
+        rays with t > 0 end them at the least or greatest k/t.
 
         No branch is needed for a missing bound. A full 3-dimensional cone with
         Cl = Z has exactly 4 rays, since the free rank is rays - dim, so the
@@ -152,19 +169,15 @@ class ToricVariety:
         diagonal's region has points only for k s > 0 and the other's only for
         k s < 0, and by Gordan's theorem each region has interior points for
         k of its sign, so it holds a unit cube for large |k|. Both bounds exist.
-        A dimension other than 3 is a ValueError.
+        Another dimension is refused by `_non_arcs`, read first.
         """
-        dim = self.cone.ambient_dim
-        if dim != 3:
-            raise ValueError(f"the MCM scan needs a 3-dimensional cone, got dimension {dim}")
-        r = self.class_group().representative(DivisorClass(self, (1,))).coeffs
+        table = self._non_arcs
+        r = self._class_generator.coeffs
         below, above = [], []
-        for signs in self._non_arcs:
-            rows = [
-                tuple(s * x for x in u) + (s * a, sum(min(s * x, 0) for x in u) + (s - 1) // 2)
-                for u, a, s in zip(self.rays, r, signs)
-            ]
-            ends = [ray[3:] for ray in _double_description(rows + [(0, 0, 0, 0, 1)], 5)[1]]
+        for signs, signed in table:
+            normals = [u + (s * a,) for u, a, s in zip(signed, r, signs)]
+            coeffs = [sum(min(x, 0) for x in u) + (s - 1) // 2 for u, s in zip(signed, signs)]
+            ends = [ray[3:] for ray in _region_cone(normals, coeffs)[1]]
             if any(k > 0 and not t for k, t in ends):
                 above.append(min(-(-k // t) for k, t in ends if t))
             if any(k < 0 and not t for k, t in ends):
@@ -175,8 +188,10 @@ class ToricVariety:
     def semigroup(self):
         if not self.is_product():
             return self.dual_cone.hilbert_basis()
-        dim = sum(f.cone.ambient_dim for f in self.factors)
-        return Semigroup(dim, _factor_parts(self, lambda f: f.semigroup.hilbert_generators))
+        dims = [f.cone.ambient_dim for f in self.factors]
+        return Semigroup(
+            sum(dims), _embedded(dims, [f.semigroup.hilbert_generators for f in self.factors])
+        )
 
     @cached_property
     def presentation(self):
@@ -210,24 +225,16 @@ class ToricVariety:
     def split_divisor(self, d: "TorusDivisor"):
         """Per-factor divisors of a divisor on a product variety."""
         parts = [[0] * len(f.rays) for f in self.factors]
-        for stored_idx, (pos, fray) in enumerate(self._ray_split):
-            parts[pos][fray] = d.coeffs[stored_idx]
+        for (pos, fray), c in zip(self._ray_split, d.coeffs):
+            parts[pos][fray] = c
         return [TorusDivisor(f, tuple(c)) for f, c in zip(self.factors, parts)]
 
     def join_coeffs(self, factor_coeff_lists):
         """Inverse of split_divisor, back to the stored ray order."""
-        coeffs = [0] * len(self.rays)
-        for stored_idx, (pos, fray) in enumerate(self._ray_split):
-            coeffs[stored_idx] = factor_coeff_lists[pos][fray]
-        return tuple(coeffs)
+        return tuple(factor_coeff_lists[pos][fray] for pos, fray in self._ray_split)
 
     def semigroup_contains(self, v) -> bool:
         return self.dual_cone.contains(v)
-
-
-def _factor_parts(v: ToricVariety, part):
-    """`part` of each factor of the product v, embedded in the factor's block, sorted."""
-    return _embedded([f.cone.ambient_dim for f in v.factors], [part(f) for f in v.factors])
 
 
 def product(v1: ToricVariety, v2: ToricVariety, presentation=None, name=None) -> ToricVariety:
@@ -461,27 +468,18 @@ class ClassGroup:
     def project(self, d: TorusDivisor) -> DivisorClass:
         if d.variety is not self.variety:
             raise VarietyMismatch("divisor lives on a different variety")
-        free = []
-        torsion = []
-        for block, part in zip(self.blocks, self.variety.split_divisor(d)):
-            f, t = block.coords(part.coeffs)
-            free.extend(f)
-            torsion.extend(t)
-        return DivisorClass(self.variety, tuple(free), tuple(torsion))
+        parts = self.variety.split_divisor(d)
+        free, torsion = zip(*(b.coords(p.coeffs) for b, p in zip(self.blocks, parts)))
+        return DivisorClass(self.variety, tuple(chain(*free)), tuple(chain(*torsion)))
 
     def representative(self, cls: DivisorClass) -> TorusDivisor:
         if cls.variety is not self.variety:
             raise VarietyMismatch("class lives on a different variety")
-        factor_coeffs = []
-        fi = ti = 0
-        for block in self.blocks:
-            nf = len(block.free_positions)
-            nt = len(block.moduli)
-            factor_coeffs.append(
-                list(block.representative(cls.free[fi : fi + nf], cls.torsion[ti : ti + nt]))
-            )
-            fi += nf
-            ti += nt
+        free, torsion = iter(cls.free), iter(cls.torsion)
+        factor_coeffs = [
+            b.representative(islice(free, len(b.free_positions)), islice(torsion, len(b.moduli)))
+            for b in self.blocks
+        ]
         return TorusDivisor(self.variety, self.variety.join_coeffs(factor_coeffs))
 
     def presentation(self):
@@ -627,31 +625,21 @@ def trace_surjectivity_witness(v: ToricVariety, d: TorusDivisor, other=None, tar
     return False, None
 
 
-def _steinberg_parameter_sequence(presentation):
-    """Images of (x, yz^2, y - xz^2) in the presentation ring."""
-    x = presentation.monomial_for((1, 0, 0))
-    yz2 = presentation.monomial_for((0, 1, 2))
-    y = presentation.monomial_for((0, 1, 0))
-    xz2 = presentation.monomial_for((1, 0, 2))
-    return [x, yz2, y - xz2]
-
-
-def module_is_maximal_cohen_macaulay(v: ToricVariety, gens, sequence=None) -> bool:
+def module_is_maximal_cohen_macaulay(v: ToricVariety, gens) -> bool:
     """Certify depth = dim for the module generated by lattice points `gens`.
 
     The generators are translated into the semigroup along the sum of the
     cone's dual generators (`cone._grading`), a point inside the dual cone,
     lifted to monomials of the presentation ring, and the parameter
-    sequence is certified to be regular on the module by exact
-    Hilbert-series bookkeeping.
+    sequence (x, yz^2, y - xz^2) is certified to be regular on the module by
+    exact Hilbert-series bookkeeping. Only the surface's presentation, whose
+    map has the columns `PHI_COLUMNS`, has that sequence.
     """
     pres = v.presentation
     if pres is None:
         raise ValueError("variety has no ring presentation")
-    if sequence is None:
-        if list(pres.map.phi.columns()) != list(PHI_COLUMNS):
-            raise ValueError("no default parameter sequence for this presentation")
-        sequence = _steinberg_parameter_sequence(pres)
+    if list(pres.map.phi.columns()) != list(PHI_COLUMNS):
+        raise ValueError("no default parameter sequence for this presentation")
     interior = _grading(v.cone)
     shift = 0
     for u in v.rays:
@@ -662,6 +650,8 @@ def module_is_maximal_cohen_macaulay(v: ToricVariety, gens, sequence=None) -> bo
                 shift = max(shift, -(-need // pu))
     translated = [_add(g, tuple(shift * x for x in interior)) for g in gens]
     module_gens = [pres.monomial_for(m) for m in translated]
+    x, y = pres.monomial_for((1, 0, 0)), pres.monomial_for((0, 1, 0))
+    sequence = [x, pres.monomial_for((0, 1, 2)), y - pres.monomial_for((1, 0, 2))]
     return module_regular_sequence(pres.ideal, module_gens, sequence)
 
 
@@ -684,16 +674,15 @@ def _local_cohomology_witness(v: ToricVariety, d: TorusDivisor):
     cone whose rays all satisfy <m, u> + a >= 0. On a 3-dimensional cone
     the rays and facets form a cycle, so for a nonempty proper set S of
     satisfied rays Γ_m is acyclic exactly when S is an arc, and otherwise
-    H_0 != 0. For each other S, as listed by `v._non_arcs`, the region
-    {<m, u_i> + a_i >= 0 for i in S, <= -1 otherwise} is searched for its
-    first lattice point, drawn from `_region_points` as module generators
-    are. The answer is None when O(D) is MCM, and also off dimension 3; a
-    search that would exceed the lattice budget raises BudgetExceeded.
+    H_0 != 0. For each other S, whose signed rays `v._non_arcs` lists once
+    per variety, the region {<m, u_i> + a_i >= 0 for i in S, <= -1
+    otherwise} is searched for its first lattice point, drawn from
+    `_region_points` as module generators are. The answer is None exactly
+    when O(D) is MCM. Another dimension is refused with `_non_arcs`'
+    ValueError, and a search that would exceed the lattice budget raises
+    BudgetExceeded.
     """
-    if v.cone.ambient_dim != 3:
-        return None
-    for signs in v._non_arcs:
-        signed = [tuple(s * x for x in u) for u, s in zip(v.rays, signs)]
+    for signs, signed in v._non_arcs:
         coeffs = [s * a + (s - 1) // 2 for a, s in zip(d.coeffs, signs)]
         m = next(_region_points(signed, coeffs), None)
         if m is not None:
@@ -706,22 +695,23 @@ def enumerate_mcm_rank_one_candidates(v: ToricVariety):
 
     Returns (class, minimal generator count) for every class strictly
     between the bounds `v._scan_bounds` proves from the cone that has no
-    local-cohomology witness (`_local_cohomology_witness`). In dimension 3
-    the witness decides MCM exactly, and every class outside the bounds has
-    one, so these are all the MCM classes; only their generators are
-    enumerated. Another class group or dimension is a ValueError, and a
-    scan of more than `_SCAN_BUDGET` classes raises BudgetExceeded before
-    the first.
+    local-cohomology witness (`_local_cohomology_witness`). Class k is
+    represented by k·r, r the `_class_generator` the bounds are proved
+    with. In dimension 3 the witness decides MCM exactly, and every class
+    outside the bounds has one, so these are all the MCM classes; only
+    their generators are enumerated. Another class group or dimension is a
+    ValueError, and a scan of more than `_SCAN_BUDGET` classes raises
+    BudgetExceeded before the first.
     """
     cg = v.class_group()
     if cg.free_rank != 1 or cg.torsion:
         raise ValueError("scan expects an infinite cyclic class group")
     lo, hi = v._scan_bounds
     charge(hi - lo - 1, _SCAN_BUDGET, _SCAN)
+    r = v._class_generator
     results = []
     for k in range(lo + 1, hi):
-        cls = DivisorClass(v, (k,))
-        rep = cg.representative(cls)
+        rep = k * r
         if _local_cohomology_witness(v, rep) is None:
-            results.append((cls, len(module_generators(v, rep).generators)))
+            results.append((DivisorClass(v, (k,)), len(module_generators(v, rep).generators)))
     return results

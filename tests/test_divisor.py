@@ -778,6 +778,64 @@ def test_composed_product_matches_the_pairwise_folds(k, s):
     assert v.join_coeffs([p.coeffs for p in parts]) == d.coeffs
 
 
+def _two_sided_cones(rng, count):
+    """`count` seeded pointed full cones of dimension 2 or 3 with rays on both sides of 0 in lex.
+
+    A ray below 0, whose first nonzero entry is negative, sorts before every
+    ray of a later factor in a product, and a ray above 0 after them.
+    """
+    found = []
+    while len(found) < count:
+        dim = rng.randint(2, 3)
+        c = Cone(dim, [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(dim + 1)])
+        if c.is_strongly_convex() and c.dim() == dim and min(c.rays()) < (0,) * dim < max(c.rays()):
+            found.append(c)
+    return found
+
+
+def test_interleaved_product_rays_follow_the_sorted_embedded_order():
+    """A factor ray of negative lead sorts before a later factor's rays, so the factors interleave.
+
+    On seeded products of 2 and 3 such cones, the first factor's rays come
+    first and last, `rays` and `_ray_split` match every factor ray embedded
+    and sorted, split and join are inverse, principal divisors have class 0,
+    and `project` undoes `representative`.
+    """
+    corner = ToricVariety(Cone(2, [(1, 0), (-1, 2)]))
+    assert variety_product(corner, corner)._ray_split == ((0, 0), (1, 0), (1, 1), (0, 1))
+    rng = random.Random(33)
+    for _ in range(12):
+        factors = [ToricVariety(c) for c in _two_sided_cones(rng, rng.randint(2, 3))]
+        v = ToricVariety(factors=factors)
+        total, at, reference = v.cone.ambient_dim, 0, []
+        for pos, f in enumerate(factors):
+            pad = total - at - f.cone.ambient_dim
+            reference += [((0,) * at + u + (0,) * pad, (pos, i)) for i, u in enumerate(f.rays)]
+            at += f.cone.ambient_dim
+        reference.sort()
+        assert v.rays == tuple(u for u, _ in reference)
+        assert v._ray_split == tuple(where for _, where in reference)
+        positions = [pos for pos, _ in v._ray_split]
+        assert positions[0] == positions[-1] == 0 < max(positions)
+        d = v.divisor([rng.randint(-5, 5) for _ in v.rays])
+        parts = v.split_divisor(d)
+        assert v.join_coeffs([p.coeffs for p in parts]) == d.coeffs
+        assert [p.coeffs for p in parts] == [
+            tuple(d.coeffs[v._ray_split.index((pos, i))] for i in range(len(f.rays)))
+            for pos, f in enumerate(factors)
+        ]
+        principal = div_of_character(v, [rng.randint(-4, 4) for _ in range(total)])
+        assert principal.divisor_class().is_zero()
+        cg = class_group(v)
+        for _ in range(5):
+            cls = DivisorClass(
+                v,
+                [rng.randint(-6, 6) for _ in range(cg.free_rank)],
+                [rng.randint(0, m - 1) for m in cg.torsion],
+            )
+            assert cg.project(cg.representative(cls)) == cls
+
+
 def test_multiplicity_composes_no_product(monkeypatch):
     """What reads only rays and classes builds no semigroup, product cone or presentation."""
 
@@ -920,6 +978,14 @@ def test_mcm_certificate_accepts_ring_and_canonical(surface):
         assert module_is_maximal_cohen_macaulay(surface, gens)
 
 
+def test_mcm_certificate_needs_the_surface_presentation(surface):
+    """The surface's parameter sequence is the only one; other varieties are refused before it."""
+    with pytest.raises(ValueError, match="no default parameter sequence for this presentation"):
+        module_is_maximal_cohen_macaulay(steinberg_product_variety(1, 1), [(0, 0, 0, 0)])
+    with pytest.raises(ValueError, match="variety has no ring presentation"):
+        module_is_maximal_cohen_macaulay(ToricVariety(surface.cone), [(0, 0, 0)])
+
+
 def _gamma_disconnected(v, d, m):
     """Whether m's satisfied rays form a nonempty proper set that the facets leave disconnected.
 
@@ -1042,14 +1108,17 @@ def test_local_cohomology_witness_over_the_lattice_budget_raises(monkeypatch):
 
 
 def test_local_cohomology_witness_only_in_dimension_3(surface):
-    """Class -2 is not MCM on the surface nor on surface x line; only the surface has a witness."""
+    """Class -2 of the surface has a witness; off dimension 3 the search is refused, not None.
+
+    An answer of None would read as MCM, so the quadric cone (dimension 2)
+    and surface x line (dimension 4) raise the scan's dimension error.
+    """
     witness = torica.divisor._local_cohomology_witness
     assert witness(surface, class_group(surface).representative(DivisorClass(surface, (-2,))))
-    for v in (a1_variety(), steinberg_product_variety(1, 1)):
-        cg = class_group(v)
-        for k in range(-4, 5):
-            rep = cg.representative(DivisorClass(v, (k,) * cg.free_rank, (k,) * len(cg.torsion)))
-            assert witness(v, rep) is None
+    for v, dim in ((a1_variety(), 2), (steinberg_product_variety(1, 1), 4)):
+        message = f"the MCM scan needs a 3-dimensional cone, got dimension {dim}"
+        with pytest.raises(ValueError, match=message):
+            witness(v, v.zero_divisor())
 
 
 def test_mcm_scan_makes_no_certificate_call(monkeypatch):
@@ -1064,6 +1133,24 @@ def test_mcm_scan_makes_no_certificate_call(monkeypatch):
     assert [(cls.free[0], n) for cls, n in results] == [
         (-1, 4), (0, 1), (1, 2), (2, 3), (3, 4),
     ]
+
+
+def test_mcm_scan_represents_class_k_by_k_times_one_generator(monkeypatch):
+    """The scan asks the class group for class 1's representative r alone, and k·r has class k."""
+    asked = []
+    representative = torica.divisor.ClassGroup.representative
+
+    def counted(cg, cls):
+        asked.append(cls.free)
+        return representative(cg, cls)
+
+    monkeypatch.setattr(torica.divisor.ClassGroup, "representative", counted)
+    v = steinberg_variety()
+    assert len(enumerate_mcm_rank_one_candidates(v)) == 5
+    assert asked == [(1,)]
+    cg = class_group(v)
+    for k in range(-6, 9):
+        assert cg.project(k * v._class_generator) == DivisorClass(v, (k,))
 
 
 def test_mcm_scan_matches_the_certificate_over_its_range(surface):
