@@ -47,7 +47,7 @@ from .cone import (
     _region_points, _tight,
 )
 from .errors import NonUnique, NoSolution, VarietyMismatch, charge
-from .polyring import PolyRing, _add, _sub, module_regular_sequence
+from .polyring import PolyRing, module_regular_sequence
 from .toric import (
     PHI_COLUMNS,
     _odd_prime,
@@ -55,7 +55,7 @@ from .toric import (
     _product_sizes,
     steinberg_ring_mod_l,
 )
-from .zlinalg import IntMatrix, _int_tuple, invert_unimodular, smith_normal_form
+from .zlinalg import IntMatrix, _add, _int_tuple, _sub, invert_unimodular, smith_normal_form
 
 _SCAN_BUDGET = 10**5
 _SCAN = "mcm scan spans {count} classes, over its budget of {budget}"

@@ -19,7 +19,8 @@ tuples. On top of the basis machinery this module provides elimination,
 saturation, quotient vector-space dimensions, and exact Hilbert-series
 certificates for regular sequences (on quotient rings and on monomial
 modules presented by ideals), each step's basis grown from the previous
-step's. Monomial Hilbert numerators recurse on packed exponent fields too.
+step's. Monomial Hilbert numerators recurse on packed exponent fields too,
+with one memo per field width, kept across the steps of one certificate.
 """
 
 from __future__ import annotations
@@ -481,14 +482,6 @@ def _divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
-def _sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
 class _Overflow(Exception):
     """A packed product set a guard bit: some field outgrew the packing."""
 
@@ -499,12 +492,11 @@ class _Packing:
     `low` masks the exponent fields and `eguard` is their guard bits.
     """
 
-    __slots__ = ("spans", "bits", "limit", "guard", "low", "eguard", "shifts", "variables", "ones")
+    __slots__ = ("bits", "limit", "guard", "low", "eguard", "shifts", "variables", "ones")
 
     def __init__(self, spans, nvars, bits):
         rows = _weight_rows(spans, nvars)
         fields = len(rows) + nvars
-        self.spans = spans
         self.bits = bits
         self.limit = (1 << (bits - 1)) - 1
         self.guard = sum(1 << (bits * f + bits - 1) for f in range(fields))
@@ -760,6 +752,15 @@ def _groebner(ring, generators, order, known=None):
     return _widening(order, ring.nvars, [g.terms for g in generators], run, bits)
 
 
+def _element(ring, f):
+    """f as a Polynomial of `ring`: a string is parsed in it, a polynomial of another ring refused."""
+    if isinstance(f, str):
+        return ring.parse(f)
+    if f.ring != ring:
+        raise ValueError("polynomial from a different ring")
+    return f
+
+
 class Ideal:
     """Ideal presented by generators, with a monomial order and GB cache.
 
@@ -773,16 +774,9 @@ class Ideal:
     __slots__ = ("ring", "generators", "order", "_gb")
 
     def __init__(self, ring, generators, order="grevlex"):
-        gens = []
-        for g in generators:
-            if isinstance(g, str):
-                g = ring.parse(g)
-            if g.ring != ring:
-                raise ValueError("generator from a different ring")
-            if not g.is_zero():
-                gens.append(g)
+        gens = (_element(ring, g) for g in generators)
         self.ring = ring
-        self.generators = tuple(gens)
+        self.generators = tuple(g for g in gens if not g.is_zero())
         _spans(order, ring.nvars)  # validate
         self.order = order
         self._gb = None
@@ -809,10 +803,7 @@ class Ideal:
 
     def normal_form(self, f):
         """The full remainder of f modulo the basis; wider fields than the cache's take repacked records."""
-        if isinstance(f, str):
-            f = self.ring.parse(f)
-        if f.ring != self.ring:
-            raise ValueError("polynomial from a different ring")
+        f = _element(self.ring, f)
         packing, records = self._basis()
 
         def run(wide):
@@ -874,8 +865,7 @@ def saturate(i: Ideal, f) -> Ideal:
     them as its cached basis, and no second Buchberger runs on them.
     """
     ring = i.ring
-    if isinstance(f, str):
-        f = ring.parse(f)
+    f = _element(ring, f)
     aux = "t_"
     while aux in ring.variables:
         aux += "_"
@@ -916,7 +906,7 @@ def quotient_dimension(i: Ideal):
     lead = i.leading_exponents()
     if not all(any(sum(e) == e[v] for e in lead) for v in range(n)):
         return INFINITE
-    numerator = _Numerators(n)(lead)
+    numerator = _numerator(n, lead, {})
     return (-1) ** n * sum(c * comb(k, n) for k, c in enumerate(numerator))
 
 
@@ -952,54 +942,34 @@ def standard_monomials(i: Ideal):
 # -- Hilbert series ------------------------------------------------------------
 
 
-def _poly_trim(coeffs):
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
+def _minus(a, b, k=0):
+    """The coefficient list of a - t^k * b, trailing zeros trimmed."""
+    out = list(a) + [0] * (k + len(b) - len(a))
+    for i, c in enumerate(b, k):
+        out[i] -= c
+    while out and out[-1] == 0:
+        out.pop()
+    return out
 
 
-def _poly_sub(a, b):
-    out = list(a) + [0] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        if c:
-            out[i] -= c
-    return _poly_trim(out)
-
-
-def _poly_shift(a, k):
-    return _poly_trim([0] * k + list(a)) if a else []
-
-
-class _Numerators:
-    """Hilbert numerators of monomial ideals in `nvars` variables, from exponent tuples.
+def _numerator(nvars, exponents, memos):
+    """Hilbert numerator of the monomial ideal of exponent tuples in `nvars` variables.
 
     The generators are packed as exponent blocks of a lex packing whose
     fields hold the largest degree, and `_monomial_numerator` recurses on
-    sorted tuples of blocks. The memo and the width are kept across calls,
-    as the steps of a certificate share their colon ideals; a generator of
-    larger degree than the width holds widens the blocks and starts a new
-    memo. A generator of degree over _MONOMIAL_BUDGET raises
+    sorted tuples of blocks with the memo `memos` keeps for that field
+    width. The steps of one certificate pass one dict, since they share
+    their colon ideals. A generator of degree over _MONOMIAL_BUDGET raises
     BudgetExceeded before any coefficient list is built.
     """
-
-    __slots__ = ("nvars", "packing", "memo")
-
-    def __init__(self, nvars):
-        self.nvars = nvars
-        self.packing = None
-        self.memo = {}
-
-    def __call__(self, exponents):
-        top = charge(
-            max(map(sum, exponents), default=0),
-            _MONOMIAL_BUDGET,
-            "a generator has degree over {budget}, the Hilbert numerator budget",
-        )
-        if self.packing is None or top > self.packing.limit:
-            self.packing = _Packing((), self.nvars, _field_bits(top))
-            self.memo = {}
-        gens = tuple(sorted(map(self.packing.pack, exponents)))
-        return _monomial_numerator(gens, self.memo, self.packing)
+    top = charge(
+        max(map(sum, exponents), default=0),
+        _MONOMIAL_BUDGET,
+        "a generator has degree over {budget}, the Hilbert numerator budget",
+    )
+    packing = _Packing((), nvars, _field_bits(top))
+    gens = tuple(sorted(map(packing.pack, exponents)))
+    return _monomial_numerator(gens, memos.setdefault(packing.bits, {}), packing)
 
 
 def _monomial_numerator(gens, memo, packing):
@@ -1030,7 +1000,7 @@ def _monomial_numerator(gens, memo, packing):
             else:
                 minimal.append(c)
         minimal.sort()
-        result = _poly_sub(result, _poly_shift(_monomial_numerator(tuple(minimal), memo, packing), degree(m)))
+        result = _minus(result, _monomial_numerator(tuple(minimal), memo, packing), degree(m))
         memo[gens[: j + 1]] = result
     return result
 
@@ -1044,12 +1014,12 @@ def hilbert_numerator(i: Ideal):
     [1]; the unit ideal gives [].
     """
     _check_homogeneous(i.generators)
-    return _Numerators(i.ring.nvars)(i.leading_exponents())
+    return _numerator(i.ring.nvars, i.leading_exponents(), {})
 
 
 def hilbert_function(numerator, nvars, upto):
     """Values HF(0..upto) of a series N(t)/(1-t)^nvars."""
-    vals = list(numerator[: upto + 1]) + [0] * max(0, upto + 1 - len(numerator))
+    vals = [numerator[d] if d < len(numerator) else 0 for d in range(upto + 1)]
     for _ in range(nvars):
         for d in range(1, upto + 1):
             vals[d] += vals[d - 1]
@@ -1058,7 +1028,7 @@ def hilbert_function(numerator, nvars, upto):
 
 def _check_homogeneous(polys):
     for f in polys:
-        if isinstance(f, Polynomial) and not f.is_homogeneous():
+        if not f.is_homogeneous():
             raise NotHomogeneous(f"{f} is not homogeneous")
 
 
@@ -1076,21 +1046,21 @@ def module_regular_sequence(i: Ideal, module_gens, elements) -> bool:
     nonzerodivisor on a graded quotient Q iff N(Q/fQ) = N(Q)*(1 - t^e), and
     both numerators are exact integer polynomials, so each step compares
     them whole. As in Bruns & Herzog, Def. 1.1.1, a sequence is regular
-    only on a nonzero module. One memo of monomial numerators serves every
-    step, at one block width, since each step's leading-term ideal contains
-    the previous one's.
+    only on a nonzero module. Every step's numerator reads one memo per
+    field width, kept across the steps, since each step's leading-term
+    ideal contains the previous one's.
     """
     ring = i.ring
-    module_gens = [ring.parse(g) if isinstance(g, str) else g for g in module_gens]
-    elements = [ring.parse(f) if isinstance(f, str) else f for f in elements]
+    module_gens = [_element(ring, g) for g in module_gens]
+    elements = [_element(ring, f) for f in elements]
     _check_homogeneous(list(i.generators) + module_gens + elements)
-    numerators = _Numerators(ring.nvars)
+    memos = {}
 
     def numerator(ideal):
-        return numerators(ideal.leading_exponents())
+        return _numerator(ring.nvars, ideal.leading_exponents(), memos)
 
     n_top = numerator(_extended(i, module_gens))
-    n_prev = _poly_sub(numerator(i), n_top)
+    n_prev = _minus(numerator(i), n_top)
     if not n_prev:
         return False  # the zero module
     cut = i
@@ -1098,8 +1068,8 @@ def module_regular_sequence(i: Ideal, module_gens, elements) -> bool:
         if f.is_zero():
             return False
         cut = _extended(cut, [f * g for g in module_gens])
-        n_mod = _poly_sub(numerator(cut), n_top)
-        if n_mod != _poly_sub(n_prev, _poly_shift(n_prev, f.degree())):
+        n_mod = _minus(numerator(cut), n_top)
+        if n_mod != _minus(n_prev, n_prev, f.degree()):
             return False
         n_prev = n_mod
     return True

@@ -34,6 +34,14 @@ def _dot(a, b):
     return sum(map(mul, a, b))
 
 
+def _add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
 def _int_tuple(xs, length=None):
     """`xs` as a tuple of ints; ValueError on a non-integer entry or a length other than `length`."""
     xs = tuple(xs)

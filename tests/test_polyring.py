@@ -28,7 +28,8 @@ from torica import (
 )
 from torica import cone, divisor, polyring
 from torica.cone import _minimal
-from torica.polyring import Polynomial, _add, _divides, _sub
+from torica.polyring import Polynomial, _divides
+from torica.zlinalg import _add, _sub
 
 from suites import _random_polynomial, buchberger_suite, saturation_suite
 
@@ -320,18 +321,17 @@ def test_packed_numerator_matches_tuple_numerator():
     for case in range(300):
         nvars = rng.randint(1, 4)
         gens = [tuple(rng.randint(0, 6) for _ in range(nvars)) for _ in range(rng.randint(0, 9))]
-        assert polyring._Numerators(nvars)(gens) == _tuple_monomial_numerator(gens, {}), (case, gens)
+        assert polyring._numerator(nvars, gens, {}) == _tuple_monomial_numerator(gens, {}), (case, gens)
     for n in (1, 2, 3, 10, 60):
         staircase = [(i, n - 1 - i) for i in range(n)]  # x^i * y^(n-1-i)
-        assert polyring._Numerators(2)(staircase) == _tuple_monomial_numerator(staircase, {}), n
-    # one instance along a growing chain, as in a certificate, widened by a generator of large degree
-    numerators = polyring._Numerators(3)
+        assert polyring._numerator(2, staircase, {}) == _tuple_monomial_numerator(staircase, {}), n
+    # one memos dict along a growing chain, as in a certificate, across a wider field from step 10 on
+    memos = {}
     chain = []
     for step in range(14):
         chain.append((300, 0, 1) if step == 10 else tuple(rng.randint(0, 5) for _ in range(3)))
-        bits = numerators.packing.bits if numerators.packing else 0
-        assert numerators(chain) == _tuple_monomial_numerator(chain, {}), step
-        assert (numerators.packing.bits > bits) == (step in (0, 10)), step
+        assert polyring._numerator(3, chain, memos) == _tuple_monomial_numerator(chain, {}), step
+    assert len(memos) == 2  # one memo per field width
 
 
 def test_hilbert_function_against_standard_monomial_count():
@@ -356,6 +356,13 @@ def test_hilbert_function_against_standard_monomial_count():
                 if not any(all(e >= l for e, l in zip(exp, le)) for le in lead):
                     count += 1
             assert values[degree] == count
+
+
+def test_hilbert_function_below_degree_zero_is_empty():
+    """Every upto below 0 lists no values; none is read from the end of the numerator."""
+    numerator = [1, 0, -6, 8, -3]
+    for upto in (-1, -2, -3, -5, -9):
+        assert hilbert_function(numerator, 6, upto) == [], upto
 
 
 def test_is_regular_sequence_positive_and_negative():
@@ -430,12 +437,22 @@ def test_saturation_property_suite():
 
 
 def test_polynomial_from_another_ring_is_refused():
+    """Every intake of a ring element refuses a polynomial with other variables or over another field."""
     ring = PolyRing(101, ("x", "y", "z"))
     ideal = ring.ideal(["x^2 - y", "y*z"])
-    for other in (PolyRing(101, ("x", "y")), PolyRing(103, ("x", "y", "z"))):
-        for call in (ideal.normal_form, ideal.contains):
-            with pytest.raises(ValueError):
-                call(other.parse("x^3"))
+    calls = (
+        ideal.normal_form,
+        ideal.contains,
+        lambda f: saturate(ideal, f),
+        lambda f: Ideal(ring, ["x", f]),
+        lambda f: module_regular_sequence(ideal, [f], ["x"]),
+        lambda f: module_regular_sequence(ideal, ["x"], [f]),
+    )
+    for other in (PolyRing(101, ("x", "y")), PolyRing(101, ("a", "b")), PolyRing(103, ("x", "y", "z"))):
+        f = other.parse(f"{other.variables[0]}*{other.variables[1]}")
+        for call in calls:
+            with pytest.raises(ValueError, match="polynomial from a different ring"):
+                call(f)
 
 
 HOSTILE = [
@@ -904,7 +921,7 @@ def _scratch_module_regular_sequence(i, module_gens, elements):
         return False
     base = list(i.generators)
     n_top = hilbert_numerator(Ideal(ring, base + list(module_gens), order=i.order))
-    n_prev = polyring._poly_sub(hilbert_numerator(i), n_top)
+    n_prev = polyring._minus(hilbert_numerator(i), n_top)
     if not n_prev:
         return False
     cut = []
@@ -913,7 +930,7 @@ def _scratch_module_regular_sequence(i, module_gens, elements):
             return False
         cut.extend(f * g for g in module_gens)
         n_k = hilbert_numerator(Ideal(ring, base + cut, order=i.order))
-        n_mod = polyring._poly_sub(n_k, n_top)
+        n_mod = polyring._minus(n_k, n_top)
         expected = _series_times_one_minus_t_to(n_prev, f.degree())
         if n_mod != expected:
             return False
