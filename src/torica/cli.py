@@ -2,6 +2,8 @@
 
 Commands delegate to the library modules; every output is a JSON document.
 Each subcommand, its arguments and its handler are declared once, in `COMMANDS`.
+Each invocation builds only the branch of the parser that its argv names; a
+command or subcommand name that is missing or unknown builds every sibling.
 Object arguments accept a file path, `-` for stdin, a built-in name
 (`@S`, `@A1`, `@phi`, `@S^k*A^s`, `@A^s`, `@S^k`), or `@name` for an entry
 stored in the workspace file. Exit codes: 0 success, 1 domain failure
@@ -408,7 +410,19 @@ COMMANDS = {
 }
 
 
-def _build_parser():
+def _named(table, token):
+    """The keys of `table` to register: `token` alone when it is one, else every key."""
+    return [token] if token in table else list(table)
+
+
+def _build_parser(argv):
+    """The parser for `argv`, holding only the branch that its command and subcommand name.
+
+    A name that exactly equals a command (or one of that command's subcommands) registers it
+    alone: argparse hands every later token to its parser, so its siblings would never be read.
+    A name that is missing, unknown, abbreviated or an option registers every sibling, so help,
+    "invalid choice" and "required" messages read the full tables.
+    """
     common = _Parser(add_help=False)
     common.add_argument("--field", type=int, default=None, help="prime field characteristic")
     common.add_argument("--json", action="store_true", help="compact machine output")
@@ -416,10 +430,13 @@ def _build_parser():
 
     parser = _Parser(prog="torica", description="Exact computations on affine toric varieties.")
     top = parser.add_subparsers(dest="command", required=True)
-    for command, (summary, entry) in COMMANDS.items():
+    token, sub_token = (argv + [None, None])[:2]
+    for command in _named(COMMANDS, token):
+        summary, entry = COMMANDS[command]
         if isinstance(entry, dict):
             subs = top.add_parser(command, help=summary).add_subparsers(dest="sub", required=True)
-            leaves = [(subs.add_parser(sub, parents=[common]), entry[sub]) for sub in entry]
+            named = _named(entry, sub_token if command == token else None)
+            leaves = [(subs.add_parser(sub, parents=[common]), entry[sub]) for sub in named]
         else:
             leaves = [(top.add_parser(command, parents=[common], help=summary), entry)]
         for sub_parser, (arguments, handler) in leaves:
@@ -456,9 +473,9 @@ def _print(text):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
         result = args.handler(args)
         document, status = result if isinstance(result, tuple) else (result, 0)
         _print(_dumps(document, args.json))

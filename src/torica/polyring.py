@@ -753,9 +753,14 @@ def _groebner(ring, generators, order, known=None):
 
 
 def _element(ring, f):
-    """f as a Polynomial of `ring`: a string is parsed in it, a polynomial of another ring refused."""
+    """f as a Polynomial of `ring`: a string is parsed in it.
+
+    A polynomial of another ring, or a value that is neither, is a ValueError.
+    """
     if isinstance(f, str):
         return ring.parse(f)
+    if not isinstance(f, Polynomial):
+        raise ValueError(f"a ring element must be a string or a Polynomial, got {type(f).__name__}")
     if f.ring != ring:
         raise ValueError("polynomial from a different ring")
     return f
@@ -1018,7 +1023,9 @@ def hilbert_numerator(i: Ideal):
 
 
 def hilbert_function(numerator, nvars, upto):
-    """Values HF(0..upto) of a series N(t)/(1-t)^nvars."""
+    """Values HF(0..upto) of a series N(t)/(1-t)^nvars; a negative `nvars` is a ValueError."""
+    if nvars < 0:
+        raise ValueError(f"nvars must be nonnegative, got {nvars}")
     vals = [numerator[d] if d < len(numerator) else 0 for d in range(upto + 1)]
     for _ in range(nvars):
         for d in range(1, upto + 1):

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -10,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from torica import polyring, verification
-from torica.cli import main
+from torica import cli, polyring, verification
+from torica.cli import COMMANDS, main
 
 PHI_CONE = {"dim": 3, "generators": [[1, 0, 0], [0, 1, 0], [1, 0, 2], [0, 1, 2]]}
 SURFACE_IDEAL = {
@@ -768,3 +769,141 @@ def test_undecodable_bytes_are_usage_errors(tmp_path, monkeypatch, capsys):
         "code": "USAGE", "message": f"stdin is not valid JSON: {decode}"
     }
 
+
+def _compare_with_full_parser(argv, monkeypatch, capsys, stdin="", reset=lambda: None):
+    """(exit code, stdout, stderr) of `main(argv)`, asserted equal to the same run on the full parser.
+
+    `reset` restores any state the run may change (a workspace file) before each of the two runs.
+    """
+    build = cli._build_parser
+
+    def run():
+        reset()
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        try:
+            code = main(list(argv))
+        except SystemExit as stop:  # --help
+            code = stop.code
+        return (code, *capsys.readouterr())
+
+    branch = run()
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "_build_parser", lambda _argv: build([]))
+        full = run()
+    assert branch == full, argv
+    return branch
+
+
+def _parser_cases():
+    """--help, an unknown option and a missing required argument at every level of COMMANDS."""
+    yield from ([], ["--help"], ["--bogus"], ["nope"], ["div", "nope"], ["-h", "verify"])
+    yield from (["ver"], ["div", "mcm"], ["--", "verify"], ["div", "--", "canonical", "@S"])
+    for command, (_summary, entry) in COMMANDS.items():
+        yield from ([command, "--help"], [command, "--bogus"])
+        if not isinstance(entry, dict):
+            continue
+        yield [command]
+        for sub, (arguments, _handler) in entry.items():
+            yield from ([command, sub, "--help"], [command, sub, "--bogus"])
+            if any(not names[0].startswith("-") or options.get("required") for names, options in arguments):
+                yield [command, sub]
+
+
+def test_the_parser_branch_answers_as_the_full_parser(monkeypatch, capsys):
+    """Building only the branch that argv names changes no output, message or exit code."""
+    results = {}
+    for argv in _parser_cases():
+        code, out, err = results[tuple(argv)] = _compare_with_full_parser(argv, monkeypatch, capsys)
+        assert code == (0 if {"-h", "--help"} & set(argv) else 2), argv
+        assert (out != "") == (code == 0), argv
+    for argv, names in ((("nope",), COMMANDS), (("div", "nope"), COMMANDS["div"][1])):
+        message = json.loads(results[argv][2])["error"]["message"]
+        assert "invalid choice" in message and all(name in message for name in names), argv
+    assert results[("-h", "verify")][1].startswith("usage: torica [-h]")
+
+
+def _leaves():
+    """[command] or [command, subcommand] for every leaf of COMMANDS, in table order."""
+    for command, (_summary, entry) in COMMANDS.items():
+        yield from ([command, sub] for sub in entry) if isinstance(entry, dict) else ([command],)
+
+
+def _leaf_cases(ws):
+    """One valid argv per leaf of COMMANDS, with the stdin document it reads."""
+    cone, divisor = json.dumps(PHI_CONE), json.dumps({"coeffs": [0, 0, 0, 1]})
+    minors = json.dumps(dict(SURFACE_IDEAL, generators=SURFACE_IDEAL["generators"][:6]))
+    return [
+        (["cone", "dual", "@S", "--json"], ""),
+        (["cone", "rays", "@S^2*A^1", "--json"], ""),
+        (["cone", "hilbert-basis", "-", "--json"], cone),
+        (["cone", "product", "@A1", "@S", "--json"], ""),
+        (["ideal", "toric", "@phi", "--json"], ""),
+        (["ideal", "groebner", "-", "--json"], minors),
+        (["ideal", "quotient-dim", "-", "--json"], json.dumps(SURFACE_IDEAL)),
+        (["ideal", "saturate", "-", "--at", "C", "--json"], minors),
+        (["ideal", "regular-seq", "-", "--elements", "C", "Y", "--json"], minors),
+        (["div", "class-group", "@S^2*A^1", "--json"], ""),
+        (["div", "canonical", "@S", "--json"], ""),
+        (["div", "half-canonical", "@S^2*A^1", "--json"], ""),
+        (["div", "module-gens", "@S", "-", "--json"], divisor),
+        (["div", "trace-witness", "@S", "-", "--json"], divisor),
+        (["div", "mcm-scan", "@S", "--json"], ""),
+        (["div", "multiplicity", "--k", "2", "--s", "1", "--json"], ""),
+        (["verify", "--field", "3", "--json"], ""),
+        (["paper", "verify", "--json"], ""),
+        (["workspace", "set", "cone", "-", "--workspace", ws, "--json"], cone),
+        (["workspace", "get", "cone", "--workspace", ws, "--json"], ""),
+        (["workspace", "delete", "cone", "--workspace", ws, "--json"], ""),
+        (["workspace", "list", "--workspace", ws, "--json"], ""),
+    ]
+
+
+def _variant(argv, rng):
+    """`argv` with one token dropped, duplicated or swapped, an option garbled or moved to the front."""
+    argv = list(argv)
+    i, j = rng.randrange(len(argv)), rng.randrange(len(argv))
+    option = rng.choice([k for k, token in enumerate(argv) if token.startswith("-") and token != "-"])
+    kind = rng.choice(["drop", "duplicate", "swap", "garble", "front"])
+    if kind == "drop":
+        del argv[i]
+    elif kind == "duplicate":
+        argv.insert(i, argv[i])
+    elif kind == "swap":
+        argv[i], argv[j] = argv[j], argv[i]
+    elif kind == "garble":
+        name, k = argv[option], rng.randrange(2, len(argv[option]))
+        argv[option] = rng.choice([name[:k], name[:k] + "x" + name[k + 1 :], name.upper()])
+    else:
+        argv.insert(0, argv.pop(option))
+    return argv
+
+
+def test_seeded_argv_variants_exit_as_documented_and_as_the_full_parser(tmp_path, monkeypatch, capsys):
+    """Eight seeded variants of each leaf's valid argv exit 0, 1 or 2, never 3, as on the full parser."""
+    for name in (cli.FIELD_ENV_VAR, cli.WORKSPACE_ENV_VAR):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.chdir(tmp_path)
+    ws = tmp_path / "ws.json"
+    stored = json.dumps({"torica_workspace": 1, "objects": {"cone": PHI_CONE}})
+
+    def reset():
+        ws.write_text(stored)
+        for path in tmp_path.iterdir():
+            if path != ws:
+                path.unlink()
+
+    cases, leaves = _leaf_cases(str(ws)), list(_leaves())
+    assert [argv[: len(leaf)] for (argv, _stdin), leaf in zip(cases, leaves)] == leaves
+    assert len(cases) == len(leaves)
+    rng = random.Random(35)
+    start = time.perf_counter()
+    codes = []
+    for argv, stdin in cases:
+        assert _compare_with_full_parser(argv, monkeypatch, capsys, stdin, reset)[0] == 0, argv
+        for _ in range(8):
+            variant = _variant(argv, rng)
+            code = _compare_with_full_parser(variant, monkeypatch, capsys, stdin, reset)[0]
+            assert code in (0, 1, 2), variant
+            codes.append(code)
+    assert time.perf_counter() - start < 20
+    assert len(codes) == 8 * len(leaves) and {0, 2} <= set(codes)

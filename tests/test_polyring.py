@@ -365,6 +365,14 @@ def test_hilbert_function_below_degree_zero_is_empty():
         assert hilbert_function(numerator, 6, upto) == [], upto
 
 
+def test_hilbert_function_refuses_a_negative_variable_count():
+    """A series over (1-t)^-1 is not the bare numerator; a negative nvars is refused."""
+    for nvars in (-1, -2):
+        with pytest.raises(ValueError, match=f"nvars must be nonnegative, got {nvars}"):
+            hilbert_function([1, -2, 1], nvars, 3)
+    assert hilbert_function([1, -2, 1], 0, 3) == [1, -2, 1, 0]
+
+
 def test_is_regular_sequence_positive_and_negative():
     ring = PolyRing(101, ("x", "y", "z"))
     zero = ring.ideal([])
@@ -453,6 +461,24 @@ def test_polynomial_from_another_ring_is_refused():
         for call in calls:
             with pytest.raises(ValueError, match="polynomial from a different ring"):
                 call(f)
+
+
+def test_a_value_that_is_no_ring_element_is_refused():
+    """Every intake of a ring element refuses a value that is neither a string nor a Polynomial."""
+    ring = PolyRing(101, ("x", "y"))
+    ideal = ring.ideal(["x^2 - y"])
+    calls = (
+        lambda f: Ideal(ring, [f]),
+        lambda f: saturate(ideal, f),
+        ideal.normal_form,
+        ideal.contains,
+        lambda f: module_regular_sequence(ideal, [f], ["x"]),
+        lambda f: module_regular_sequence(ideal, ["x"], [f]),
+    )
+    for value, kind in ((3, "int"), (None, "NoneType"), (1.5, "float"), ([1], "list")):
+        for call in calls:
+            with pytest.raises(ValueError, match=f"string or a Polynomial, got {kind}$"):
+                call(value)
 
 
 HOSTILE = [
