@@ -5,22 +5,26 @@ F_p. Every monomial order (grevlex, lex, ("elim", k)) is a nonnegative
 weight matrix: compare the weights, then the exponents. The Buchberger
 engine packs each monomial into one int (Monagan & Pearce, "Polynomial
 division using dynamic arrays, heaps, and packed exponent vectors", CASC
-2007; see `_Packing`), divides with a heap, prunes S-pairs by the
-Gebauer-Moeller criteria (JSC 6, 1988), which read lcms, divisibility and
-equality off the packed exponent fields without unpacking them (Monagan &
-Pearce, "Sparse polynomial division using a heap", JSC 46, 2011), and
-raises BudgetExceeded past its pair and basis-size budget. It can start
-from a known reduced basis, whose elements it pairs only with the new
-generators. An ideal caches its reduced basis as the engine returns it:
-the packing and the monic packed records (leading monomial, tail terms)
-sorted by the order. Normal forms reduce by those records, which become
-Polynomials only when the basis is read; callers only see exponent
-tuples. On top of the basis machinery this module provides elimination,
-saturation, quotient vector-space dimensions, and exact Hilbert-series
-certificates for regular sequences (on quotient rings and on monomial
-modules presented by ideals), each step's basis grown from the previous
-step's. Monomial Hilbert numerators recurse on packed exponent fields too,
-with one memo per field width, kept across the steps of one certificate.
+2007; see `_Packing`), whose weight fields are put on its exponent
+fields by one multiply per span of the order, divides with a heap,
+prunes S-pairs by the Gebauer-Moeller criteria (JSC 6, 1988), which read
+lcms, divisibility and equality off the packed exponent fields without
+unpacking them (Monagan & Pearce, "Sparse polynomial division using a
+heap", JSC 46, 2011), and raises BudgetExceeded past its pair and
+basis-size budget. It can start from a known reduced basis, whose
+elements it pairs only with the new generators. An ideal caches its
+reduced basis as the engine returns it: the packing and the monic packed
+records (leading monomial, tail terms) sorted by the order. Normal forms
+reduce by those records, which become Polynomials only when the basis is
+read; callers only see exponent tuples. On top of the basis machinery
+this module provides elimination, saturation (whose grevlex basis is the
+t-free elimination records, each packed int shifted down by one field,
+never unpacked and packed again), quotient vector-space dimensions, and
+exact Hilbert-series certificates for regular sequences (on quotient
+rings and on monomial modules presented by ideals), each step's basis
+grown from the previous step's. Monomial Hilbert numerators recurse on
+packed exponent fields too, with one memo per field width, kept across
+the steps of one certificate.
 """
 
 from __future__ import annotations
@@ -130,6 +134,14 @@ class PolyRing:
         self.char = char
         self.variables = names
         self._index = {name: i for i, name in enumerate(names)}
+
+    @classmethod
+    def _trusted(cls, char, names):
+        """A ring derived from a checked one: its prime and distinct str names, unchecked."""
+        ring = cls.__new__(cls)
+        ring.char, ring.variables = char, names
+        ring._index = {name: i for i, name in enumerate(names)}
+        return ring
 
     @property
     def nvars(self):
@@ -463,19 +475,20 @@ def _poly(ring, terms):
 #
 # Inside the engine a monomial is one int. Its fields, most significant first,
 # are the order's weight rows applied to the exponents, then the exponents
-# e_1 .. e_n themselves. Each field is `bits` wide and its top bit is a guard
-# that stays clear while every field is at most `limit`. Then `<` on the ints
-# is the monomial order, `+` is the product, and a divides b exactly when
-# b - a sets no guard bit. A sum of two fitting fields cannot carry past its
-# guard, so every product the engine forms is checked by one `& guard`, and
-# a set guard raises _Overflow, on which the caller repacks with wider fields.
+# themselves, in the field order `_Packing` gives them. Each field is `bits`
+# wide and its top bit is a guard that stays clear while every field is at
+# most `limit`. Then `<` on the ints is the monomial order, `+` is the
+# product, and a divides b exactly when b - a sets no guard bit. A sum of two
+# fitting fields cannot carry past its guard, so every product the engine
+# forms is checked by one `& guard`, and a set guard raises _Overflow, on
+# which the caller repacks with wider fields.
 #
-# The exponent fields alone, m & low, are the monomial's exponent block; as
-# ints, blocks compare in lex order. Divisibility and equality read the same
-# on blocks, and the lcm of two blocks is their fieldwise max, a few integer
-# operations on the guard bits (`_Packing.block_max`). The pair criteria and
-# the Hilbert numerators run on blocks; the weighted lcm is built only for a
-# pair pushed onto the pair heap.
+# The exponent fields alone, m & low, are the monomial's exponent block.
+# Divisibility and equality read the same on blocks, and the lcm of two blocks
+# is their fieldwise max, a few integer operations on the guard bits
+# (`_Packing.block_max`). The pair criteria and the Hilbert numerators run on
+# blocks; the weighted lcm, one multiply per span on its block, is built only
+# for a pair pushed onto the pair heap.
 
 
 def _divides(a, b):
@@ -489,26 +502,46 @@ class _Overflow(Exception):
 class _Packing:
     """The packed encoding of one order's monomials in fields of one width.
 
-    `low` masks the exponent fields and `eguard` is their guard bits.
+    `low` masks the exponent fields and `eguard` is their guard bits. Lex
+    has no weight rows, so its exponent fields are its order: e_1 sits in
+    the top field, and blocks compare as ints in lex order. An order with
+    weight rows (grevlex, ("elim", k)) decides every comparison on its
+    rows, since they determine the exponents, so e_1 sits in the lowest
+    field instead. Then in (block & span mask) * ones, with one bit at the
+    bottom of each exponent field, the fields lo .. hi - 1 of a span
+    [lo, hi) hold e_lo, e_lo + e_(lo+1), .., its degree: the span's rows,
+    most significant on top. One mask, multiply, mask and shift per span
+    (`weights`) moves them to the span's row fields, above the exponent
+    fields, the first span's rows topmost.
     """
 
-    __slots__ = ("bits", "limit", "guard", "low", "eguard", "shifts", "variables", "ones")
+    __slots__ = (
+        "bits", "limit", "guard", "low", "eguard", "shifts", "variables", "ones", "top", "spans"
+    )
 
     def __init__(self, spans, nvars, bits):
-        rows = _weight_rows(spans, nvars)
-        fields = len(rows) + nvars
+        fields = 2 * nvars if spans else nvars  # the spans' rows are one per variable
         self.bits = bits
         self.limit = (1 << (bits - 1)) - 1
-        self.guard = sum(1 << (bits * f + bits - 1) for f in range(fields))
+        self.guard = ((1 << bits * fields) - 1) // ((1 << bits) - 1) << (bits - 1)
         self.low = (1 << (bits * nvars)) - 1
         self.eguard = self.guard & self.low
-        self.shifts = tuple(bits * (nvars - 1 - i) for i in range(nvars))
-        self.ones = sum(1 << s for s in self.shifts)
-        tops = [bits * (fields - 1 - r) for r in range(len(rows))]
-        self.variables = tuple(
-            (1 << self.shifts[i]) + sum(row[i] << s for row, s in zip(rows, tops))
-            for i in range(nvars)
+        order = range(nvars) if spans else range(nvars - 1, -1, -1)
+        self.shifts = tuple(bits * f for f in order)
+        self.ones = self.eguard >> (bits - 1)
+        self.top = bits * max(nvars - 1, 0)
+        # (span mask, shift of its rows to their fields): the field f of the span lands
+        # in field f + 2n - hi - lo, so the last span's rows sit just above the exponents
+        self.spans = tuple(
+            (((1 << bits * (hi - lo)) - 1) << bits * lo, bits * (2 * nvars - hi - lo))
+            for lo, hi in spans
         )
+        self.variables = tuple(self.weights(1 << s) + (1 << s) for s in self.shifts)
+
+    def weights(self, block):
+        """The weight fields of an exponent block whose rows need no more than `bits` bits each."""
+        ones = self.ones
+        return sum(((block & mask) * ones & mask) << shift for mask, shift in self.spans)
 
     def pack(self, e):
         """The packed monomial of an exponent tuple whose fields fit."""
@@ -536,10 +569,10 @@ class _Packing:
         """The packed monomial of the lcm block of two fitting monomials; _Overflow if it does not fit.
 
         Each weight of the lcm is at most the sum of the two monomials'
-        weights, so a weight that does not fit sets its guard bit instead
-        of carrying.
+        weights, so it needs no more than `bits` bits, and a weight that
+        does not fit sets its guard bit instead of carrying.
         """
-        m = self.pack(self.unpack(block))
+        m = block + self.weights(block)
         if m & self.guard:
             raise _Overflow
         return m
@@ -547,10 +580,11 @@ class _Packing:
     def degree(self, block):
         """The degree of an exponent block whose degree fits one field.
 
-        In block * ones the field of e_1 collects e_1 + .. + e_n, and no
-        field carries, since each one's sum is at most the degree.
+        In block * ones the field n - 1 collects e_1 + .. + e_n in either
+        field order, and no field carries, since each one's sum is at most
+        the degree.
         """
-        return (block * self.ones >> self.shifts[0]) & self.limit
+        return (block * self.ones >> self.top) & self.limit
 
 
 def _field_max(spans, exponents):
@@ -752,6 +786,13 @@ def _groebner(ring, generators, order, known=None):
     return _widening(order, ring.nvars, [g.terms for g in generators], run, bits)
 
 
+def _polynomials(ring, packing, records):
+    """The monic polynomials of packed records."""
+    return [
+        _poly(ring, {packing.unpack(m): c for m, c in ((lt, 1),) + tail}) for lt, tail in records
+    ]
+
+
 def _element(ring, f):
     """f as a Polynomial of `ring`: a string is parsed in it.
 
@@ -800,11 +841,7 @@ class Ideal:
 
     def groebner(self):
         """The reduced Groebner basis, as a list of monic polynomials."""
-        packing, records = self._basis()
-        return [
-            _poly(self.ring, {packing.unpack(m): c for m, c in ((lt, 1),) + tail})
-            for lt, tail in records
-        ]
+        return _polynomials(self.ring, *self._basis())
 
     def normal_form(self, f):
         """The full remainder of f modulo the basis; wider fields than the cache's take repacked records."""
@@ -862,19 +899,24 @@ def ideal_sum(i: Ideal, j: Ideal) -> Ideal:
 
 
 def saturate(i: Ideal, f) -> Ideal:
-    """(i : f^infinity), computed with one extra elimination variable.
+    """(i : f^infinity), computed with one extra elimination variable t.
 
     The t-free elements of the reduced basis in the ("elim", 1) order are
     the reduced basis of the saturation in the order that order induces on
-    the remaining variables, which is grevlex. So a grevlex result keeps
-    them as its cached basis, and no second Buchberger runs on them.
+    the remaining variables, which is grevlex. They are the records whose
+    leader has no t, since t's weight row is the most significant. Their t
+    field is the lowest exponent field and their t row is zero, so one
+    shift down by a field leaves the grevlex packed monomial in fields of
+    the same width, and the records stay sorted. So a grevlex result keeps
+    them as its cached basis, and no second Buchberger runs on them; they
+    are unpacked once, for the generators.
     """
     ring = i.ring
     f = _element(ring, f)
     aux = "t_"
     while aux in ring.variables:
         aux += "_"
-    ext = PolyRing(ring.char, (aux,) + ring.variables)
+    ext = PolyRing._trusted(ring.char, (aux,) + ring.variables)
 
     def lift(poly):
         return _poly(ext, {(0,) + e: c for e, c in poly.terms.items()})
@@ -882,19 +924,17 @@ def saturate(i: Ideal, f) -> Ideal:
     t = ext.variable(aux)
     gens = [lift(g) for g in i.generators]
     gens.append(t * lift(f) - ext.one())
-    elim = Ideal(ext, gens, order=("elim", 1))
-    kept = []
-    for g in elim.groebner():
-        if all(e[0] == 0 for e in g.terms):
-            kept.append(_poly(ring, {e[1:]: c for e, c in g.terms.items()}))
-    out = Ideal(ring, kept, order=i.order)
+    elim, records = Ideal(ext, gens, order=("elim", 1))._basis()
+    bits, t_field = elim.bits, elim.limit
+    kept = tuple(
+        (lt >> bits, tuple((m >> bits, c) for m, c in tail))
+        for lt, tail in records
+        if not lt & t_field
+    )
+    packing = _Packing(_spans("grevlex", ring.nvars), ring.nvars, bits)
+    out = Ideal(ring, _polynomials(ring, packing, kept), order=i.order)
     if i.order == "grevlex":
-
-        def run(packing):
-            records = (_monic(packing.pack_terms(g.terms), ring.char) for g in kept)
-            return packing, tuple(sorted(records))
-
-        out._gb = _widening(i.order, ring.nvars, [g.terms for g in kept], run)
+        out._gb = packing, kept
     return out
 
 

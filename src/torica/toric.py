@@ -72,14 +72,15 @@ class ToricPresentation:
 
     @cached_property
     def _lifts(self):
-        """(column cone, grading, column grades, memo) of `lift_lattice_point`."""
+        """(column cone's dual generators, grading, column grades, memo) of `lift_lattice_point`."""
         cols = self.map.phi.columns()
         cone = Cone(self.map.phi.rows, cols)
         if not cone.is_strongly_convex():
             raise ValueError("lattice-point lifting needs a pointed column cone")
         weight = _grading(cone)
         grades = [_dot(weight, col) for col in cols]  # 0 only on a zero column
-        return cone, weight, grades, {(0,) * self.map.phi.rows: (0,) * len(cols)}
+        duals = cone.dual_generators()
+        return duals, weight, grades, {(0,) * self.map.phi.rows: (0,) * len(cols)}
 
     def lift_lattice_point(self, m):
         """Exponent tuple e with phi @ e == m, or None if m is not in the semigroup.
@@ -88,19 +89,21 @@ class ToricPresentation:
         column of higher grade than what is left, and the lift is that of the
         first column whose remainder lifts. The search is one loop over an
         explicit stack of [point, grade, next column], so deep lifts need no
-        recursion; a point is graded when first on top, -1 outside the cone.
+        recursion; a point is graded when first on top, -1 outside the cone,
+        which it is tested against directly by the dual generators.
         The memo, shared across calls, maps each settled point to its lift, or
         to None when the point has no lift; it starts with the origin.
         """
         m = _int_tuple(m, self.map.phi.rows)
         cols = self.map.phi.columns()
-        cone, weight, grades, memo = self._lifts
+        duals, weight, grades, memo = self._lifts
         stack = [[m, None, 0]]
         while m not in memo:
             top = stack[-1]
             v, gv, idx = top
             if gv is None:
-                gv = top[1] = _dot(weight, v) if cone.contains(v) else -1
+                inside = all(_dot(n, v) >= 0 for n in duals)
+                gv = top[1] = _dot(weight, v) if inside else -1
             while idx < len(cols) and not 0 < grades[idx] <= gv:
                 idx += 1
             if idx == len(cols):

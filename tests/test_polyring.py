@@ -684,6 +684,41 @@ def test_block_max_matches_tuple_max():
             assert at_limit and (overflows > 0) == bool(spans), (order, nvars)
 
 
+def test_packed_fields_weigh_by_one_multiply():
+    """In grevlex, lex and every ("elim", k) on 4 to 7 variables the packed fields read the order.
+
+    Packed ints compare as `order_key` does; the weights of a block, put
+    on by one multiply per span, give back its packed monomial; a block's
+    degree is one multiply and shift; and a weight one past the field limit
+    raises _Overflow instead of carrying.
+    """
+    rng = random.Random(20411)
+    for nvars in range(4, 8):
+        for order in ("grevlex", "lex") + tuple(("elim", k) for k in range(1, nvars)):
+            spans = polyring._spans(order, nvars)
+            key = polyring.order_key(order, nvars)
+            packing = polyring._Packing(spans, nvars, rng.choice((5, 8, 11)))
+            limit, low = packing.limit, packing.low
+            exps = [_fitting_exponents(rng, spans, nvars, limit) for _ in range(40)]
+            packed = [packing.pack(e) for e in exps]
+            for a, m in zip(exps, packed):
+                assert not m & packing.guard and packing.unpack(m) == a
+                assert packing.weighted(m & low) == m, (order, a)
+                if sum(a) <= limit:
+                    assert packing.degree(m & low) == sum(a), (order, a)
+                for b, n in zip(exps, packed):
+                    assert (m < n) == (key(a) < key(b)), (order, a, b)
+            wide = [(lo, hi) for lo, hi in spans if hi - lo > 1]
+            assert bool(wide) == (order != "lex")
+            for lo, hi in wide:
+                e = list(_fitting_exponents(rng, spans, nvars, limit))
+                e[lo:hi] = [limit, 0] + [0] * (hi - lo - 2)
+                e[rng.randrange(lo + 1, hi)] = 1  # the span's degree is limit + 1
+                block = sum(x << s for x, s in zip(e, packing.shifts))
+                with pytest.raises(polyring._Overflow):
+                    packing.weighted(block)
+
+
 def test_field_max_reads_span_degrees():
     """The widest field, read off the degrees of the spans, equals the max over every row and exponent."""
     rng = random.Random(20410)

@@ -228,13 +228,23 @@ def _square_maps():
 
 
 def test_saturation_keeps_its_elimination_basis():
-    """The basis `saturate` caches from its elimination equals one computed anew."""
+    """The basis `saturate` caches from its elimination equals one computed anew.
+
+    The cached records are the elimination records shifted down by the t
+    field, so each packed int must be the grevlex packing of its exponents.
+    The last map's exponents of 40 and more need fields wider than 8 bits.
+    """
     maps = _square_maps()
     assert len(maps) == 16
-    cases = [toric_ideal(m, p) for m in maps for p in (32003, 101, 3)] + [steinberg_ring_mod_l(101)]
+    wide = MonomialMap(IntMatrix.from_columns([(1, 0), (1, 1), (1, 39), (1, 40)]), ["a", "b", "c", "d"])
+    cases = [toric_ideal(m, p) for m in maps + [wide] for p in (32003, 101, 3)] + [steinberg_ring_mod_l(101)]
+    assert cases[-2].ideal._basis()[0].bits > 8
     for pres in cases:
         ideal = pres.ideal
         assert ideal._gb is not None  # filled by saturate, not by a later read
+        packing, records = ideal._basis()
+        for lt, tail in records:
+            assert all(m == packing.pack(packing.unpack(m)) for m in (lt,) + tuple(m for m, _ in tail))
         fresh = Ideal(ideal.ring, ideal.generators)
         assert ideal.groebner() == fresh.groebner(), pres
         assert ideal.leading_exponents() == fresh.leading_exponents(), pres
