@@ -16,24 +16,30 @@ Lattice points are held in slack coordinates: over a region
 {p : <n, p> + a >= 0}, p has the slack vector (<n, p> + a). p lies in the
 region when its slack is >= 0, its grade is the slack sum, and p - q lies in
 the cone exactly when slack(q) <= slack(p), as in monomial divisibility.
-`_minimal` is the one sieve on such keys, `_minimal_points` keys points for
-it, and one route, `_lattice_points`, where the dual algorithm of ROADMAP
-item 2 is to land, gives the candidates: a pulling triangulation of a
-pointed cone and each simplex's half-open parallelepiped, as in the primal
-algorithm of Normaliz (Bruns & Ichim, J. Algebra 2010). Hilbert bases use
-the cone itself, divisorial modules and local-cohomology witnesses the cone
-over their region (`_region_points`). The work is counted as it is done,
-against the one budget `_LATTICE_BUDGET`: the enumeration charges 1 per
-simplex and each parallelepiped level's partial nodes, the sieve 1 per
-dominance test, each in its own count. `charge` raises `BudgetExceeded`,
-naming the counter, on a count that would pass it.
+A slack vector is one packed int (`_packing`), its fields topped by guard
+bits and its sum in the top field, the way `polyring` packs exponent
+vectors, so a dominance test is one subtract and one mask. `_minimal` is
+the one sieve on such keys, and one route, `_lattice_points`, where the
+dual algorithm of ROADMAP item 2 is to land, gives the candidates: a
+pulling triangulation of a pointed cone and each simplex's half-open
+parallelepiped, as in the primal algorithm of Normaliz (Bruns & Ichim, J.
+Algebra 2010). A candidate carries its packed slack, built by one
+multiply-add per parallelepiped node, and its coefficients over its
+simplex; the point is rebuilt (`_point`) only when the sieve keeps it or a
+witness search takes it. Hilbert bases use the cone itself, divisorial
+modules and local-cohomology witnesses the cone over their region
+(`_region_lattice`). Points given as tuples are keyed by `_minimal_points`
+through `_keyed`. The work is counted as it is done, against the one
+budget `_LATTICE_BUDGET`: the enumeration charges 1 per simplex and each
+parallelepiped level's partial nodes, the sieve 1 per dominance test, each
+in its own count. `charge` raises `BudgetExceeded`, naming the counter, on
+a count that would pass it.
 """
 
 from __future__ import annotations
 
 from itertools import product as iproduct
 from math import gcd, prod
-from operator import le
 
 from .errors import NotPointed, NotStronglyConvex, charge
 from .zlinalg import IntMatrix, _dot, _echelon, _int_tuple, kernel_basis, lattice_member, rank
@@ -47,6 +53,8 @@ _SIEVE = "minimal sieve ran {count} dominance tests, over its budget of {budget}
 
 def _primitive(vec):
     g = gcd(*vec)
+    if g == 1:
+        return tuple(vec)
     return tuple(x // g for x in vec) if g else None
 
 
@@ -80,8 +88,42 @@ def _pulling(face, facet_masks, dim):
                 yield low | simplex
 
 
-def _parallelepiped(gens, heights=None, spent=0):
-    """(points, spent) for the lattice points sum(l_i g_i), l in [0, 1)^r, of independent gens.
+def _packing(rows, bound):
+    """(keys, shift, guard): each row, of entries in [0, bound], packed into one int.
+
+    Field j of a key holds entry j in w = bound.bit_length() + 1 bits, the
+    top one a guard bit, and the bits from `shift` up hold the row's sum,
+    its degree, unguarded. Packing is Z-linear, so a combination of keys
+    is the key of the same combination of rows, and while each field of
+    two keys stays in [0, bound], key - k has no guard bit set exactly when
+    every field of key is >= k's: the lowest field that falls short borrows
+    and sets its guard bit.
+    """
+    w = bound.bit_length() + 1
+    shift = len(rows[0]) * w
+    offsets = range(0, shift, w)
+    guard = sum(1 << (j + w - 1) for j in offsets)
+    keys = [sum(x << j for j, x in zip(offsets, row)) + (sum(row) << shift) for row in rows]
+    return keys, shift, guard
+
+
+def _keyed(pairs):
+    """(items, shift, guard) for `_minimal` from (tuple key, value) pairs.
+
+    Each field is shifted by its minimum over the keys before `_packing`,
+    which moves every key sum by one constant and keeps every dominance.
+    """
+    pairs = list(pairs)
+    if not pairs:
+        return [], 0, 0
+    lows = [min(field) for field in zip(*(k for k, _ in pairs))]
+    rows = [[x - low for x, low in zip(k, lows)] for k, _ in pairs]
+    keys, shift, guard = _packing(rows, max((x for row in rows for x in row), default=0))
+    return [(key, value) for key, (_, value) in zip(keys, pairs)], shift, guard
+
+
+def _parallelepiped(gens, slacks, heights=None, spent=0):
+    """(items, spent) for the lattice points sum(l_i g_i), l in [0, 1)^r, of independent gens.
 
     With H the Hermite form `_echelon` gives of G^T, so T @ G^T == H for a
     unimodular T that is not needed, the point c·G / N, c in [0, N)^r, is in
@@ -96,19 +138,25 @@ def _parallelepiped(gens, heights=None, spent=0):
     height is left. Each level adds its partial nodes to `spent`, the
     caller's count, and a level that would take it past the budget raises
     BudgetExceeded before its nodes are built.
+
+    A node carries sum(c_k P_k) over the packed slack keys P_k of `slacks`,
+    one multiply-add per node. That sum packs N times the point's slack,
+    every field a multiple of N, so an item is (its sum // N, c, (columns
+    of G, N)): the key, exact field by field, and what `_point` rebuilds
+    the point from, which only kept items need.
     """
     r = len(gens)
     columns = list(zip(*gens))
     h = _echelon(columns, r)[0]
     n = prod(h[i][i] for i in range(r))
     q = heights or (0,) * r
-    partial = [((), 0)]  # (c_i, .., c_{r-1}), sum of their c_k q_k
+    partial = [((), 0, 0)]  # (c_i, .., c_{r-1}), sum of their c_k q_k, sum of their c_k P_k
     for i in reversed(range(r)):
         step = n // h[i][i]
-        row, qi, room = h[i][i + 1 :], q[i], _LATTICE_BUDGET - spent
+        row, qi, pi, room = h[i][i + 1 :], q[i], slacks[i], _LATTICE_BUDGET - spent
         last = heights is not None and not any(q[:i])  # the height is final after this level
         grown = []
-        for tail, height in partial:
+        for tail, height, key in partial:
             cs = range(-_dot(row, tail) // h[i][i] % step, n, step)
             if qi:
                 cs = range(cs.start, min(n, (n - height) // qi + 1), step)
@@ -119,32 +167,55 @@ def _parallelepiped(gens, heights=None, spent=0):
             size = max(0, (cs.stop - cs.start + step - 1) // step)  # len(cs) may pass a C ssize_t
             if len(grown) + size > room:
                 charge(spent + len(grown) + size, _LATTICE_BUDGET, _TRIANGULATION)
-            grown += [((c,) + tail, height + c * qi) for c in cs]
+            grown += [((c,) + tail, height + c * qi, key + c * pi) for c in cs]
         spent += len(grown)
         partial = grown
-    return [tuple(_dot(c, col) // n for col in columns) for c, _ in partial], spent
+    basis = (columns, n)
+    return [(key // n, c, basis) for c, _, key in partial], spent
+
+
+def _point(c, basis):
+    """The lattice point c·G / N of a `_lattice_points` item, its basis being (columns of G, N)."""
+    columns, n = basis
+    return tuple(_dot(c, col) // n for col in columns)
 
 
 def _lattice_points(rays, normals, heights=None):
-    """Yield the rays, then each simplex's parallelepiped points, of the cone on `rays`.
+    """(items, shift, guard) of the rays, then each simplex's parallelepiped points.
 
-    The cone is pointed and cut out by `normals`, so it spans the orthogonal
-    of those tight on every ray. A simplex of its pulling triangulation is
-    charged 1, and `_parallelepiped` its nodes, against `_LATTICE_BUDGET`.
-    With `heights`, one per ray, only points at height 1 are given.
+    The cone on `rays` is pointed and cut out by `normals`, so it spans the
+    orthogonal of those tight on every ray. The slack rows S_i =
+    (<n_j, r_i>)_j of the rays are computed once: they give the tight masks,
+    and `_packing` packs them with bound sum(S), which no parallelepiped
+    point passes in any field, since its slack is sum(l_i S_i), l in
+    [0, 1)^r. The items are (key, c, basis) as `_parallelepiped` gives them,
+    a ray being c = (1,) over itself, and come lazily: a simplex of the
+    pulling triangulation is charged 1, and `_parallelepiped` its nodes,
+    against `_LATTICE_BUDGET` only when reached. With `heights`, one per
+    ray, only points at height 1 are given.
     """
-    yield from rays if heights is None else (r for r, h in zip(rays, heights) if h == 1)
-    full = (1 << len(rays)) - 1
-    masks = _tight(normals, rays)
-    tight = [u for u, z in zip(normals, masks) if z == full]
-    dim = len(rays[0]) - rank(IntMatrix._trusted(tight, len(rays[0])))
-    spent = 0
-    for simplex in _pulling(full, masks, dim):
-        chosen = [i for i in range(len(rays)) if simplex >> i & 1]
-        sub_heights = None if heights is None else [heights[i] for i in chosen]
-        spent = charge(spent + 1, _LATTICE_BUDGET, _TRIANGULATION)
-        found, spent = _parallelepiped([rays[i] for i in chosen], sub_heights, spent)
-        yield from found
+    slacks = [[_dot(u, r) for u in normals] for r in rays]
+    keys, shift, guard = _packing(slacks, sum(map(sum, slacks)))
+
+    def items():
+        for i, ray in enumerate(rays):
+            if heights is None or heights[i] == 1:
+                yield keys[i], (1,), (list(zip(ray)), 1)
+        full = (1 << len(rays)) - 1
+        masks = [sum(1 << i for i, x in enumerate(column) if not x) for column in zip(*slacks)]
+        tight = [u for u, z in zip(normals, masks) if z == full]
+        dim = len(rays[0]) - rank(IntMatrix._trusted(tight, len(rays[0])))
+        spent = 0
+        for simplex in _pulling(full, masks, dim):
+            chosen = [i for i in range(len(rays)) if simplex >> i & 1]
+            sub_heights = None if heights is None else [heights[i] for i in chosen]
+            spent = charge(spent + 1, _LATTICE_BUDGET, _TRIANGULATION)
+            found, spent = _parallelepiped(
+                [rays[i] for i in chosen], [keys[i] for i in chosen], sub_heights, spent
+            )
+            yield from found
+
+    return items(), shift, guard
 
 
 def _region_cone(normals, coeffs):
@@ -161,51 +232,76 @@ def _region_cone(normals, coeffs):
     return rows, sorted(_double_description(rows, len(rows[0]))[1], key=lambda r: r[-1])
 
 
-def _region_points(normals, coeffs):
-    """Yield lattice points m of the region {m : <m, u> + a >= 0}, enough to generate it.
+def _region_lattice(normals, coeffs):
+    """`_lattice_points` at height 1 of the cone over the region {m : <m, u> + a >= 0}.
 
     A height-1 point of the region's cone is p + sum(n_i g_i) over a simplex
     of its pulling triangulation, p in the parallelepiped. Either p has
     height 1, or one g_i is (v, 1) for an integral vertex v and the rest lies
-    in the recession cone. So the height-1 points of `_lattice_points` hold
-    every minimal point. An empty region gives none.
+    in the recession cone. So these items hold every minimal point (m, 1),
+    keyed by the region rows' slacks (<m, u> + a, 1). An empty region gives
+    none.
     """
     rows, hom = _region_cone(normals, coeffs)
     heights = [r[-1] for r in hom]
-    if any(heights):
-        yield from (p[:-1] for p in _lattice_points(hom, rows, heights))
+    return _lattice_points(hom, rows, heights) if any(heights) else ((), 0, 0)
 
 
-def _minimal(items):
-    """Values of the (key, value) pairs whose key is >= no other key, by key sum.
+def _region_points(normals, coeffs):
+    """Lattice points m of the region, in `_region_lattice`'s order, each rebuilt when reached."""
+    return (_point(c, basis)[:-1] for _, c, basis in _region_lattice(normals, coeffs)[0])
 
-    Its one library caller, `_minimal_points`, keys each point by its
-    pairings with the rays, so it keeps the points no other point can be
-    taken from. A key can only be >= keys of smaller sum, and testing the
-    kept ones suffices, since a dropped key is >= a kept one. A repeated
-    key keeps its first value. Each candidate is charged one dominance test
-    per kept key, and BudgetExceeded is raised once the tests would pass
-    `_LATTICE_BUDGET`.
+
+def _region_generators(normals, coeffs):
+    """The minimal lattice points of the region, sorted: `_kept_points` of `_region_lattice`."""
+    return [p[:-1] for p in _kept_points(*_region_lattice(normals, coeffs))]
+
+
+def _minimal(items, shift, guard):
+    """The items whose packed key is >= no other item's key, in order of key degree.
+
+    Keys come from `_packing`, or from `_keyed` for tuple keys: the sort is
+    stable by the degree `key >> shift`, and key >= k in every field when
+    (key - k) & guard is 0. For slack keys it keeps the points no other
+    point can be taken from. A key can only be >= keys of smaller degree,
+    and testing the kept ones suffices, since a dropped key is >= a kept
+    one. A repeated key keeps its first item. Each candidate is charged one
+    dominance test per kept key, and BudgetExceeded is raised once the tests
+    would pass `_LATTICE_BUDGET`.
     """
-    kept, tests = [], 0
-    for key, value in sorted(items, key=lambda kv: sum(kv[0])):
-        tests = charge(tests + len(kept), _LATTICE_BUDGET, _SIEVE)
-        if not any(all(map(le, k, key)) for k, _ in kept):
-            kept.append((key, value))
-    return [value for _, value in kept]
+    kept, keys, tests = [], [], 0
+    for item in sorted(items, key=lambda item: item[0] >> shift):
+        key = item[0]
+        tests = charge(tests + len(keys), _LATTICE_BUDGET, _SIEVE)
+        for k in keys:
+            if not (key - k) & guard:
+                break
+        else:
+            keys.append(key)
+            kept.append(item)
+    return kept
+
+
+def _kept_points(items, shift, guard):
+    """The points of the nonzero `_lattice_points` items `_minimal` keeps, rebuilt and sorted."""
+    kept = _minimal((item for item in items if item[0]), shift, guard)
+    return sorted(_point(c, basis) for _, c, basis in kept)
 
 
 def _minimal_points(points, normals):
-    """The points no other can be taken from, sorted, by `_minimal` on keys (<n, p>).
+    """The points no other can be taken from, sorted, by `_minimal` on `_keyed` keys (<n, p>)."""
+    pairs = ((tuple(_dot(n, p) for n in normals), p) for p in points)
+    return sorted(value for _, value in _minimal(*_keyed(pairs)))
 
-    These differ from the slack (<n, p> + a) by a constant, which keeps their order and sums'.
+
+def _eliminate(a, k, s, v):
+    """The primitive vector s v - <a, v> k, s = <a, k> > 0, on the hyperplane <a, x> = 0.
+
+    A primitive v already on it is that vector, so it is returned as it is.
     """
-    return sorted(_minimal((tuple(_dot(n, p) for n in normals), p) for p in points))
-
-
-def _eliminate(a, k, v):
-    """The primitive vector <a, k> v - <a, v> k, which lies on the hyperplane <a, x> = 0."""
-    s, t = _dot(a, k), _dot(a, v)
+    t = _dot(a, v)
+    if not t:
+        return v
     return _primitive([s * x - t * y for x, y in zip(v, k)])
 
 
@@ -224,21 +320,24 @@ def _double_description(rows, d):
     rays = []  # (ray, bit mask of the rows it is tight on)
     for i, a in enumerate(rows):
         bit = 1 << i
-        k = next((k for k in lineality if _dot(a, k)), None)
-        if k is not None:
+        pivot = next(((s, k) for k in lineality if (s := _dot(a, k))), None)
+        if pivot is not None:
+            s, k = pivot
             lineality.remove(k)
-            k = k if _dot(a, k) > 0 else tuple(-x for x in k)
-            lineality = [_eliminate(a, k, v) for v in lineality]
-            rays = [(_eliminate(a, k, r), z | bit) for r, z in rays] + [(k, bit - 1)]
+            if s < 0:
+                s, k = -s, tuple(-x for x in k)
+            lineality = [_eliminate(a, k, s, v) for v in lineality]
+            rays = [(_eliminate(a, k, s, r), z | bit) for r, z in rays] + [(k, bit - 1)]
             continue
         sides = [(r, z, _dot(a, r)) for r, z in rays]
         kept = [(r, z | bit if t == 0 else z) for r, z, t in sides if t >= 0]
         need = d - len(lineality) - 2
+        pos = [(p, zp, t) for p, zp, t in sides if t > 0]
         neg = [(n, zn) for n, zn, t in sides if t < 0]
-        for (p, zp), (n, zn) in iproduct([(p, zp) for p, zp, t in sides if t > 0], neg):
+        for (p, zp, s), (n, zn) in iproduct(pos, neg):
             common = zp & zn
             if common.bit_count() >= need and sum(z & common == common for _, z in rays) == 2:
-                kept.append((_eliminate(a, p, n), common | bit))
+                kept.append((_eliminate(a, p, s, n), common | bit))
         rays = kept
     return lineality, [r for r, _ in rays]
 
@@ -397,18 +496,18 @@ class Cone:
 
         Every irreducible element of a simplicial cone is one of its rays or
         a point of its half-open parallelepiped, so the nonzero points of
-        `_lattice_points` go through `_minimal_points` over the dual
-        generators (Bruns & Ichim, J. Algebra 2010). Both count their work
-        against `_LATTICE_BUDGET` and raise BudgetExceeded past it.
+        `_lattice_points`, keyed by their slacks over the dual generators,
+        go through `_kept_points` (Bruns & Ichim, J. Algebra 2010). Both
+        count their work against `_LATTICE_BUDGET` and raise BudgetExceeded
+        past it.
         """
         if not self.is_strongly_convex():
             raise NotPointed("Hilbert basis requires a cone with no line")
         rays = self.rays()
         if not rays:
             return Semigroup(self.ambient_dim, [])
-        duals = self.dual_generators()
-        points = (p for p in _lattice_points(rays, duals) if any(p))
-        return Semigroup(self.ambient_dim, _minimal_points(points, duals))
+        points = _kept_points(*_lattice_points(rays, self.dual_generators()))
+        return Semigroup(self.ambient_dim, points)
 
 
 def _placed(vectors, at, d):

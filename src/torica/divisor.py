@@ -12,11 +12,12 @@ coordinates so that factor classes stay visible.
 
 Divisorial modules O(D) are handled through their lattice regions
 {m : <m, u_rho> + a_rho >= 0} = conv(V) + sigma^dual, V the region's
-vertices. Their minimal generators are `cone._minimal_points` of
-`cone._region_points`, the integral vertices and height-1 parallelepiped
-points of the cone over the region, drawn from `cone._lattice_points`, the
-one lattice route, which Hilbert bases use too. A change of lattice
-algorithm (ROADMAP item 2) lands there, not here.
+vertices. Their minimal generators are `cone._region_generators`: the
+integral vertices and height-1 parallelepiped points of the cone over the
+region, drawn from `cone._lattice_points`, the one lattice route, which
+Hilbert bases use too, keyed by their packed slacks over the region's rows
+and sieved by `cone._minimal` before any point is rebuilt. A change of
+lattice algorithm (ROADMAP item 2) lands there, not here.
 
 Ring presentations are built when first read, and their ideals when those
 are, so class groups, module generators, multiplicities and the MCM scan
@@ -44,7 +45,7 @@ from itertools import accumulate, chain, islice, product as iproduct
 
 from .cone import (
     Cone, Semigroup, _dot, _embedded, _grading, _minimal_points, _placed, _product, _region_cone,
-    _region_points, _tight,
+    _region_generators, _region_points, _tight,
 )
 from .errors import NonUnique, NoSolution, VarietyMismatch, charge
 from .polyring import PolyRing, module_regular_sequence
@@ -576,7 +577,7 @@ def module_generators(v: ToricVariety, d: TorusDivisor) -> DivisorialModule:
         factor_gens = [module_generators(f, df).generators for f, df in zip(v.factors, parts)]
         # the factor blocks are contiguous and in factor order, so a generator concatenates
         return DivisorialModule(d, sorted(sum(combo, ()) for combo in iproduct(*factor_gens)))
-    return DivisorialModule(d, _minimal_points(_region_points(v.rays, d.coeffs), v.rays))
+    return DivisorialModule(d, _region_generators(v.rays, d.coeffs))
 
 
 def multiplicity(v: ToricVariety) -> int:
@@ -677,7 +678,8 @@ def _local_cohomology_witness(v: ToricVariety, d: TorusDivisor):
     H_0 != 0. For each other S, whose signed rays `v._non_arcs` lists once
     per variety, the region {<m, u_i> + a_i >= 0 for i in S, <= -1
     otherwise} is searched for its first lattice point, drawn from
-    `_region_points` as module generators are. The answer is None exactly
+    `_region_points` by the route module generators take, and only that
+    point is rebuilt from its coefficients. The answer is None exactly
     when O(D) is MCM. Another dimension is refused with `_non_arcs`'
     ValueError, and a search that would exceed the lattice budget raises
     BudgetExceeded.

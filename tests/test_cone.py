@@ -4,11 +4,15 @@ import random
 import time
 from itertools import combinations, product as iproduct
 from math import gcd
+from operator import le
 
 import pytest
 
 from torica import BudgetExceeded, Cone, NotPointed, NotStronglyConvex, Semigroup
-from torica.cone import dual_cone, hilbert_basis, is_strongly_convex, rays
+import torica.cone as cone_module
+from torica.cone import (
+    _keyed, _lattice_points, _minimal, _point, dual_cone, hilbert_basis, is_strongly_convex, rays,
+)
 from torica.zlinalg import IntMatrix, hermite_normal_form, kernel_basis, lattice_member, rank
 
 from suites import biduality_suite
@@ -396,6 +400,96 @@ def test_hilbert_basis_over_budget_raises_before_scanning():
             f"triangulation counted {t + 1} simplices and parallelepiped nodes, "
             "over its budget of 1000000"
         )
+
+
+def _fields(key, shift, count):
+    """The `count` fields and the degree of a packed key whose fields share `shift` evenly."""
+    w = shift // count
+    return [key >> j * w & (1 << w) - 1 for j in range(count)], key >> shift
+
+
+def test_slack_keys_decode_to_the_slacks_of_their_points():
+    """Every packed key of a simplex's points is its point's slack vector, guard bits clear.
+
+    Seeded simplices in dimensions 2 to 4, with and without heights (the
+    last coordinate, as over a region). Besides the facet normals, one
+    normal is a seeded multiple of a facet normal, so its column dominates
+    the width bound, the sum of all ray slacks, and the points' fields
+    reach the bit below each guard bit; in half the cases another facet
+    normal is added to it, so its column is nonzero on two rays and a
+    point's field can pass every single ray slack. A narrower field, or a
+    guard bit elsewhere, fails here.
+    """
+    rng = random.Random(37)
+    reached = {False: 0, True: 0}
+    for case in range(400):
+        with_heights = case % 2 == 1
+        dim = rng.randint(2, 4)
+        drawn = [
+            tuple(rng.randint(-3, 3) for _ in range(dim - 1))
+            + (rng.randint(0, 3) if with_heights else rng.randint(-3, 3),)
+            for _ in range(dim)
+        ]
+        cone = Cone(dim, drawn)
+        if len(cone.generators) != dim or cone.dim() != dim or not cone.is_strongly_convex():
+            continue
+        simplex, duals = list(cone.rays()), list(cone.dual_generators())
+        factor, (a, b) = rng.randint(1, 9), rng.sample(duals, 2)
+        b = b if case % 4 > 1 else (0,) * dim
+        normals = duals + [tuple(factor * x + y for x, y in zip(a, b))]
+        heights = [r[-1] for r in simplex] if with_heights else None
+        if with_heights and not any(heights):
+            continue
+        items, shift, guard = _lattice_points(simplex, normals, heights)
+        w = shift // len(normals)
+        assert shift == w * len(normals)
+        assert guard == sum(1 << j * w + w - 1 for j in range(len(normals)))
+        top = 0
+        for key, c, basis in items:
+            p = _point(c, basis)
+            slack = [sum(x * y for x, y in zip(n, p)) for n in normals]
+            assert key & guard == 0, (simplex, normals, p)
+            assert _fields(key, shift, len(normals)) == (slack, sum(slack)), (simplex, normals, p)
+            assert not with_heights or p[-1] == 1
+            top = max(top, *slack)
+        reached[with_heights] += top.bit_length() == w - 1
+    assert reached[False] >= 40 and reached[True] >= 20, reached
+
+
+def _reference_minimal(pairs):
+    """(kept values, dominance tests): the sieve on tuple keys, by key sum, one test per kept key."""
+    kept, tests = [], 0
+    for key, value in sorted(pairs, key=lambda kv: sum(kv[0])):
+        tests += len(kept)
+        if not any(all(map(le, k, key)) for k, _ in kept):
+            kept.append((key, value))
+    return [value for _, value in kept], tests
+
+
+def test_packed_sieve_matches_the_tuple_key_sieve(monkeypatch):
+    """`_minimal` on `_keyed` keys keeps the values, in order, and charges the tests of a tuple sieve.
+
+    Seeded keys of 0 to 5 fields with negative entries, repeats and, in one
+    case of four, entries up to 10^6 in size, so fields of many widths meet.
+    """
+    charged = []
+
+    def recorded(count, budget, message):
+        charged.append(count)
+        return count
+
+    monkeypatch.setattr(cone_module, "charge", recorded)
+    rng = random.Random(61)
+    for case in range(400):
+        nfields = rng.randint(0, 5)
+        span = 10**6 if case % 4 == 0 else rng.randint(1, 6)
+        pool = [tuple(rng.randint(-span, span) for _ in range(nfields)) for _ in range(rng.randint(1, 12))]
+        pairs = [(rng.choice(pool), i) for i in range(rng.randint(0, 40))]
+        charged.clear()
+        got = [value for _, value in _minimal(*_keyed(pairs))]
+        values, tests = _reference_minimal(pairs)
+        assert got == values, pairs
+        assert (charged[-1] if charged else 0) == tests, pairs
 
 
 def test_semigroup_json():

@@ -27,7 +27,7 @@ from torica import (
     steinberg_multiplicity,
 )
 from torica import cone, divisor, polyring
-from torica.cone import _minimal
+from torica.cone import _keyed, _minimal
 from torica.polyring import Polynomial, _divides
 from torica.zlinalg import _add, _sub
 
@@ -285,7 +285,7 @@ def test_minimal_monomials_match_divisibility_sieve():
         nvars = rng.randint(1, 4)
         gens = [tuple(rng.randint(0, 4) for _ in range(nvars)) for _ in range(rng.randint(0, 8))]
         minimal = [g for g in set(gens) if not any(h != g and _divides(h, g) for h in gens)]
-        got = _minimal((g, g) for g in gens)
+        got = [g for _, g in _minimal(*_keyed((g, g) for g in gens))]
         assert sorted(got) == sorted(minimal)
         assert [sum(g) for g in got] == sorted(sum(g) for g in got)
 
@@ -307,7 +307,8 @@ def _tuple_monomial_numerator(gens, memo):
     for j in range(start, len(gens)):
         m = gens[j]
         colon = [tuple(max(x - y, 0) for x, y in zip(g, m)) for g in gens[:j]]
-        shifted = [0] * sum(m) + _tuple_monomial_numerator(_minimal((c, c) for c in colon), memo)
+        kept = [c for _, c in _minimal(*_keyed((c, c) for c in colon))]
+        shifted = [0] * sum(m) + _tuple_monomial_numerator(kept, memo)
         result = [x - y for x, y in zip_longest(result, shifted, fillvalue=0)]
         while result and result[-1] == 0:
             result.pop()
@@ -559,7 +560,7 @@ def test_budget_messages_are_pinned_byte_for_byte(monkeypatch):
         (
             # keys of sums 2, 2, 2, 6 are charged 0, 1, 2 and 3 dominance tests
             (cone, "_LATTICE_BUDGET", 3),
-            lambda: _minimal([((0, 2), 1), ((1, 1), 2), ((2, 0), 3), ((3, 3), 4)]),
+            lambda: _minimal(*_keyed([((0, 2), 1), ((1, 1), 2), ((2, 0), 3), ((3, 3), 4)])),
             "minimal sieve ran 6 dominance tests, over its budget of 3",
             3,
         ),
