@@ -29,11 +29,11 @@ simplex; the point is rebuilt (`_point`) only when the sieve keeps it or a
 witness search takes it. Hilbert bases use the cone itself, divisorial
 modules and local-cohomology witnesses the cone over their region
 (`_region_lattice`). Points given as tuples are keyed by `_minimal_points`
-through `_keyed`. The work is counted as it is done, against the one
-budget `_LATTICE_BUDGET`: the enumeration charges 1 per simplex and each
-parallelepiped level's partial nodes, the sieve 1 per dominance test, each
-in its own count. `charge` raises `BudgetExceeded`, naming the counter, on
-a count that would pass it.
+through `_keyed`. The work is counted as it is done, in two counts: the
+enumeration charges 1 per simplex and each parallelepiped level's partial
+nodes to `cone.triangulation`, the sieve 1 per dominance test to
+`cone.sieve` (`errors.BUDGETS`). Each raises `BudgetExceeded`, naming its
+counter, on a count that would pass its limit.
 """
 
 from __future__ import annotations
@@ -41,14 +41,8 @@ from __future__ import annotations
 from itertools import product as iproduct
 from math import gcd, prod
 
-from .errors import NotPointed, NotStronglyConvex, charge
+from .errors import SIEVE, TRIANGULATION, NotPointed, NotStronglyConvex
 from .zlinalg import IntMatrix, _dot, _echelon, _int_tuple, kernel_basis, lattice_member, rank
-
-_LATTICE_BUDGET = 10**6
-_TRIANGULATION = (
-    "triangulation counted {count} simplices and parallelepiped nodes, over its budget of {budget}"
-)
-_SIEVE = "minimal sieve ran {count} dominance tests, over its budget of {budget}"
 
 
 def _primitive(vec):
@@ -150,10 +144,11 @@ def _parallelepiped(gens, slacks, heights=None, spent=0):
     h = _echelon(columns, r)[0]
     n = prod(h[i][i] for i in range(r))
     q = heights or (0,) * r
+    limit = TRIANGULATION.limit
     partial = [((), 0, 0)]  # (c_i, .., c_{r-1}), sum of their c_k q_k, sum of their c_k P_k
     for i in reversed(range(r)):
         step = n // h[i][i]
-        row, qi, pi, room = h[i][i + 1 :], q[i], slacks[i], _LATTICE_BUDGET - spent
+        row, qi, pi, room = h[i][i + 1 :], q[i], slacks[i], limit - spent
         last = heights is not None and not any(q[:i])  # the height is final after this level
         grown = []
         for tail, height, key in partial:
@@ -166,7 +161,7 @@ def _parallelepiped(gens, slacks, heights=None, spent=0):
                     continue
             size = max(0, (cs.stop - cs.start + step - 1) // step)  # len(cs) may pass a C ssize_t
             if len(grown) + size > room:
-                charge(spent + len(grown) + size, _LATTICE_BUDGET, _TRIANGULATION)
+                TRIANGULATION.charge(spent + len(grown) + size)
             grown += [((c,) + tail, height + c * qi, key + c * pi) for c in cs]
         spent += len(grown)
         partial = grown
@@ -190,8 +185,8 @@ def _lattice_points(rays, normals, heights=None):
     point passes in any field, since its slack is sum(l_i S_i), l in
     [0, 1)^r. The items are (key, c, basis) as `_parallelepiped` gives them,
     a ray being c = (1,) over itself, and come lazily: a simplex of the
-    pulling triangulation is charged 1, and `_parallelepiped` its nodes,
-    against `_LATTICE_BUDGET` only when reached. With `heights`, one per
+    pulling triangulation is charged 1, and `_parallelepiped` its nodes, to
+    `cone.triangulation` only when reached. With `heights`, one per
     ray, only points at height 1 are given.
     """
     slacks = [[_dot(u, r) for u in normals] for r in rays]
@@ -209,7 +204,7 @@ def _lattice_points(rays, normals, heights=None):
         for simplex in _pulling(full, masks, dim):
             chosen = [i for i in range(len(rays)) if simplex >> i & 1]
             sub_heights = None if heights is None else [heights[i] for i in chosen]
-            spent = charge(spent + 1, _LATTICE_BUDGET, _TRIANGULATION)
+            spent = TRIANGULATION.charge(spent + 1)
             found, spent = _parallelepiped(
                 [rays[i] for i in chosen], [keys[i] for i in chosen], sub_heights, spent
             )
@@ -267,12 +262,12 @@ def _minimal(items, shift, guard):
     and testing the kept ones suffices, since a dropped key is >= a kept
     one. A repeated key keeps its first item. Each candidate is charged one
     dominance test per kept key, and BudgetExceeded is raised once the tests
-    would pass `_LATTICE_BUDGET`.
+    would pass the `cone.sieve` budget.
     """
     kept, keys, tests = [], [], 0
     for item in sorted(items, key=lambda item: item[0] >> shift):
         key = item[0]
-        tests = charge(tests + len(keys), _LATTICE_BUDGET, _SIEVE)
+        tests = SIEVE.charge(tests + len(keys))
         for k in keys:
             if not (key - k) & guard:
                 break
@@ -498,8 +493,8 @@ class Cone:
         a point of its half-open parallelepiped, so the nonzero points of
         `_lattice_points`, keyed by their slacks over the dual generators,
         go through `_kept_points` (Bruns & Ichim, J. Algebra 2010). Both
-        count their work against `_LATTICE_BUDGET` and raise BudgetExceeded
-        past it.
+        count their work, against `cone.triangulation` and `cone.sieve`,
+        and raise BudgetExceeded past either.
         """
         if not self.is_strongly_convex():
             raise NotPointed("Hilbert basis requires a cone with no line")

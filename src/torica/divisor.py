@@ -34,8 +34,8 @@ witness, so no window is chosen. The witness search and that proof read
 one table of the non-arc ray subsets and their signed rays
 (`ToricVariety._non_arcs`) and one class generator r, class k being k·r,
 so the two cannot drift apart. Only the classes without a witness have
-their generators enumerated. The scan charges its class count against
-`_SCAN_BUDGET` before the first class.
+their generators enumerated. The scan charges its class count to
+`divisor.scan` before the first class.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .cone import (
     Cone, Semigroup, _dot, _embedded, _grading, _minimal_points, _placed, _product, _region_cone,
     _region_generators, _region_points, _tight,
 )
-from .errors import NonUnique, NoSolution, VarietyMismatch, charge
+from .errors import SCAN, NonUnique, NoSolution, VarietyMismatch
 from .polyring import PolyRing, module_regular_sequence
 from .toric import (
     PHI_COLUMNS,
@@ -57,10 +57,6 @@ from .toric import (
     steinberg_ring_mod_l,
 )
 from .zlinalg import IntMatrix, _add, _int_tuple, _sub, invert_unimodular, smith_normal_form
-
-_SCAN_BUDGET = 10**5
-_SCAN = "mcm scan spans {count} classes, over its budget of {budget}"
-
 
 class ToricVariety:
     """Normal affine toric variety: a pointed full-dimensional cone and its parts.
@@ -681,8 +677,8 @@ def _local_cohomology_witness(v: ToricVariety, d: TorusDivisor):
     `_region_points` by the route module generators take, and only that
     point is rebuilt from its coefficients. The answer is None exactly
     when O(D) is MCM. Another dimension is refused with `_non_arcs`'
-    ValueError, and a search that would exceed the lattice budget raises
-    BudgetExceeded.
+    ValueError, and a search past `cone.triangulation` or `cone.sieve`
+    raises BudgetExceeded.
     """
     for signs, signed in v._non_arcs:
         coeffs = [s * a + (s - 1) // 2 for a, s in zip(d.coeffs, signs)]
@@ -702,14 +698,14 @@ def enumerate_mcm_rank_one_candidates(v: ToricVariety):
     with. In dimension 3 the witness decides MCM exactly, and every class
     outside the bounds has one, so these are all the MCM classes; only
     their generators are enumerated. Another class group or dimension is a
-    ValueError, and a scan of more than `_SCAN_BUDGET` classes raises
+    ValueError, and a scan of more classes than `divisor.scan` allows raises
     BudgetExceeded before the first.
     """
     cg = v.class_group()
     if cg.free_rank != 1 or cg.torsion:
         raise ValueError("scan expects an infinite cyclic class group")
     lo, hi = v._scan_bounds
-    charge(hi - lo - 1, _SCAN_BUDGET, _SCAN)
+    SCAN.charge(hi - lo - 1)
     r = v._class_generator
     results = []
     for k in range(lo + 1, hi):

@@ -1,8 +1,8 @@
 """Shared exception types.
 
 Every domain error the library raises deliberately lives here, so callers
-(and the CLI) can map them to stable error codes, and so does `charge`, the
-one check of a count against its budget.
+(and the CLI) can map them to stable error codes, and so does `BUDGETS`: each
+count's `Budget` by site name, the one declaration of its limit and message.
 """
 
 
@@ -61,10 +61,9 @@ class NonUnique(ToricaError):
 class BudgetExceeded(ToricaError):
     """An enumeration or a computation would go past its documented budget.
 
-    Raised by `charge` for every count the library keeps, and by the CLI
-    for an answer with too many digits to print; docs/formats.md, "Error
-    object", lists every budget and its message. `budget` is the limit that
-    tripped.
+    Raised by `Budget.charge` for every count in `BUDGETS`, and by the CLI
+    for an answer with too many digits to print; docs/formats.md, "Budgets",
+    lists every budget and its message. `budget` is the limit that tripped.
     """
 
     code = "BUDGET_EXCEEDED"
@@ -74,11 +73,44 @@ class BudgetExceeded(ToricaError):
         self.budget = budget
 
 
-def charge(count, budget, message, **fields):
-    """`count` while it is at most `budget`; past it, BudgetExceeded.
+class Budget:
+    """One count's site name, limit and message, a template on `count`, `budget` and its fields."""
 
-    `message` is a template filled with `count`, `budget` and `fields`.
-    """
-    if count > budget:
-        raise BudgetExceeded(message.format(count=count, budget=budget, **fields), budget)
-    return count
+    __slots__ = ("site", "limit", "message")
+
+    def __init__(self, site, limit, message):
+        self.site, self.limit, self.message = site, limit, message
+
+    def charge(self, count, **fields):
+        """`count` while within `limit`, read at each call; past it, BudgetExceeded with `message` filled."""
+        if count > self.limit:
+            raise BudgetExceeded(self.message.format(count=count, budget=self.limit, **fields), self.limit)
+        return count
+
+
+TRIANGULATION = Budget(
+    "cone.triangulation",
+    10**6,
+    "triangulation counted {count} simplices and parallelepiped nodes, over its budget of {budget}",
+)
+SIEVE = Budget("cone.sieve", 10**6, "minimal sieve ran {count} dominance tests, over its budget of {budget}")
+PAIRS = Budget(
+    "polyring.pairs", 5000, "Groebner basis reduced {budget} S-pairs with {left} left, over its budget"
+)
+BASIS = Budget("polyring.basis", 1000, "Groebner basis grew past {budget} elements, over its budget")
+REDUCTION = Budget("polyring.reduction", 10**6, "reduction ran {count} steps, over its budget of {budget}")
+PARSE = Budget(
+    "polyring.parse", 10**6, "parsing multiplied {count} pairs of terms, over its budget of {budget}"
+)
+STANDARD_MONOMIALS = Budget(
+    "polyring.standard_monomials",
+    10**6,
+    "quotient has {count} standard monomials, over its budget of {budget}",
+)
+DEGREE = Budget(
+    "polyring.degree", 10**6, "a generator has degree over {budget}, the Hilbert numerator budget"
+)
+FACTORS = Budget("toric.factors", 10**5, "S^k x A^s has {count} factors, over its budget of {budget}")
+SCAN = Budget("divisor.scan", 10**5, "mcm scan spans {count} classes, over its budget of {budget}")
+BUDGETS = {b.site: b for b in (TRIANGULATION, SIEVE, PAIRS, BASIS, REDUCTION, PARSE, STANDARD_MONOMIALS,
+                               DEGREE, FACTORS, SCAN)}

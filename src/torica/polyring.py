@@ -32,20 +32,11 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from math import comb
 
-from .errors import NotHomogeneous, charge
+# The six `polyring.*` budgets of `errors.BUDGETS` are charged here (docs/formats.md, "Budgets").
+from .errors import BASIS, DEGREE, PAIRS, PARSE, REDUCTION, STANDARD_MONOMIALS, NotHomogeneous
 from .zlinalg import _int_tuple
 
 INFINITE = float("inf")
-
-# Limits on one Groebner basis computation, on the reduction steps of one
-# basis or normal form, on the standard monomials listed for one ideal and
-# on the term products of one parse (docs/formats.md, "Error object").
-_PAIR_BUDGET = 5000
-_BASIS_BUDGET = 1000
-_REDUCTION_BUDGET = 10**6
-_MONOMIAL_BUDGET = 10**6
-_REDUCTION = "reduction ran {count} steps, over its budget of {budget}"
-
 
 # Miller-Rabin on the primes up to 41 decides primality exactly below this
 # bound (Sorenson & Webster, Math. Comp. 86, 2017); a larger field is refused.
@@ -245,11 +236,7 @@ class _Parser:
         self.work = 0
 
     def product(self, a, b):
-        self.work = charge(
-            self.work + len(a.terms) * len(b.terms),
-            _MONOMIAL_BUDGET,
-            "parsing multiplied {count} pairs of terms, over its budget of {budget}",
-        )
+        self.work = PARSE.charge(self.work + len(a.terms) * len(b.terms))
         return a * b
 
     def peek(self):
@@ -625,8 +612,9 @@ def _reduce(work, records, p, guard, spent=0):
     `work` is consumed. Its monomials leave a heap largest first. A cancelled
     term keeps a zero entry until it is popped, and every new term is smaller
     than the one being reduced, so each monomial enters the heap once. Each
-    reduced monomial adds a step to `spent`, which may not pass _REDUCTION_BUDGET.
+    reduced monomial adds a step to `spent`, which may not pass `polyring.reduction`.
     """
+    limit = REDUCTION.limit
     heap = [-m for m in work]
     heapify(heap)
     remainder = {}
@@ -642,8 +630,8 @@ def _reduce(work, records, p, guard, spent=0):
             remainder[m] = c
             continue
         spent += 1
-        if spent > _REDUCTION_BUDGET:
-            charge(spent, _REDUCTION_BUDGET, _REDUCTION)
+        if spent > limit:
+            REDUCTION.charge(spent)
         shift = m - lt
         for ge, gc in tail:
             te = ge + shift
@@ -707,9 +695,9 @@ def _groebner(ring, generators, order, known=None):
     built only for a pair pushed onto the heap.
     Pairs are taken least lcm first. The result keeps the records whose
     leaders no other kept leader divides, each reduced by the others.
-    Reducing more than _PAIR_BUDGET pairs, finding more than _BASIS_BUDGET
-    elements, known ones included, or _REDUCTION_BUDGET reduction steps, the
-    final interreduction's included, raises BudgetExceeded.
+    More S-pairs, elements (known ones included) or reduction steps (the
+    final interreduction's included) than `polyring.pairs`, `polyring.basis`
+    or `polyring.reduction` allows raise BudgetExceeded.
     """
     p = ring.char
 
@@ -724,7 +712,7 @@ def _groebner(ring, generators, order, known=None):
 
         def insert(record, paired=True):
             h, lt_h = len(records), record[0]
-            charge(h + 1, _BASIS_BUDGET, "Groebner basis grew past {budget} elements, over its budget")
+            BASIS.charge(h + 1)
             b_h = lt_h & low
             if paired:
                 pairs[:] = [
@@ -761,12 +749,7 @@ def _groebner(ring, generators, order, known=None):
             insert(record)
         reduced = steps = 0
         while pairs:
-            reduced = charge(
-                reduced + 1,
-                _PAIR_BUDGET,
-                "Groebner basis reduced {budget} S-pairs with {left} left, over its budget",
-                left=len(pairs),
-            )
+            reduced = PAIRS.charge(reduced + 1, left=len(pairs))
             m, i, j = heappop(pairs)
             s_terms = _s_terms(records[i], records[j], m, p, guard)
             r, steps = _reduce(s_terms, reducers, p, guard, steps)
@@ -962,13 +945,13 @@ def standard_monomials(i: Ideal):
     the first v + 1 variables is a standard one in the first v times a
     power of the next, and raising that power stops at the first multiple
     of a leading exponent, since the standard monomials are closed under
-    division. More than _MONOMIAL_BUDGET of them, counted first by
-    quotient_dimension, raise BudgetExceeded before any is listed.
+    division. Past `polyring.standard_monomials`, their count, taken first by
+    quotient_dimension, raises BudgetExceeded before any is listed.
     """
     count = quotient_dimension(i)
     if count == INFINITE:
         return None
-    charge(count, _MONOMIAL_BUDGET, "quotient has {count} standard monomials, over its budget of {budget}")
+    STANDARD_MONOMIALS.charge(count)
     n = i.ring.nvars
     lead = i.leading_exponents()
     out = [(0,) * n]
@@ -1004,14 +987,10 @@ def _numerator(nvars, exponents, memos):
     fields hold the largest degree, and `_monomial_numerator` recurses on
     sorted tuples of blocks with the memo `memos` keeps for that field
     width. The steps of one certificate pass one dict, since they share
-    their colon ideals. A generator of degree over _MONOMIAL_BUDGET raises
-    BudgetExceeded before any coefficient list is built.
+    their colon ideals. A generator of degree over the `polyring.degree`
+    budget raises BudgetExceeded before any coefficient list is built.
     """
-    top = charge(
-        max(map(sum, exponents), default=0),
-        _MONOMIAL_BUDGET,
-        "a generator has degree over {budget}, the Hilbert numerator budget",
-    )
+    top = DEGREE.charge(max(map(sum, exponents), default=0))
     packing = _Packing((), nvars, _field_bits(top))
     gens = tuple(sorted(map(packing.pack, exponents)))
     return _monomial_numerator(gens, memos.setdefault(packing.bits, {}), packing)

@@ -17,14 +17,12 @@ from __future__ import annotations
 from functools import cached_property
 
 from .cone import Cone, Semigroup, _grading, _placed
-from .errors import InfiniteCokernel, charge
+from .errors import FACTORS, InfiniteCokernel
 from .polyring import Ideal, PolyRing, _poly, saturate
 from .zlinalg import IntMatrix, _dot, _int_tuple, _lll, kernel_basis, rank
 
 PHI_COLUMNS = ((1, 0, 1), (1, 0, 2), (1, 0, 0), (0, 1, 1), (0, 1, 2), (0, 1, 0))
 STEINBERG_VARIABLES = ("A", "B", "C", "X", "Y", "Z")
-_FACTOR_BUDGET = 10**5
-_FACTORS = "S^k x A^s has {count} factors, over its budget of {budget}"
 
 
 class MonomialMap:
@@ -163,13 +161,13 @@ def _odd_prime(char):
 def _product_sizes(k, s):
     """(k, s) of a product S^k x A^s as integers, refused unless k, s >= 0 and k + s >= 1.
 
-    The factor count k + s is charged against `_FACTOR_BUDGET` before any
+    The factor count k + s is charged to `toric.factors` before any
     factor list is built, so an oversized product raises BudgetExceeded at once.
     """
     k, s = _int_tuple((k, s))
     if k < 0 or s < 0 or k + s < 1:
         raise ValueError("need k >= 0, s >= 0, k + s >= 1")
-    charge(k + s, _FACTOR_BUDGET, _FACTORS)
+    FACTORS.charge(k + s)
     return k, s
 
 

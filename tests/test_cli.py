@@ -11,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from torica import cli, polyring, verification
+from torica import cli, verification
 from torica.cli import COMMANDS, main
+from torica.errors import BUDGETS
 
 PHI_CONE = {"dim": 3, "generators": [[1, 0, 0], [0, 1, 0], [1, 0, 2], [0, 1, 2]]}
 SURFACE_IDEAL = {
@@ -396,7 +397,7 @@ def test_ideal_groebner_over_budget_exits_one(tmp_path, monkeypatch, capsys):
         ],
     }
     ideal_file = write_json(tmp_path / "hostile.json", doc)
-    monkeypatch.setattr(polyring, "_PAIR_BUDGET", 100)
+    monkeypatch.setattr(BUDGETS["polyring.pairs"], "limit", 100)
     data = out_json(["ideal", "groebner", ideal_file], capsys, expect_code=1)
     assert data["error"]["code"] == "BUDGET_EXCEEDED"
     assert data["error"]["budget"] == 100
@@ -486,6 +487,16 @@ def test_verify_console_script_subprocess():
         text=True,
     )
     assert result.returncode == 2
+
+
+def test_import_loads_no_heavy_standard_modules():
+    """`import torica, torica.cli`, the benchmark's setup, pulls in none of these modules.
+
+    `dataclasses` alone pulls in `inspect`, a measurable share of the benchmark's `setup_s`.
+    """
+    code = "import sys, torica, torica.cli; print(sorted({'dataclasses', 'inspect', 'string'} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])

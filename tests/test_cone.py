@@ -474,11 +474,12 @@ def test_packed_sieve_matches_the_tuple_key_sieve(monkeypatch):
     """
     charged = []
 
-    def recorded(count, budget, message):
-        charged.append(count)
-        return count
+    class Recorded:
+        def charge(self, count):
+            charged.append(count)
+            return count
 
-    monkeypatch.setattr(cone_module, "charge", recorded)
+    monkeypatch.setattr(cone_module, "SIEVE", Recorded())
     rng = random.Random(61)
     for case in range(400):
         nfields = rng.randint(0, 5)

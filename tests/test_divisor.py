@@ -41,9 +41,9 @@ from torica import (
     trace_surjectivity_witness,
 )
 import torica.divisor
-from torica import cone as cone_module
 from torica.cone import _dot, _grading, _pulling, _region_cone
 from torica.divisor import product as variety_product
+from torica.errors import BUDGETS
 from torica.zlinalg import IntMatrix, det, solve_rational
 
 from suites import class_representative_suite
@@ -510,9 +510,11 @@ def test_modules_answer_by_the_work_they_do(monkeypatch):
     rows, hom = _region_cone(v.rays, d.coeffs)
     assert _parallelepiped_total(hom, rows, len(rows[0])) == 2663
     assert _box_size(_region_vertices(v.rays, d.coeffs), v.dual_cone.rays()) == 2184
-    monkeypatch.setattr(cone_module, "_LATTICE_BUDGET", 2500)
+    for site in ("cone.triangulation", "cone.sieve"):
+        monkeypatch.setattr(BUDGETS[site], "limit", 2500)
     assert list(module_generators(v, d).generators) == _reference_module_generators(v, d.coeffs)
-    monkeypatch.setattr(cone_module, "_LATTICE_BUDGET", 200)
+    for site in ("cone.triangulation", "cone.sieve"):
+        monkeypatch.setattr(BUDGETS[site], "limit", 200)
     with pytest.raises(BudgetExceeded) as info:
         module_generators(v, d)
     assert info.value.budget == 200
@@ -1102,7 +1104,8 @@ def test_local_cohomology_witness_over_the_lattice_budget_raises(monkeypatch):
     """A search that would pass the budget raises; it does not report the absence of a witness."""
     v = ToricVariety(Cone(3, [(1, 3, -2), (2, 4, 3), (-1, 4, 0), (-1, -3, 4)]))
     d = v.divisor((2, -2, 3, -3))
-    monkeypatch.setattr(cone_module, "_LATTICE_BUDGET", 100)
+    for site in ("cone.triangulation", "cone.sieve"):
+        monkeypatch.setattr(BUDGETS[site], "limit", 100)
     with pytest.raises(BudgetExceeded):
         torica.divisor._local_cohomology_witness(v, d)
 
@@ -1202,9 +1205,9 @@ def test_mcm_scan_charges_its_class_count_before_the_first_class(surface, monkey
     def refuse(*args):
         raise AssertionError("scanned a class")
 
-    monkeypatch.setattr(torica.divisor, "_SCAN_BUDGET", 15)
+    monkeypatch.setattr(BUDGETS["divisor.scan"], "limit", 15)
     assert len(enumerate_mcm_rank_one_candidates(surface)) == 5
-    monkeypatch.setattr(torica.divisor, "_SCAN_BUDGET", 14)
+    monkeypatch.setattr(BUDGETS["divisor.scan"], "limit", 14)
     monkeypatch.setattr(torica.divisor, "_local_cohomology_witness", refuse)
     with pytest.raises(BudgetExceeded) as info:
         enumerate_mcm_rank_one_candidates(surface)

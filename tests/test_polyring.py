@@ -10,6 +10,7 @@ import pytest
 from torica import (
     INFINITE,
     BudgetExceeded,
+    Cone,
     Ideal,
     NotHomogeneous,
     PolyRing,
@@ -26,8 +27,9 @@ from torica import (
     standard_monomials,
     steinberg_multiplicity,
 )
-from torica import cone, divisor, polyring
+from torica import divisor, polyring
 from torica.cone import _keyed, _minimal
+from torica.errors import BUDGETS
 from torica.polyring import Polynomial, _divides
 from torica.zlinalg import _add, _sub
 
@@ -258,9 +260,11 @@ def test_standard_monomials_over_budget_are_counted_not_listed(monkeypatch):
     assert "quotient has 1000000000 standard monomials" in str(info.value)
     # the budget is inclusive: (x^2, y^3) has 6 standard monomials
     box = PolyRing(101, ("x", "y")).ideal(["x^2", "y^3"])
-    monkeypatch.setattr(polyring, "_MONOMIAL_BUDGET", 6)
+    for site in ("polyring.parse", "polyring.standard_monomials", "polyring.degree"):
+        monkeypatch.setattr(BUDGETS[site], "limit", 6)
     assert len(standard_monomials(box)) == 6
-    monkeypatch.setattr(polyring, "_MONOMIAL_BUDGET", 5)
+    for site in ("polyring.parse", "polyring.standard_monomials", "polyring.degree"):
+        monkeypatch.setattr(BUDGETS[site], "limit", 5)
     with pytest.raises(BudgetExceeded):
         standard_monomials(box)
 
@@ -506,84 +510,107 @@ def test_hostile_lex_basis_ends_within_ten_seconds():
 
 def test_groebner_budget_quotes_the_counter_that_tripped(monkeypatch):
     ring = PolyRing(101, ("x", "y", "z"))
-    monkeypatch.setattr(polyring, "_PAIR_BUDGET", 100)
+    monkeypatch.setattr(BUDGETS["polyring.pairs"], "limit", 100)
     with pytest.raises(BudgetExceeded) as info:
         Ideal(ring, HOSTILE, order="lex").groebner()
     assert info.value.budget == 100 and "100 S-pairs" in str(info.value)
-    monkeypatch.setattr(polyring, "_BASIS_BUDGET", 5)
+    monkeypatch.setattr(BUDGETS["polyring.basis"], "limit", 5)
     with pytest.raises(BudgetExceeded) as info:
         Ideal(ring, HOSTILE, order="grevlex").groebner()
     assert info.value.budget == 5 and "5 elements" in str(info.value)
 
 
 def test_budget_messages_are_pinned_byte_for_byte(monkeypatch):
-    """Each budget's message and `budget`, byte for byte: docs/formats.md quotes them."""
+    """Each budget's message and `budget`, byte for byte: docs/formats.md quotes them.
+
+    One case per entry of `BUDGETS`, so a budget added without a pinned
+    message fails here.
+    """
     ring = PolyRing(101, ("x", "y", "z"))
     huge = PolyRing(101, ("x", "y")).ideal(["x^" + str(10**400) + " - y", "y^2"])
     cases = [
         (
+            "polyring.parse",
             None,
             lambda: ring.parse("(x+y+z)^200"),
             "parsing multiplied 5038020 pairs of terms, over its budget of 1000000",
             10**6,
         ),
         (
+            "polyring.degree",
             None,
             lambda: quotient_dimension(huge),
             "a generator has degree over 1000000, the Hilbert numerator budget",
             10**6,
         ),
         (
+            "polyring.standard_monomials",
             None,
             lambda: standard_monomials(ring.ideal(["x^1000", "y^1000", "z^1000"])),
             "quotient has 1000000000 standard monomials, over its budget of 1000000",
             10**6,
         ),
         (
-            (polyring, "_PAIR_BUDGET", 100),
+            "polyring.pairs",
+            100,
             lambda: Ideal(ring, HOSTILE, order="lex").groebner(),
             "Groebner basis reduced 100 S-pairs with 15 left, over its budget",
             100,
         ),
         (
-            (polyring, "_BASIS_BUDGET", 5),
+            "polyring.basis",
+            5,
             lambda: Ideal(ring, HOSTILE).groebner(),
             "Groebner basis grew past 5 elements, over its budget",
             5,
         ),
         (
-            (polyring, "_REDUCTION_BUDGET", 10),
+            "polyring.reduction",
+            10,
             lambda: Ideal(ring, HOSTILE).groebner(),
             "reduction ran 11 steps, over its budget of 10",
             10,
         ),
         (
             # keys of sums 2, 2, 2, 6 are charged 0, 1, 2 and 3 dominance tests
-            (cone, "_LATTICE_BUDGET", 3),
+            "cone.sieve",
+            3,
             lambda: _minimal(*_keyed([((0, 2), 1), ((1, 1), 2), ((2, 0), 3), ((3, 3), 4)])),
             "minimal sieve ran 6 dominance tests, over its budget of 3",
             3,
         ),
         (
-            (divisor, "_SCAN_BUDGET", 14),
+            # one level of 10^29 nodes, counted before it is built
+            "cone.triangulation",
+            None,
+            lambda: Cone(2, [(1, 0), (1, 10**29)]).hilbert_basis(),
+            "triangulation counted 100000000000000000000000000001 simplices and parallelepiped nodes,"
+            " over its budget of 1000000",
+            10**6,
+        ),
+        (
+            "divisor.scan",
+            14,
             lambda: divisor.enumerate_mcm_rank_one_candidates(divisor.steinberg_variety()),
             "mcm scan spans 15 classes, over its budget of 14",
             14,
         ),
         (
+            "toric.factors",
             None,
             lambda: divisor.steinberg_multiplicity(10**9, 0),
             "S^k x A^s has 1000000000 factors, over its budget of 100000",
             10**5,
         ),
     ]
-    for patch, run, message, budget in cases:
-        if patch:
-            monkeypatch.setattr(*patch)
+    for site, limit, run, message, budget in cases:
+        if limit is not None:
+            monkeypatch.setattr(BUDGETS[site], "limit", limit)
         with pytest.raises(BudgetExceeded) as info:
             run()
-        assert (str(info.value), info.value.budget) == (message, budget)
+        assert (str(info.value), info.value.budget) == (message, budget), site
         monkeypatch.undo()
+    assert {site for site, *_ in cases} == set(BUDGETS)
 
 
 def test_reduction_steps_are_counted_per_basis_and_per_normal_form(monkeypatch):
@@ -594,17 +621,17 @@ def test_reduction_steps_are_counted_per_basis_and_per_normal_form(monkeypatch):
     x - z). x^3 then reduces to z^3 in 3 steps, and z in none.
     """
     ring = PolyRing(101, ("x", "y", "z"))
-    monkeypatch.setattr(polyring, "_REDUCTION_BUDGET", 0)
+    monkeypatch.setattr(BUDGETS["polyring.reduction"], "limit", 0)
     with pytest.raises(BudgetExceeded, match="^reduction ran 1 steps, over its budget of 0$"):
         Ideal(ring, ["x - y", "y - z"]).groebner()
-    monkeypatch.setattr(polyring, "_REDUCTION_BUDGET", 3)
+    monkeypatch.setattr(BUDGETS["polyring.reduction"], "limit", 3)
     ideal = Ideal(ring, ["x - y", "y - z"])
     for _ in range(3):
         assert ideal.normal_form("x^3") == ring.parse("z^3")
-    monkeypatch.setattr(polyring, "_REDUCTION_BUDGET", 2)
+    monkeypatch.setattr(BUDGETS["polyring.reduction"], "limit", 2)
     with pytest.raises(BudgetExceeded, match="^reduction ran 3 steps, over its budget of 2$"):
         ideal.normal_form("x^3")
-    monkeypatch.setattr(polyring, "_REDUCTION_BUDGET", 0)
+    monkeypatch.setattr(BUDGETS["polyring.reduction"], "limit", 0)
     assert ideal.normal_form("z") == ring.parse("z")
 
 
@@ -923,7 +950,7 @@ def test_groebner_grown_from_a_known_basis_matches_from_scratch():
 def test_known_basis_counts_toward_the_basis_budget(monkeypatch):
     ring = PolyRing(101, ("x", "y", "z"))
     known = Ideal(ring, ["x^2", "y^2", "z^2"])._basis()
-    monkeypatch.setattr(polyring, "_BASIS_BUDGET", 3)
+    monkeypatch.setattr(BUDGETS["polyring.basis"], "limit", 3)
     with pytest.raises(BudgetExceeded) as info:
         polyring._groebner(ring, [ring.parse("x*y")], "grevlex", known)
     assert info.value.budget == 3

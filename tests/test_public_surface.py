@@ -1,13 +1,17 @@
-"""The public names of the `torica` package, frozen.
+"""The public names of the `torica` package, frozen, and its documented budgets.
 
 A change that drops or renames one of them breaks callers; it must then
 change this list on purpose. Submodules are left out, because which of
 them appear as attributes depends on what else has been imported.
 """
 
+from pathlib import Path
 from types import ModuleType
 
 import torica
+from torica.errors import BUDGETS
+
+FORMATS = Path(__file__).resolve().parent.parent / "docs" / "formats.md"
 
 PUBLIC_NAMES = [
     "BudgetExceeded", "ClassGroup", "Cone", "DivisorClass", "DivisorialModule", "INFINITE",
@@ -38,3 +42,15 @@ def test_public_names_are_frozen():
         if not name.startswith("_") and not isinstance(getattr(torica, name), ModuleType)
     )
     assert names == PUBLIC_NAMES
+
+
+def test_documented_budgets_are_the_registry():
+    """docs/formats.md, "Budgets": one (site, limit, message) row per entry of `BUDGETS`, and no other."""
+    section = FORMATS.read_text(encoding="utf-8").split("\n### Budgets\n", 1)[1].split("\n#", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if line.startswith("| `") and len(cells) == 3:
+            site, limit, message = cells
+            rows[site.strip("`")] = (int(limit.replace(",", "")), message.strip("`"))
+    assert rows == {site: (b.limit, b.message) for site, b in BUDGETS.items()}

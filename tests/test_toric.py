@@ -28,6 +28,7 @@ from torica import (
 )
 from torica import polyring
 from torica.cli import main
+from torica.errors import BUDGETS
 
 EXPECTED_BASIS = {
     "C*Y - B*Z",
@@ -337,7 +338,7 @@ def test_an_over_budget_saturation_raises_from_the_constructor(monkeypatch, caps
     The surface's saturation reduces 25 S-pairs; its variety still defers the
     presentation, so building the variety refuses nothing until it is read.
     """
-    monkeypatch.setattr(polyring, "_PAIR_BUDGET", 5)
+    monkeypatch.setattr(BUDGETS["polyring.pairs"], "limit", 5)
     for build in (
         lambda: toric_ideal(steinberg_monomial_map(), 101),
         lambda: steinberg_ring_mod_l(101),
